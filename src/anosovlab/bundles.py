@@ -102,24 +102,12 @@ def _generic_frame(d: int) -> np.ndarray:
     return q
 
 
-def _ascending_frame(jacs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """QR frame whose trailing columns span contraction flags, with log rates.
-
-    Accumulates the transposed cocycle from its far end; the product's QR
-    factor orders directions by decreasing growth, so rates come out
-    descending and the last i columns span the i most-contracted directions.
-    """
-    depth, n, d, _ = jacs.shape
-    q = np.broadcast_to(_generic_frame(d), (n, d, d)).copy()
-    logs = np.zeros((n, d))
-    for j in range(depth - 1, -1, -1):
-        q, r = qr_pos(np.swapaxes(jacs[j], 1, 2) @ q)
-        logs += np.log(np.abs(r[:, np.arange(d), np.arange(d)]))
-    return q, logs / depth
-
-
 def _descending_frame(jacs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """QR frame whose leading columns span realized-growth flags at the endpoint."""
+    """QR frame whose leading columns span realized-growth flags at the endpoint.
+
+    This is the forward QR chain of Ginelli et al., PRL 99, 130601 (2007),
+    with the per-step log rates averaged over the chain.
+    """
     depth, n, d, _ = jacs.shape
     q = np.broadcast_to(_generic_frame(d), (n, d, d)).copy()
     logs = np.zeros((n, d))
@@ -148,7 +136,9 @@ def _stable_field(
     """Batched stable directions (n, d, k), unstable subspace (n, d, d-k), rates."""
     d, k = f.dim, f.model.stable_dim
     fwd = _forward_jacobians(f, pts, depth)
-    q_asc, rates_asc = _ascending_frame(fwd)
+    # the transposed cocycle from its far end: its QR flag orders directions by
+    # decreasing growth, so the last i columns span the i most-contracted ones
+    q_asc, rates_asc = _descending_frame(np.swapaxes(fwd[::-1], 2, 3))
     rates = -np.sort(-rates_asc, axis=1)
     _check_rates(rates, k, min_gap)
     bwd = _backward_jacobians(f, pts, depth)

@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 
 from anosovlab.errors import ConfigInvalid
-from anosovlab.scenarios import STAGES, load_scenario, run_dichotomy, run_scenario
+from anosovlab.scenarios import STAGES, load_scenario, run_scenario
 
 _VERBS = STAGES + ("dichotomy", "all")
 
@@ -56,11 +56,8 @@ def main(argv=None) -> int:
         print("config error: --threads must be >= 1", file=sys.stderr)
         return 1
 
-    if args.verb == "dichotomy":
-        result = run_dichotomy(sc, threads=args.threads)
-    else:
-        stages = STAGES if args.verb == "all" else (args.verb,)
-        result = run_scenario(replace(sc, stages=stages), threads=args.threads)
+    stages = STAGES if args.verb == "all" else (args.verb,)
+    result = run_scenario(replace(sc, stages=stages), threads=args.threads)
 
     print(f"wrote {result.summary_path}")
     for name in result.files:

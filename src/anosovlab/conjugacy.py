@@ -40,9 +40,6 @@ class DisplacementField:
     grid_sup: float
     grid_n: int
 
-    def evaluate(self, x) -> np.ndarray:
-        return self.map.displacement(x)
-
 
 def displacement_field(f: TorusMap, grid_n: int | None = None) -> DisplacementField:
     if grid_n is None:
@@ -271,17 +268,6 @@ def conjugacy_evaluator(
         weights_unstable=w_u[:depth],
         weights_stable=w_s[:depth],
     )
-
-
-# -- free-function aliases -------------------------------------------------------
-
-
-def evaluate_H(ce: ConjugacyEvaluator, x) -> np.ndarray:
-    return ce.apply(x)
-
-
-def evaluate_H_inverse(ce: ConjugacyEvaluator, y, tol: float = 1e-10) -> np.ndarray:
-    return ce.apply_inverse(y, tol=tol)
 
 
 # -- translation diagnostics ---------------------------------------------------

@@ -11,18 +11,17 @@ contraction leafwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
 from anosovlab.bundles import (
+    IntegrabilityReport,
     _backward_jacobians,
     _descending_frame,
     _forward_jacobians,
     _stable_field,
-    integrability_verdict,
 )
-from anosovlab.conjugacy import conjugacy_evaluator
+from anosovlab.conjugacy import ConjugacyEvaluator
 from anosovlab.errors import (
     NoConvergence,
     NoIntersection,
@@ -31,8 +30,8 @@ from anosovlab.errors import (
     StepRejected,
 )
 from anosovlab.maps import TorusMap
-from anosovlab.orbits import enumerate_orbits
-from anosovlab.util import float_cell, wrap
+from anosovlab.orbits import OrbitInventory
+from anosovlab.util import float_cell, grid_points, wrap
 
 
 # -- direction fields ----------------------------------------------------------
@@ -146,15 +145,7 @@ def trace_stable_leaf(
     max_turn: float = 0.35,
 ) -> LeafPolyline:
     """Polyline through the lift point x along E^s_i, arclength L each way."""
-    start = np.asarray(x, dtype=float)[None, :]
-
-    def field(pts):
-        return stable_direction_field(f, pts, i, depth)
-
-    pts, center = _trace_batch(f, start, field, L, h, max_turn)
-    return LeafPolyline(
-        points=pts[0], arclength=_cumulative_arclength(pts[0]), index=i, center_index=center
-    )
+    return trace_stable_leaves(f, [x], i, L, h, depth, max_turn)[0]
 
 
 def trace_unstable_leaf(
@@ -330,8 +321,7 @@ def _segment_mean(f: TorusMap, phi, segments: int, segment_len: int, seed: int) 
     return total / flat.shape[0]
 
 
-def _periodic_obstruction(f: TorusMap, phi, mean: float, max_period: int) -> float:
-    inventory = enumerate_orbits(f, max_period)
+def _periodic_obstruction(phi, mean: float, inventory: OrbitInventory) -> float:
     worst = 0.0
     for orbit in inventory:
         avg = float(np.mean(phi(orbit.points)))
@@ -342,10 +332,10 @@ def _periodic_obstruction(f: TorusMap, phi, mean: float, max_period: int) -> flo
 def livschitz_solve(
     f: TorusMap,
     phi,
+    inventory: OrbitInventory,
     fourier_order: int = 16,
     grid_n: int | None = None,
     obstruction_tol: float = 1e-4,
-    max_period: int = 3,
     segments: int = 160,
     segment_len: int = 4000,
     seed: int = 0,
@@ -356,8 +346,9 @@ def livschitz_solve(
     segment when the decomposition exists); psi from least squares over
     Fourier modes |k|_inf <= fourier_order on a grid_n^d grid, with the sup
     residual measured on a finer off-lattice grid. The obstruction is the
-    worst deviation of a periodic-orbit average from the mean; when it
-    exceeds obstruction_tol the best fit is attached to ObstructionNonzero.
+    worst deviation of an average over an orbit of `inventory` from the mean;
+    when it exceeds obstruction_tol the best fit is attached to
+    ObstructionNonzero.
     """
     d = f.dim
     if grid_n is None:
@@ -368,44 +359,30 @@ def livschitz_solve(
     probe = np.random.default_rng(seed + 1).random((64, d))
     probe_vals = phi(probe)
     if float(np.ptp(probe_vals)) < 1e-12:
-        mean = float(np.mean(probe_vals))
-        obstruction = _periodic_obstruction(f, phi, mean, max_period)
-        sol = CocycleSolution(
-            mean=mean,
-            modes=np.zeros((0, d), dtype=int),
-            cos_coeffs=np.zeros(0),
-            sin_coeffs=np.zeros(0),
-            fourier_order=fourier_order,
-            residual=float(np.ptp(probe_vals)),
-            obstruction=obstruction,
-            orbit_mean=mean,
-        )
-        if obstruction > obstruction_tol:
-            raise ObstructionNonzero(
-                f"periodic obstruction {obstruction:.3e} exceeds {obstruction_tol}",
-                solution=sol,
-            )
-        return sol
+        # a constant observable is its own mean with a zero transfer function
+        mean = orbit_mean = float(np.mean(probe_vals))
+        modes = np.zeros((0, d), dtype=int)
+        cos_c, sin_c = np.zeros(0), np.zeros(0)
+        residual = float(np.ptp(probe_vals))
+    else:
+        orbit_mean = _segment_mean(f, phi, segments, segment_len, seed)
+        mean = orbit_mean
 
-    orbit_mean = _segment_mean(f, phi, segments, segment_len, seed)
-    mean = orbit_mean
+        grid = grid_points(d, grid_n)
+        modes = _half_space_modes(d, fourier_order)
+        design = _fourier_design(f.torus_step(grid), modes) - _fourier_design(grid, modes)
+        rhs = phi(grid) - mean
+        coeffs, *_ = np.linalg.lstsq(design, rhs, rcond=None)
+        m = modes.shape[0]
+        cos_c, sin_c = coeffs[:m], coeffs[m:]
 
-    axes = [np.arange(grid_n) / grid_n] * d
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    modes = _half_space_modes(d, fourier_order)
-    design = _fourier_design(f.torus_step(grid), modes) - _fourier_design(grid, modes)
-    rhs = phi(grid) - mean
-    coeffs, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-    m = modes.shape[0]
-    cos_c, sin_c = coeffs[:m], coeffs[m:]
+        fine_n = 97 if d == 2 else 23
+        fine_axes = [(np.arange(fine_n) + 0.37) / fine_n] * d
+        fine = np.stack(np.meshgrid(*fine_axes, indexing="ij"), axis=-1).reshape(-1, d)
+        fine_design = _fourier_design(f.torus_step(fine), modes) - _fourier_design(fine, modes)
+        residual = float(np.abs(phi(fine) - mean - fine_design @ coeffs).max())
 
-    fine_n = 97 if d == 2 else 23
-    fine_axes = [(np.arange(fine_n) + 0.37) / fine_n] * d
-    fine = np.stack(np.meshgrid(*fine_axes, indexing="ij"), axis=-1).reshape(-1, d)
-    fine_design = _fourier_design(f.torus_step(fine), modes) - _fourier_design(fine, modes)
-    residual = float(np.abs(phi(fine) - mean - fine_design @ coeffs).max())
-
-    obstruction = _periodic_obstruction(f, phi, mean, max_period)
+    obstruction = _periodic_obstruction(phi, mean, inventory)
     sol = CocycleSolution(
         mean=mean,
         modes=modes,
@@ -460,6 +437,7 @@ def stable_log_norm_observable(f: TorusMap, i: int = 1, depth: int = 12):
 
 def bundle_coboundary_psi(
     f: TorusMap,
+    inventory: OrbitInventory,
     i: int = 1,
     fourier_order: int = 16,
     depth: int = 12,
@@ -474,7 +452,7 @@ def bundle_coboundary_psi(
     not a failure of the solver.
     """
     phi = stable_log_norm_observable(f, i, depth)
-    sol = livschitz_solve(f, phi, fourier_order, **solver_kw)
+    sol = livschitz_solve(f, phi, inventory, fourier_order, **solver_kw)
     target = f.model.stable_exponents[i - 1]
     if abs(sol.mean - target) > lambda_tol:
         raise NoConvergence(
@@ -521,11 +499,6 @@ def affine_distance(f: TorusMap, i: int, leaf: LeafPolyline, a, b, psi: CocycleS
 # -- holonomies -----------------------------------------------------------------
 
 
-@lru_cache(maxsize=16)
-def _integrable(f: TorusMap) -> bool:
-    return integrability_verdict(f, samples=10, codes_per_point=4, depth=10).integrable
-
-
 def _segment_crossing(poly_u: np.ndarray, poly_s: np.ndarray):
     """First crossing of the u-polyline through the s-polyline (2D).
 
@@ -558,6 +531,7 @@ def _segment_crossing(poly_u: np.ndarray, poly_s: np.ndarray):
 
 def unstable_holonomy(
     f: TorusMap,
+    integrability: IntegrabilityReport,
     x,
     x_prime,
     y,
@@ -570,11 +544,11 @@ def unstable_holonomy(
     """Slide y along its unstable leaf to the stable leaf of x_prime.
 
     x and x_prime must lie on one unstable leaf and y on the stable leaf of x;
-    refused unless a quick integrability scan passes (otherwise the unstable
-    direction is branch-dependent and the holonomy is not well defined).
-    Returns the intersection lift point.
+    refused unless `integrability` (the caller's scan of f) found the unstable
+    direction branch-independent, since otherwise the holonomy is not well
+    defined. Returns the intersection lift point.
     """
-    if not _integrable(f):
+    if not integrability.integrable:
         raise RefusedNonIntegrable("unstable bundle not integrable; holonomy undefined")
     if f.dim != 2:
         raise ValueError("holonomy tracing implemented for the plane case")
@@ -601,10 +575,11 @@ class HolonomyIsometryReport:
 
 def holonomy_isometry_check(
     f: TorusMap,
+    integrability: IntegrabilityReport,
+    psi: CocycleSolution,
     i: int = 1,
     samples: int = 50,
     seed: int = 0,
-    psi: CocycleSolution | None = None,
     h: float = 1e-3,
     depth: int = 12,
 ) -> HolonomyIsometryReport:
@@ -612,11 +587,10 @@ def holonomy_isometry_check(
 
     Each sample takes a base point x, a nearby x' on its unstable leaf, and a
     pair a, b on the stable leaf of x; both are slid to the stable leaf of x'.
+    Refused like `unstable_holonomy` when `integrability` says not integrable.
     """
-    if not _integrable(f):
+    if not integrability.integrable:
         raise RefusedNonIntegrable("unstable bundle not integrable; holonomy undefined")
-    if psi is None:
-        psi = bundle_coboundary_psi(f, i)
     rng = np.random.default_rng(seed)
     xs = rng.random((samples, f.dim))
     delta = rng.uniform(0.02, 0.05, samples)
@@ -710,32 +684,22 @@ class ConjugacyIsometryReport:
 
 def conjugacy_leaf_isometry_check(
     f: TorusMap,
+    ce: ConjugacyEvaluator,
+    psi: CocycleSolution,
     i: int = 1,
     samples: int = 100,
     seed: int = 0,
     h: float = 1e-3,
     depth: int = 12,
-    psi: CocycleSolution | None = None,
-    **psi_kw,
 ) -> ConjugacyIsometryReport:
     """Compare the affine leaf metric with Euclidean distance after conjugating.
 
-    Fits the one free scale between d^s_i(a, b) and |H(a) - H(b)| and reports
-    the worst relative deviation after scaling. Skipped (not failed) when the
-    stable cocycle has a periodic obstruction, since the metric construction
-    presumes rigidity. A precomputed `psi` bypasses the cocycle solve.
+    Fits the one free scale between d^s_i(a, b) and |H(a) - H(b)|, with H from
+    the evaluator `ce` of f, and reports the worst relative deviation after
+    scaling. `psi` is the transfer function of the stable cocycle; without one
+    (a periodic obstruction) the metric does not exist and the check is not
+    run.
     """
-    if psi is None:
-        try:
-            psi = bundle_coboundary_psi(f, i, depth=depth, **psi_kw)
-        except ObstructionNonzero:
-            return ConjugacyIsometryReport(
-                status="skipped_non_rigid",
-                scale=float("nan"),
-                max_relative_deviation=float("nan"),
-                pairs=0,
-                rows=(),
-            )
     rng = np.random.default_rng(seed)
     n_leaves = 8
     starts = rng.random((n_leaves, f.dim))
@@ -744,7 +708,6 @@ def conjugacy_leaf_isometry_check(
         return stable_direction_field(f, pts, i, depth)
 
     traces, center = _trace_batch(f, starts, s_field, 0.3, h, 0.35)
-    ce = conjugacy_evaluator(f)
 
     per_leaf = int(np.ceil(1.5 * samples / n_leaves))
     d_vals, e_vals = [], []

@@ -67,7 +67,6 @@ class LinearModel:
     degree: int
     dim: int
     stable_dim: int
-    real_simple_stable: bool
     stable_eigenvalues: tuple[float, ...]
     unstable_moduli: tuple[float, ...]
     stable_lines: np.ndarray = field(repr=False)
@@ -77,10 +76,6 @@ class LinearModel:
     unstable_projection: np.ndarray = field(repr=False)
     stable_norm: float
     unstable_conorm: float
-
-    @property
-    def hyperbolic(self) -> bool:
-        return True
 
     @property
     def stable_exponents(self) -> tuple[float, ...]:
@@ -157,12 +152,6 @@ def analyze_matrix(matrix, tol: float = 1e-9) -> LinearModel:
 
     scale = max(1.0, float(np.abs(a).max()))
     all_real = bool(np.all(np.abs(stable_vals.imag) <= tol * scale))
-    separated = True
-    mods = np.abs(stable_vals)
-    for i in range(k - 1):
-        if mods[i + 1] - mods[i] <= 10.0 * tol:
-            separated = False
-    real_simple = k >= 1 and all_real and separated
 
     if all_real and k >= 1:
         stable_eigs = tuple(float(v.real) for v in stable_vals)
@@ -203,7 +192,6 @@ def analyze_matrix(matrix, tol: float = 1e-9) -> LinearModel:
         degree=degree,
         dim=d,
         stable_dim=k,
-        real_simple_stable=real_simple,
         stable_eigenvalues=stable_eigs,
         unstable_moduli=unstable_moduli,
         stable_lines=lines,

@@ -234,11 +234,6 @@ class TorusMap:
             out = np.zeros_like(xb)
         return out[0] if single else out
 
-    def displacement_jacobian(self, x) -> np.ndarray:
-        xb, single = _as_batch(x)
-        out = self.jacobian(xb) - self.model.array
-        return out[0] if single else out
-
     def torus_step(self, t: np.ndarray) -> np.ndarray:
         """One forward step of the induced torus map."""
         return wrap(self.evaluate(t))
@@ -329,28 +324,6 @@ class TorusMap:
                             f"branches {i} and {j} collided at {pts[i]} (distance < {tol})"
                         )
         return pre[0] if single else pre
-
-
-@dataclass(frozen=True)
-class JetSample:
-    """Point, lift image, and Jacobian of one evaluation."""
-
-    point: np.ndarray
-    image: np.ndarray
-    jacobian: np.ndarray
-
-
-def evaluate_with_jacobian(f: TorusMap, x) -> JetSample:
-    xb = np.asarray(x, dtype=float)
-    return JetSample(point=xb, image=f.evaluate(xb), jacobian=f.jacobian(xb))
-
-
-def invert_lift(f: TorusMap, y, tol: float = 1e-12) -> np.ndarray:
-    return f.invert(y, tol=tol)
-
-
-def torus_preimages(f: TorusMap, x, tol: float = 1e-10) -> np.ndarray:
-    return f.preimages(x, tol=tol)
 
 
 def local_diffeo_margin(f: TorusMap, grid_n: int | None = None) -> tuple[float, np.ndarray]:

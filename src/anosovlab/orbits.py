@@ -360,15 +360,8 @@ class RigidityReport:
         return rows
 
 
-def rigidity_report(
-    f: TorusMap,
-    max_period: int,
-    threshold: float = 5e-4,
-    tol: float = 1e-12,
-    inventory: OrbitInventory | None = None,
-) -> RigidityReport:
-    if inventory is None:
-        inventory = enumerate_orbits(f, max_period, tol=tol)
+def rigidity_report(f: TorusMap, inventory: OrbitInventory, threshold: float = 5e-4) -> RigidityReport:
+    """Stable exponents of the orbits in `inventory` against f's linear model."""
     linear = tuple(float(v) for v in f.model.stable_exponents)
     k = len(linear)
     table = np.array([o.stable_exponents for o in inventory.orbits])

@@ -2,7 +2,9 @@
 
 A scenario is a YAML file naming a fixture, tolerances, depths, sampling
 counts, a seed and an output directory. `run_scenario` executes the requested
-pipeline stages and writes one CSV per report plus a plain-text summary.
+pipeline stages (or the dichotomy sweep) over one `RunContext`, which builds
+each shared artifact at most once, and writes one CSV per report plus a
+plain-text summary.
 Verdict-level findings (non-special, non-rigid, branch-dependent unstable
 directions, failed certification, ...) are collected rather than raised, and
 drive the exit code: 0 clean, 2 findings, 1 infrastructure error.
@@ -12,26 +14,34 @@ seed, and CSV bodies are byte-identical across repeated runs and thread
 counts. Wall-clock data goes to run_meta.txt only.
 
 Expensive artifacts (periodic orbit inventories, conjugacy diagnostics) are
-cached on disk keyed by a content hash of the fixture and the parameters that
-affect the numbers, so a cache hit reproduces a cold run exactly.
+cached on disk keyed by a content hash of the fixture, the parameters that
+affect the numbers, the package version and a per-kind schema number, so a
+cache hit reproduces a cold run exactly.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
+import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from hashlib import sha256
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from anosovlab.bundles import integrability_verdict
+import anosovlab
+from anosovlab.bundles import IntegrabilityReport, integrability_verdict
 from anosovlab.conjugacy import (
+    ConjugacyEvaluator,
+    DecayTable,
+    SpecialnessReport,
     conjugacy_evaluator,
     deep_translation_decay,
     specialness_defect,
@@ -62,6 +72,7 @@ from anosovlab.maps import (
 from anosovlab.orbits import (
     OrbitInventory,
     PeriodicOrbit,
+    RigidityReport,
     enumerate_orbits,
     rigidity_report,
 )
@@ -174,6 +185,9 @@ def load_scenario(source) -> Scenario:
             cfg = yaml.safe_load(text)
         except yaml.YAMLError as exc:
             raise ConfigInvalid([f"not valid YAML: {exc}"]) from exc
+        if isinstance(cfg, str) and not path.exists():
+            # a lone scalar is a path that names no file, not YAML text
+            raise ConfigInvalid([f"config file {source} does not exist"])
     if not isinstance(cfg, dict):
         raise ConfigInvalid(["config root must be a mapping"])
 
@@ -310,8 +324,14 @@ def fixture_payload(f: TorusMap) -> dict:
     }
 
 
+# bump a kind's number whenever the shape of its cached blob changes
+CACHE_SCHEMA = {"orbits": 1, "conjugacy": 2}
+
+
 def content_key(kind: str, payload: dict) -> str:
-    blob = kind + "\n" + json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    """Hash of the artifact kind, its inputs and the code that computes it."""
+    code = {"version": anosovlab.__version__, "schema": CACHE_SCHEMA[kind]}
+    blob = kind + "\n" + json.dumps([code, payload], sort_keys=True, separators=(",", ":"))
     return sha256(blob.encode()).hexdigest()
 
 
@@ -320,9 +340,15 @@ def _cache_file(key: str, suffix: str) -> Path:
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
+    """Write through a temporary file of this writer's own, then rename.
+
+    Concurrent writers of one key (sweep rows sharing an epsilon) each rename
+    a complete file of their own; the last rename wins.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(data)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    with os.fdopen(fd, "wb") as fh:
+        fh.write(data)
     os.replace(tmp, path)
 
 
@@ -356,12 +382,9 @@ def cached_inventory(f: TorusMap, max_period: int, tol: float = 1e-12) -> OrbitI
             pass  # corrupt entry: fall through to a cold run
     inv = enumerate_orbits(f, max_period, tol=tol)
     arrays, meta = _inventory_to_arrays(inv)
-    buf_path = _cache_file(key, ".npz")
-    buf_path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = buf_path.with_suffix(".npz.tmp")
-    with open(tmp, "wb") as fh:
-        np.savez(fh, **arrays)
-    os.replace(tmp, buf_path)
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    _atomic_write(npz_path, buf.getvalue())
     _cache_put_json(key, meta)
     return inv
 
@@ -446,10 +469,66 @@ def _kv_csv(pairs: list) -> list:
     return [["property", "value"]] + [[k, v] for k, v in pairs]
 
 
+# -- per-run context -------------------------------------------------------------
+
+
+@dataclass
+class RunContext:
+    """One run: the scenario, where it writes, and its shared artifacts.
+
+    Every artifact is built on first use and then shared, so a stage that
+    needs the orbit inventory or the integrability verdict reads the one an
+    earlier stage computed, and nothing a run does not need is built. Each
+    artifact's arguments and seed offset are stated here and nowhere else.
+    """
+
+    sc: Scenario
+    out: Path
+    threads: int = 1
+
+    @cached_property
+    def f(self) -> TorusMap:
+        return self.sc.build_map()
+
+    @cached_property
+    def evaluator(self) -> ConjugacyEvaluator:
+        return conjugacy_evaluator(
+            self.f, residual_target=self.sc.residual_target, depth=self.sc.series_depth
+        )
+
+    @cached_property
+    def inventory(self) -> OrbitInventory:
+        return cached_inventory(self.f, self.sc.max_period)
+
+    @cached_property
+    def specialness(self) -> SpecialnessReport:
+        sc = self.sc
+        return specialness_defect(
+            self.evaluator, samples=sc.points, seed=sc.seed + 11, threshold=sc.specialness_threshold
+        )
+
+    @cached_property
+    def integrability(self) -> IntegrabilityReport:
+        sc = self.sc
+        return integrability_verdict(
+            self.f,
+            samples=sc.points,
+            codes_per_point=sc.codes_per_point,
+            depth=sc.branch_depth,
+            tol=sc.spread_tol,
+            seed=sc.seed + 13,
+        )
+
+    @cached_property
+    def rigidity(self) -> RigidityReport:
+        return rigidity_report(self.f, self.inventory, threshold=self.sc.rigidity_threshold)
+
+
 # -- stages ----------------------------------------------------------------------
 
 
-def _stage_analyze(f: TorusMap, sc: Scenario, out: Path) -> StageOutcome:
+def _stage_analyze(run: RunContext) -> StageOutcome:
+    f, out = run.f, run.out
     m = f.model
     pairs = [
         ("fixture", f.label),
@@ -490,7 +569,8 @@ def _stage_analyze(f: TorusMap, sc: Scenario, out: Path) -> StageOutcome:
     return StageOutcome("analyze", summary, [], ["analyze.csv", "covering.csv"])
 
 
-def _stage_certify(f: TorusMap, sc: Scenario, out: Path) -> StageOutcome:
+def _stage_certify(run: RunContext) -> StageOutcome:
+    f = run.f
     margin, worst = local_diffeo_margin(f)
     findings = []
     try:
@@ -514,13 +594,13 @@ def _stage_certify(f: TorusMap, sc: Scenario, out: Path) -> StageOutcome:
             ("failure", str(exc)),
             ("diffeo_margin", float_cell(margin)),
         ]
-    _write_csv(out / "certify.csv", _kv_csv(pairs))
+    _write_csv(run.out / "certify.csv", _kv_csv(pairs))
     return StageOutcome("certify", pairs, findings, ["certify.csv"])
 
 
-def _conjugacy_numbers(f: TorusMap, sc: Scenario) -> dict:
+def _conjugacy_numbers(run: RunContext) -> dict:
     """All conjugacy-stage numbers as JSON-safe data (cacheable)."""
-    ce = conjugacy_evaluator(f, residual_target=sc.residual_target, depth=sc.series_depth)
+    f, sc, ce = run.f, run.sc, run.evaluator
     rng = np.random.default_rng(sc.seed + 29)
     x = rng.random((64, f.dim)) * 2.0 - 0.5
     lhs = ce.apply(x) @ f.model.array.T
@@ -529,9 +609,7 @@ def _conjugacy_numbers(f: TorusMap, sc: Scenario) -> dict:
     y = rng.random((32, f.dim))
     roundtrip = float(np.abs(ce.apply_inverse(ce.apply(y)) - y).max())
 
-    rep = specialness_defect(
-        ce, samples=sc.points, seed=sc.seed + 11, threshold=sc.specialness_threshold
-    )
+    rep = run.specialness
     decay = deep_translation_decay(ce, m_max=6, samples=12, seed=sc.seed + 31)
     return {
         "series_depth": ce.series_depth,
@@ -541,10 +619,8 @@ def _conjugacy_numbers(f: TorusMap, sc: Scenario) -> dict:
         "roundtrip": roundtrip,
         "special": bool(rep.special),
         "max_defect": float(rep.max_defect),
-        "max_stable_component": float(rep.max_stable_component),
         "max_unstable_component": float(rep.max_unstable_component),
         "u_sup": float(rep.u_sup_measured),
-        "threshold": float(rep.threshold),
         "specialness_rows": [
             [list(pt), int(j), d, s, u] for pt, j, d, s, u in rep.rows
         ],
@@ -554,11 +630,12 @@ def _conjugacy_numbers(f: TorusMap, sc: Scenario) -> dict:
     }
 
 
-def _stage_conjugacy(f: TorusMap, sc: Scenario, out: Path) -> StageOutcome:
+def _stage_conjugacy(run: RunContext) -> StageOutcome:
+    sc = run.sc
     key = content_key(
         "conjugacy",
         {
-            "fixture": fixture_payload(f),
+            "fixture": fixture_payload(run.f),
             "residual_target": sc.residual_target,
             "depth": sc.series_depth,
             "samples": sc.points,
@@ -568,7 +645,7 @@ def _stage_conjugacy(f: TorusMap, sc: Scenario, out: Path) -> StageOutcome:
     )
     data = _cache_get_json(key)
     if data is None:
-        data = _conjugacy_numbers(f, sc)
+        data = _conjugacy_numbers(run)
         _cache_put_json(key, data)
 
     rows = [["point", "direction", "defect", "stable_component", "unstable_component"]]
@@ -580,18 +657,13 @@ def _stage_conjugacy(f: TorusMap, sc: Scenario, out: Path) -> StageOutcome:
             float_cell(s),
             float_cell(u),
         ])
-    _write_csv(out / "conjugacy.csv", rows)
-
-    decay_rows = [["m", "n_m", "D_m", "D_m_inverse", "fitted_rate"]]
-    for m, vec, dm, dinv in data["decay_rows"]:
-        decay_rows.append([
-            str(m),
-            " ".join(str(int(c)) for c in vec),
-            float_cell(dm),
-            float_cell(dinv),
-            float_cell(data["decay_rate"]),
-        ])
-    _write_csv(out / "decay.csv", decay_rows)
+    _write_csv(run.out / "conjugacy.csv", rows)
+    decay = DecayTable(
+        rows=tuple(data["decay_rows"]),
+        fitted_rate=data["decay_rate"],
+        stable_log_norm=data["stable_log_norm"],
+    )
+    _write_csv(run.out / "decay.csv", decay.csv_rows())
 
     findings = []
     if not data["special"]:
@@ -614,10 +686,9 @@ def _stage_conjugacy(f: TorusMap, sc: Scenario, out: Path) -> StageOutcome:
     return StageOutcome("conjugacy", pairs, findings, ["conjugacy.csv", "decay.csv"])
 
 
-def _stage_orbits(f: TorusMap, sc: Scenario, out: Path) -> StageOutcome:
-    inv = cached_inventory(f, sc.max_period)
-    rep = rigidity_report(f, sc.max_period, threshold=sc.rigidity_threshold, inventory=inv)
-    _write_csv(out / "orbits.csv", rep.csv_rows())
+def _stage_orbits(run: RunContext) -> StageOutcome:
+    sc, inv, rep = run.sc, run.inventory, run.rigidity
+    _write_csv(run.out / "orbits.csv", rep.csv_rows())
     findings = []
     if not inv.complete:
         findings.append(
@@ -625,7 +696,7 @@ def _stage_orbits(f: TorusMap, sc: Scenario, out: Path) -> StageOutcome:
         )
     if not rep.rigid:
         note = ""
-        if not f.model.irreducible:
+        if not run.f.model.irreducible:
             note = " (linearization is reducible, so agreement with the linear spectrum is not expected)"
         findings.append(
             f"periodic stable exponents deviate from the linear model by {rep.max_deviation:.3e} "
@@ -642,16 +713,9 @@ def _stage_orbits(f: TorusMap, sc: Scenario, out: Path) -> StageOutcome:
     return StageOutcome("orbits", pairs, findings, ["orbits.csv"])
 
 
-def _stage_branches(f: TorusMap, sc: Scenario, out: Path) -> StageOutcome:
-    rep = integrability_verdict(
-        f,
-        samples=sc.points,
-        codes_per_point=sc.codes_per_point,
-        depth=sc.branch_depth,
-        tol=sc.spread_tol,
-        seed=sc.seed + 13,
-    )
-    _write_csv(out / "branches.csv", rep.csv_rows())
+def _stage_branches(run: RunContext) -> StageOutcome:
+    rep = run.integrability
+    _write_csv(run.out / "branches.csv", rep.csv_rows())
     findings = []
     if not rep.integrable:
         findings.append(
@@ -667,7 +731,8 @@ def _stage_branches(f: TorusMap, sc: Scenario, out: Path) -> StageOutcome:
     return StageOutcome("branches", pairs, findings, ["branches.csv"])
 
 
-def _stage_metric(f: TorusMap, sc: Scenario, out: Path) -> StageOutcome:
+def _stage_metric(run: RunContext) -> StageOutcome:
+    f, sc, out = run.f, run.sc, run.out
     findings: list = []
     files = ["coboundary.csv", "isometry.csv"]
     phi = stable_log_norm_observable(f, i=1, depth=sc.branch_depth)
@@ -677,9 +742,9 @@ def _stage_metric(f: TorusMap, sc: Scenario, out: Path) -> StageOutcome:
         sol = livschitz_solve(
             f,
             phi,
+            run.inventory,
             fourier_order=sc.fourier_order,
             obstruction_tol=sc.obstruction_tol,
-            max_period=sc.max_period,
             seed=sc.seed + 17,
         )
     except ObstructionNonzero as exc:
@@ -715,7 +780,7 @@ def _stage_metric(f: TorusMap, sc: Scenario, out: Path) -> StageOutcome:
         )
     else:
         iso = conjugacy_leaf_isometry_check(
-            f, samples=sc.pairs, seed=sc.seed + 19, depth=sc.branch_depth, psi=psi
+            f, run.evaluator, psi, samples=sc.pairs, seed=sc.seed + 19, depth=sc.branch_depth
         )
         if iso.max_relative_deviation > sc.isometry_tol:
             findings.append(
@@ -733,16 +798,13 @@ def _stage_metric(f: TorusMap, sc: Scenario, out: Path) -> StageOutcome:
     if psi is not None and f.dim == 2:
         try:
             hol = holonomy_isometry_check(
-                f, samples=sc.points, seed=sc.seed + 23, psi=psi, depth=sc.branch_depth
+                f, run.integrability, psi, samples=sc.points, seed=sc.seed + 23, depth=sc.branch_depth
             )
         except RefusedNonIntegrable:
             findings.append("unstable holonomy refused: branch-dependent unstable directions")
             pairs.append(("holonomy_status", "refused_non_integrable"))
         else:
-            rows = [["sample", "d_s_source", "d_s_image", "relative_defect"]]
-            for s, a, b, d in hol.rows:
-                rows.append([str(s), float_cell(a), float_cell(b), float_cell(d)])
-            _write_csv(out / "holonomy.csv", rows)
+            _write_csv(out / "holonomy.csv", hol.csv_rows())
             files.append("holonomy.csv")
             if hol.max_relative_defect > sc.isometry_tol:
                 findings.append(
@@ -758,92 +820,6 @@ def _stage_metric(f: TorusMap, sc: Scenario, out: Path) -> StageOutcome:
         reason = "non_rigid" if psi is None else "dim_not_2"
         pairs.append(("holonomy_status", f"skipped_{reason}"))
     return StageOutcome("metric", pairs, findings, files)
-
-
-_STAGE_FN = {
-    "analyze": _stage_analyze,
-    "certify": _stage_certify,
-    "conjugacy": _stage_conjugacy,
-    "orbits": _stage_orbits,
-    "branches": _stage_branches,
-    "metric": _stage_metric,
-}
-
-
-# -- runner ------------------------------------------------------------------------
-
-
-def _write_summary(
-    path: Path, sc: Scenario, outcomes: list, findings: list, error: str | None, exit_code: int
-) -> None:
-    lines = [
-        f"scenario: {sc.fixture}" + (f" epsilon={sc.epsilon:g}" if sc.epsilon else ""),
-        f"seed: {sc.seed}",
-        f"stages: {' '.join(o.name for o in outcomes)}",
-        "",
-    ]
-    for o in outcomes:
-        lines.append(f"[{o.name}]")
-        lines += [f"{k}: {v}" for k, v in o.summary]
-        lines.append("")
-    lines.append("[findings]")
-    lines += findings if findings else ["none"]
-    if error:
-        lines += ["", "[error]", error]
-    lines += ["", f"exit_code: {exit_code}", ""]
-    path.write_text("\n".join(lines))
-
-
-def _write_meta(path: Path, started: float, threads: int) -> None:
-    path.write_text(
-        "\n".join(
-            [
-                f"started_unix: {started:.3f}",
-                f"elapsed_seconds: {time.time() - started:.3f}",
-                f"threads: {threads}",
-                f"numpy: {np.__version__}",
-                "",
-            ]
-        )
-    )
-
-
-def run_scenario(sc: Scenario, threads: int = 1) -> ScenarioResult:
-    """Execute the configured stages; write CSV reports, summary.txt, run_meta.txt.
-
-    Exit code 0: clean; 2: verdict-level findings (non-special, non-rigid,
-    branch-dependent directions, failed certification, metric obstructions);
-    1: infrastructure error (reported in the summary, partial files kept).
-    """
-    started = time.time()
-    out = Path(sc.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    outcomes: list[StageOutcome] = []
-    findings: list[str] = []
-    files: list[str] = []
-    error = None
-    try:
-        f = sc.build_map()
-        for stage in STAGES:
-            if stage not in sc.stages:
-                continue
-            outcome = _STAGE_FN[stage](f, sc, out)
-            outcomes.append(outcome)
-            findings += [f"{stage}: {msg}" for msg in outcome.findings]
-            files += outcome.files
-    except AnosovLabError as exc:
-        error = f"{type(exc).__name__}: {exc}"
-    exit_code = 1 if error else (2 if findings else 0)
-    summary_path = out / "summary.txt"
-    _write_summary(summary_path, sc, outcomes, findings, error, exit_code)
-    _write_meta(out / "run_meta.txt", started, threads)
-    return ScenarioResult(
-        exit_code=exit_code,
-        findings=tuple(findings),
-        files=tuple(files),
-        summary_path=str(summary_path),
-        error=error,
-    )
 
 
 # -- dichotomy sweep ------------------------------------------------------------------
@@ -916,25 +892,9 @@ class DichotomyReport:
 
 
 def _dichotomy_row(family: str, eps: float, sc: Scenario) -> DichotomyRow:
-    f = fixture_catalog(family, eps)
-    ce = conjugacy_evaluator(f, residual_target=sc.residual_target, depth=sc.series_depth)
-    sp = specialness_defect(
-        ce, samples=sc.points, seed=sc.seed + 11, threshold=sc.specialness_threshold
-    )
-    iv = integrability_verdict(
-        f,
-        samples=sc.points,
-        codes_per_point=sc.codes_per_point,
-        depth=sc.branch_depth,
-        tol=sc.spread_tol,
-        seed=sc.seed + 13,
-    )
-    rep = rigidity_report(
-        f,
-        sc.max_period,
-        threshold=sc.rigidity_threshold,
-        inventory=cached_inventory(f, sc.max_period),
-    )
+    """The three verdicts of one family member, read from its own run context."""
+    run = RunContext(replace(sc, fixture=family, epsilon=eps, custom=None), Path(sc.out_dir))
+    sp, iv, rep = run.specialness, run.integrability, run.rigidity
     return DichotomyRow(
         epsilon=eps,
         specialness_defect=sp.max_defect,
@@ -964,49 +924,118 @@ def dichotomy_sweep(
     return DichotomyReport(family=family, irreducible=irreducible, rows=tuple(rows))
 
 
-def run_dichotomy(sc: Scenario, threads: int = 1) -> ScenarioResult:
-    """Sweep runner behind the `dichotomy` CLI verb."""
+def _stage_dichotomy(run: RunContext) -> StageOutcome:
+    """The epsilon sweep configured in the scenario's dichotomy section."""
+    sc = run.sc
+    if sc.dichotomy_family is None:
+        raise ConfigInvalid(["dichotomy: section required for the dichotomy verb"])
+    report = dichotomy_sweep(sc.dichotomy_family, sc.dichotomy_epsilons, sc, threads=run.threads)
+    _write_csv(run.out / "dichotomy.csv", report.csv_rows())
+    findings = []
+    if report.irreducible and not report.all_agree:
+        bad = [r.epsilon for r in report.rows if not r.agreement]
+        findings.append(f"integrability and rigidity verdicts disagree at epsilon={bad}")
+    pairs = [
+        ("family", report.family),
+        ("irreducible", _yn(report.irreducible)),
+        ("epsilons", " ".join(float_cell(r.epsilon) for r in report.rows)),
+        ("all_agree", _yn(report.all_agree)),
+        ("co_vanishing", _yn(report.co_vanishing())),
+    ]
+    for r in report.rows:
+        pairs.append((
+            f"eps_{float_cell(r.epsilon)}",
+            f"defect={float_cell(r.specialness_defect)} spread={float_cell(r.max_branch_spread)} "
+            f"deviation={float_cell(r.rigidity_deviation)} special={_yn(r.special)} "
+            f"integrable={_yn(r.integrable)} rigid={_yn(r.rigid)}",
+        ))
+    return StageOutcome("dichotomy", pairs, findings, ["dichotomy.csv"])
+
+
+# pipeline order; `dichotomy` is not a pipeline stage and runs only when asked for
+_STAGE_FN = {
+    "analyze": _stage_analyze,
+    "certify": _stage_certify,
+    "conjugacy": _stage_conjugacy,
+    "orbits": _stage_orbits,
+    "branches": _stage_branches,
+    "metric": _stage_metric,
+    "dichotomy": _stage_dichotomy,
+}
+
+
+# -- runner ------------------------------------------------------------------------
+
+
+def _write_summary(
+    path: Path, sc: Scenario, outcomes: list, findings: list, error: str | None, exit_code: int
+) -> None:
+    lines = [
+        f"scenario: {sc.fixture}" + (f" epsilon={sc.epsilon:g}" if sc.epsilon else ""),
+        f"seed: {sc.seed}",
+        f"stages: {' '.join(o.name for o in outcomes)}",
+        "",
+    ]
+    for o in outcomes:
+        lines.append(f"[{o.name}]")
+        lines += [f"{k}: {v}" for k, v in o.summary]
+        lines.append("")
+    lines.append("[findings]")
+    lines += findings if findings else ["none"]
+    if error:
+        lines += ["", "[error]", error]
+    lines += ["", f"exit_code: {exit_code}", ""]
+    path.write_text("\n".join(lines))
+
+
+def _write_meta(path: Path, started: float, threads: int) -> None:
+    path.write_text(
+        "\n".join(
+            [
+                f"started_unix: {started:.3f}",
+                f"elapsed_seconds: {time.time() - started:.3f}",
+                f"threads: {threads}",
+                f"numpy: {np.__version__}",
+                "",
+            ]
+        )
+    )
+
+
+def run_scenario(sc: Scenario, threads: int = 1) -> ScenarioResult:
+    """Execute the configured stages; write CSV reports, summary.txt, run_meta.txt.
+
+    `sc.stages` names pipeline stages, or `("dichotomy",)` for the sweep.
+    Exit code 0: clean; 2: verdict-level findings (non-special, non-rigid,
+    branch-dependent directions, failed certification, metric obstructions,
+    disagreeing sweep verdicts); 1: infrastructure error (reported in the
+    summary, partial files kept).
+    """
     started = time.time()
-    out = Path(sc.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    findings: list[str] = []
+    run = RunContext(sc, Path(sc.out_dir), threads)
+    run.out.mkdir(parents=True, exist_ok=True)
     outcomes: list[StageOutcome] = []
+    findings: list[str] = []
+    files: list[str] = []
     error = None
     try:
-        if sc.dichotomy_family is None:
-            raise ConfigInvalid(["dichotomy: section required for the dichotomy verb"])
-        report = dichotomy_sweep(sc.dichotomy_family, sc.dichotomy_epsilons, sc, threads=threads)
-        _write_csv(out / "dichotomy.csv", report.csv_rows())
-        if report.irreducible and not report.all_agree:
-            bad = [r.epsilon for r in report.rows if not r.agreement]
-            findings.append(
-                f"dichotomy: integrability and rigidity verdicts disagree at epsilon={bad}"
-            )
-        pairs = [
-            ("family", report.family),
-            ("irreducible", _yn(report.irreducible)),
-            ("epsilons", " ".join(float_cell(r.epsilon) for r in report.rows)),
-            ("all_agree", _yn(report.all_agree)),
-            ("co_vanishing", _yn(report.co_vanishing())),
-        ]
-        for r in report.rows:
-            pairs.append((
-                f"eps_{float_cell(r.epsilon)}",
-                f"defect={float_cell(r.specialness_defect)} spread={float_cell(r.max_branch_spread)} "
-                f"deviation={float_cell(r.rigidity_deviation)} special={_yn(r.special)} "
-                f"integrable={_yn(r.integrable)} rigid={_yn(r.rigid)}",
-            ))
-        outcomes.append(StageOutcome("dichotomy", pairs, findings, ["dichotomy.csv"]))
+        for stage in _STAGE_FN:
+            if stage not in sc.stages:
+                continue
+            outcome = _STAGE_FN[stage](run)
+            outcomes.append(outcome)
+            findings += [f"{stage}: {msg}" for msg in outcome.findings]
+            files += outcome.files
     except AnosovLabError as exc:
         error = f"{type(exc).__name__}: {exc}"
     exit_code = 1 if error else (2 if findings else 0)
-    summary_path = out / "summary.txt"
+    summary_path = run.out / "summary.txt"
     _write_summary(summary_path, sc, outcomes, findings, error, exit_code)
-    _write_meta(out / "run_meta.txt", started, threads)
+    _write_meta(run.out / "run_meta.txt", started, threads)
     return ScenarioResult(
         exit_code=exit_code,
         findings=tuple(findings),
-        files=tuple(f for o in outcomes for f in o.files),
+        files=tuple(files),
         summary_path=str(summary_path),
         error=error,
     )

@@ -46,14 +46,6 @@ def qr_pos(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
-def unit(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v, axis=-1, keepdims=True)
-    if np.any(n == 0.0):
-        raise ValueError("cannot normalize a zero vector")
-    return v / n
-
-
 def canonical_sign(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Flip sign so the first component exceeding tol is positive; batched."""
     v = np.asarray(v, dtype=float)
@@ -89,13 +81,6 @@ def largest_principal_angle(b1: np.ndarray, b2: np.ndarray) -> float:
     return float(np.arccos(np.clip(sigma.min(), -1.0, 1.0)))
 
 
-def vector_angle(u: np.ndarray, v: np.ndarray) -> float:
-    """Angle between lines spanned by u and v (sign-insensitive)."""
-    uu = unit(np.asarray(u, dtype=float).ravel())
-    vv = unit(np.asarray(v, dtype=float).ravel())
-    return float(np.arccos(np.clip(abs(float(uu @ vv)), 0.0, 1.0)))
-
-
 def subspace_intersection(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
     """Unit vector spanning the (assumed 1-D) intersection of two subspaces.
 
@@ -110,15 +95,6 @@ def subspace_intersection(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(m)
     vec = v[:, 0]
     return canonical_sign(vec / np.linalg.norm(vec))
-
-
-def subspace_intersection_residual(b1: np.ndarray, b2: np.ndarray) -> float:
-    q1 = orthonormal_columns(b1)
-    q2 = orthonormal_columns(b2)
-    d = q1.shape[0]
-    m = 2.0 * np.eye(d) - q1 @ q1.T - q2 @ q2.T
-    w = np.linalg.eigvalsh(m)
-    return float(w[0])
 
 
 def solve_batched(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:

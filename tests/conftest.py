@@ -49,8 +49,9 @@ def cubic():
 def conjugated_psi(conjugated05, _isolated_cache):
     """Transfer function for the stable log-norm cocycle; ~5s, reused widely."""
     from anosovlab.leafmetric import bundle_coboundary_psi
+    from anosovlab.orbits import enumerate_orbits
 
-    return bundle_coboundary_psi(conjugated05, 1)
+    return bundle_coboundary_psi(conjugated05, enumerate_orbits(conjugated05, 3), 1)
 
 
 @pytest.fixture()

@@ -25,7 +25,7 @@ from anosovlab.leafmetric import (
 )
 from anosovlab.linear import analyze_matrix, covering_radius_table
 from anosovlab.orbits import enumerate_orbits, rigidity_report
-from anosovlab.scenarios import Scenario, dichotomy_sweep, run_dichotomy, run_scenario
+from anosovlab.scenarios import Scenario, dichotomy_sweep, run_scenario
 
 A0 = ((3, 1), (1, 1))
 MU_S = 2.0 - np.sqrt(2.0)
@@ -108,7 +108,7 @@ def test_05_integrability_rigidity_dichotomy(conjugated05, shear05, ce_shear05):
     ce_c = conjugacy_evaluator(conjugated05)
     spec_c = specialness_defect(ce_c, samples=30, seed=5)
     branch_c = integrability_verdict(conjugated05, samples=12, codes_per_point=6, seed=5)
-    rig_c = rigidity_report(conjugated05, max_period=6, threshold=5e-4)
+    rig_c = rigidity_report(conjugated05, enumerate_orbits(conjugated05, 6), threshold=5e-4)
     positive = (
         spec_c.max_defect <= 1e-6
         and branch_c.max_spread <= 1e-3
@@ -118,7 +118,7 @@ def test_05_integrability_rigidity_dichotomy(conjugated05, shear05, ce_shear05):
 
     spec_s = specialness_defect(ce_shear05, samples=30, seed=5)
     branch_s = integrability_verdict(shear05, samples=12, codes_per_point=6, seed=5)
-    rig_s = rigidity_report(shear05, max_period=3, threshold=5e-4)
+    rig_s = rigidity_report(shear05, enumerate_orbits(shear05, 3), threshold=5e-4)
     negative = (
         spec_s.max_defect > 1e-6
         and branch_s.max_spread > 1e-3
@@ -143,7 +143,7 @@ def test_06_reducible_counterexample(product05):
     ce = conjugacy_evaluator(product05)
     spec = specialness_defect(ce, samples=20, seed=6)
     branch = integrability_verdict(product05, samples=10, codes_per_point=4, seed=6)
-    rig = rigidity_report(product05, max_period=4, threshold=5e-4)
+    rig = rigidity_report(product05, enumerate_orbits(product05, 4), threshold=5e-4)
     ok = (
         spec.special
         and branch.integrable
@@ -169,7 +169,8 @@ def test_07_cocycle_solver_suite(shear05, conjugated_psi):
         pts = np.atleast_2d(pts)
         return -0.4 + psi_true(shear05.torus_step(pts)) - psi_true(pts)
 
-    sol = livschitz_solve(shear05, phi, fourier_order=16, seed=1)
+    inventory = enumerate_orbits(shear05, 3)
+    sol = livschitz_solve(shear05, phi, inventory, fourier_order=16, seed=1)
     grid = np.random.default_rng(2).random((400, 2))
     got = sol.transfer(grid)
     want = psi_true(grid)
@@ -177,7 +178,7 @@ def test_07_cocycle_solver_suite(shear05, conjugated_psi):
 
     with pytest.raises(ObstructionNonzero) as exc_info:
         livschitz_solve(shear05, lambda p: np.cos(2 * np.pi * np.atleast_2d(p)[:, 0]),
-                        fourier_order=8, seed=1)
+                        inventory, fourier_order=8, seed=1)
     flagged = exc_info.value.solution.obstruction > 1e-4
 
     lam_err = abs(conjugated_psi.mean - LOG_MU_S)
@@ -217,7 +218,8 @@ def test_08_affine_leaf_metric(conjugated05, conjugated_psi):
             count += 1
     assert count == 100
 
-    hol = holonomy_isometry_check(conjugated05, samples=8, seed=23, psi=conjugated_psi, h=5e-3)
+    scan = integrability_verdict(conjugated05, samples=10, codes_per_point=4, depth=10)
+    hol = holonomy_isometry_check(conjugated05, scan, conjugated_psi, samples=8, seed=23, h=5e-3)
     ok = worst_ratio <= 1e-3 and k_ok and hol.max_relative_defect <= 1e-3
     _verdict(
         8, "affine leaf metric", ok,
@@ -228,7 +230,8 @@ def test_08_affine_leaf_metric(conjugated05, conjugated_psi):
 
 
 def test_09_conjugacy_leaf_isometry(conjugated05, conjugated_psi):
-    rep = conjugacy_leaf_isometry_check(conjugated05, samples=100, seed=2, psi=conjugated_psi)
+    ce = conjugacy_evaluator(conjugated05)
+    rep = conjugacy_leaf_isometry_check(conjugated05, ce, conjugated_psi, samples=100, seed=2)
     ok = rep.status == "ok" and rep.pairs == 100 and rep.max_relative_deviation <= 1e-3
     _verdict(
         9, "conjugacy leaf isometry", ok,
@@ -259,9 +262,9 @@ def test_10_deterministic_outputs(tmp_path):
         sc = Scenario(
             fixture="shear_A0", dichotomy_family="shear_A0",
             dichotomy_epsilons=(0.0, 0.02), points=8, codes_per_point=4,
-            max_period=2, seed=0, out_dir=str(tmp_path / name),
+            max_period=2, seed=0, out_dir=str(tmp_path / name), stages=("dichotomy",),
         )
-        assert run_dichotomy(sc, threads=threads).exit_code == 0
+        assert run_scenario(sc, threads=threads).exit_code == 0
         sweeps.append((tmp_path / name / "dichotomy.csv").read_bytes())
     thread_same = sweeps[0] == sweeps[1]
 

@@ -82,9 +82,14 @@ class TestConfigErrors:
         assert len(err_lines) == 3
         assert all(l.startswith("config error: ") for l in err_lines)
 
-    def test_missing_file(self, tmp_path, capsys):
-        assert main(["analyze", "--config", str(tmp_path / "absent.yaml")]) == 1
-        assert "config error" in capsys.readouterr().err
+    def test_missing_file(self, tmp_path, monkeypatch, capsys):
+        absent = tmp_path / "absent.yaml"
+        assert main(["analyze", "--config", str(absent)]) == 1
+        assert capsys.readouterr().err == f"config error: config file {absent} does not exist\n"
+        monkeypatch.chdir(tmp_path)
+        assert main(["analyze", "--config", "configs/typo.yaml"]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: config file configs/typo.yaml does not exist\n"
 
 
 class TestRunVerbs:

@@ -7,8 +7,6 @@ from anosovlab.conjugacy import (
     conjugacy_evaluator,
     deep_translation_decay,
     displacement_field,
-    evaluate_H,
-    evaluate_H_inverse,
     specialness_defect,
 )
 from anosovlab.maps import fixture_catalog
@@ -90,12 +88,6 @@ class TestEvaluator:
         ce = conjugacy_evaluator(shear05)
         x = rng.random((200, 2))
         assert np.linalg.norm(ce.h_displacement(x), axis=1).max() <= ce.sup_bound
-
-    def test_aliases(self, shear02, rng):
-        ce = conjugacy_evaluator(shear02)
-        x = rng.random((5, 2))
-        assert np.array_equal(evaluate_H(ce, x), ce.apply(x))
-        assert np.abs(evaluate_H_inverse(ce, x) - ce.apply_inverse(x)).max() < 1e-9
 
     def test_depth_selection(self, shear05):
         loose = conjugacy_evaluator(shear05, residual_target=1e-6)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from anosovlab.bundles import integrability_verdict
+from anosovlab.conjugacy import conjugacy_evaluator
 from anosovlab.errors import (
     NoIntersection,
     ObstructionNonzero,
@@ -25,8 +27,14 @@ from anosovlab.leafmetric import (
     trace_unstable_leaf,
     unstable_holonomy,
 )
+from anosovlab.orbits import enumerate_orbits
 
 MU_S = 2.0 - np.sqrt(2.0)
+
+
+def _quick_scan(f):
+    """A small branch-spread scan, the verdict the holonomy functions trust."""
+    return integrability_verdict(f, samples=10, codes_per_point=4, depth=10)
 
 
 def _eig_dirs(a: np.ndarray):
@@ -103,7 +111,7 @@ class TestCocycleSolver:
             p = np.atleast_2d(p)
             return -0.4 + psi_true(shear05.torus_step(p)) - psi_true(p)
 
-        sol = livschitz_solve(shear05, phi, fourier_order=8)
+        sol = livschitz_solve(shear05, phi, enumerate_orbits(shear05, 3), fourier_order=8)
         assert abs(sol.mean + 0.4) < 1e-3
         assert sol.residual < 1e-3
         assert sol.obstruction < 1e-4
@@ -115,21 +123,22 @@ class TestCocycleSolver:
             return np.cos(2 * np.pi * np.atleast_2d(p)[:, 0])
 
         with pytest.raises(ObstructionNonzero) as exc_info:
-            livschitz_solve(shear05, phi, fourier_order=8)
+            livschitz_solve(shear05, phi, enumerate_orbits(shear05, 3), fourier_order=8)
         sol = exc_info.value.solution
         assert sol is not None
         assert sol.obstruction > 0.5
 
     def test_linear_cocycle_is_constant(self, linear_map):
-        psi = bundle_coboundary_psi(linear_map, 1)
+        psi = bundle_coboundary_psi(linear_map, enumerate_orbits(linear_map, 3), 1)
         assert psi.mean == pytest.approx(np.log(MU_S), abs=1e-12)
         assert psi.sup_transfer == 0.0
         assert psi.obstruction < 1e-12
         assert psi.orientation == "transfer"
 
     def test_cubic_constant_for_both_indices(self, cubic):
+        inventory = enumerate_orbits(cubic, 3)
         for i in (1, 2):
-            psi = bundle_coboundary_psi(cubic, i)
+            psi = bundle_coboundary_psi(cubic, inventory, i)
             assert psi.mean == pytest.approx(cubic.model.stable_exponents[i - 1], abs=1e-12)
             assert psi.sup_transfer == 0.0
 
@@ -182,7 +191,7 @@ class TestHolonomy:
         x = np.array([0.3, 0.4])
         y = x + 0.06 * v_s
         xp = x + 0.07 * v_u
-        got = unstable_holonomy(linear_map, x, xp, y)
+        got = unstable_holonomy(linear_map, _quick_scan(linear_map), x, xp, y)
         assert np.abs(got - (x + 0.07 * v_u + 0.06 * v_s)).max() < 1e-9
 
     def test_no_intersection_when_target_too_short(self, linear_map):
@@ -192,22 +201,24 @@ class TestHolonomy:
         xp = x + 0.07 * v_u
         short = trace_stable_leaf(linear_map, xp, L=0.1)
         with pytest.raises(NoIntersection):
-            unstable_holonomy(linear_map, x, xp, y, target_leaf=short)
+            unstable_holonomy(linear_map, _quick_scan(linear_map), x, xp, y, target_leaf=short)
 
     def test_refused_on_non_integrable(self, shear05):
+        scan = _quick_scan(shear05)
+        assert not scan.integrable
         x = np.array([0.3, 0.4])
         with pytest.raises(RefusedNonIntegrable):
-            unstable_holonomy(shear05, x, x + 0.01, x + 0.02)
+            unstable_holonomy(shear05, scan, x, x + 0.01, x + 0.02)
         with pytest.raises(RefusedNonIntegrable):
-            holonomy_isometry_check(shear05, samples=2, seed=0)
+            holonomy_isometry_check(shear05, scan, None, samples=2, seed=0)
 
     def test_plane_only(self, cubic):
         with pytest.raises(ValueError):
-            unstable_holonomy(cubic, np.zeros(3), np.zeros(3), np.zeros(3))
+            unstable_holonomy(cubic, _quick_scan(cubic), np.zeros(3), np.zeros(3), np.zeros(3))
 
     def test_isometry_on_conjugated(self, conjugated05, conjugated_psi):
         rep = holonomy_isometry_check(
-            conjugated05, samples=8, seed=23, psi=conjugated_psi, h=5e-3
+            conjugated05, _quick_scan(conjugated05), conjugated_psi, samples=8, seed=23, h=5e-3
         )
         assert rep.max_relative_defect < 1e-4
         assert rep.mean_relative_defect <= rep.max_relative_defect
@@ -232,24 +243,19 @@ class TestHolonomy:
 
 class TestConjugacyIsometry:
     def test_linear_exact(self, linear_map):
-        psi = bundle_coboundary_psi(linear_map, 1)
-        rep = conjugacy_leaf_isometry_check(linear_map, samples=20, seed=19, psi=psi)
+        psi = bundle_coboundary_psi(linear_map, enumerate_orbits(linear_map, 3), 1)
+        ce = conjugacy_evaluator(linear_map)
+        rep = conjugacy_leaf_isometry_check(linear_map, ce, psi, samples=20, seed=19)
         assert rep.status == "ok"
         assert rep.scale == pytest.approx(1.0, abs=1e-12)
         assert rep.max_relative_deviation < 1e-12
 
     def test_conjugated_isometric_after_scale(self, conjugated05, conjugated_psi):
         rep = conjugacy_leaf_isometry_check(
-            conjugated05, samples=25, seed=19, psi=conjugated_psi
+            conjugated05, conjugacy_evaluator(conjugated05), conjugated_psi, samples=25, seed=19
         )
         assert rep.status == "ok"
         assert rep.scale == pytest.approx(1.0, abs=1e-2)
         assert rep.max_relative_deviation < 1e-4
         assert rep.pairs == 25
         assert rep.csv_rows()[0] == ["pair", "d_s", "linear_distance", "scaled_deviation"]
-
-    def test_shear_skipped(self, shear05):
-        rep = conjugacy_leaf_isometry_check(shear05, samples=10, seed=19)
-        assert rep.status == "skipped_non_rigid"
-        assert rep.pairs == 0
-        assert np.isnan(rep.scale)

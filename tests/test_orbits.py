@@ -51,7 +51,7 @@ class TestLinearEnumeration:
         assert len(inv) == 42
 
     def test_linear_spectra_exact(self, linear_map):
-        rep = rigidity_report(linear_map, 4)
+        rep = rigidity_report(linear_map, enumerate_orbits(linear_map, 4))
         lam = np.log(2.0 - np.sqrt(2.0))
         assert rep.linear_exponents == pytest.approx((lam,), abs=1e-14)
         assert rep.rigid
@@ -101,14 +101,14 @@ class TestCycleStructure:
 
 class TestRigidity:
     def test_conjugated_is_rigid(self, conjugated05):
-        rep = rigidity_report(conjugated05, 3)
+        rep = rigidity_report(conjugated05, enumerate_orbits(conjugated05, 3))
         assert rep.rigid
         assert rep.max_deviation < 1e-10
         assert rep.max_spread < 1e-10
         assert rep.inventory.complete and len(rep.inventory) == 14
 
     def test_shear_is_not_rigid(self, shear05):
-        rep = rigidity_report(shear05, 2)
+        rep = rigidity_report(shear05, enumerate_orbits(shear05, 2))
         assert not rep.rigid
         assert rep.max_deviation > 0.05
         assert rep.max_spread > 0.05
@@ -122,14 +122,14 @@ class TestRigidity:
             assert spec[0] == pytest.approx(lam, abs=1e-10)
 
     def test_product_counts_and_verdict(self, product05):
-        rep = rigidity_report(product05, 3)
+        rep = rigidity_report(product05, enumerate_orbits(product05, 3))
         assert rep.inventory.complete
         assert rep.inventory.expected_counts == {1: 1, 2: 15, 3: 112}
         assert len(rep.inventory) == 45
         assert not rep.rigid  # the shear term makes periodic stable rates drift apart
 
     def test_csv_rows(self, linear_map):
-        rep = rigidity_report(linear_map, 2)
+        rep = rigidity_report(linear_map, enumerate_orbits(linear_map, 2))
         rows = rep.csv_rows()
         assert rows[0] == [
             "period", "orbit_id", "point0_x", "point0_y",

@@ -1,24 +1,29 @@
 """Scenario configs, content cache, runner exit codes, dichotomy sweeps."""
 
 import dataclasses
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import anosovlab
+from anosovlab import scenarios
+from anosovlab.conjugacy import ConjugacyEvaluator
 from anosovlab.errors import ConfigInvalid
 from anosovlab.maps import fixture_catalog
 from anosovlab.scenarios import (
     STAGES,
     DichotomyReport,
     DichotomyRow,
+    RunContext,
     Scenario,
     cached_inventory,
     content_key,
     dichotomy_sweep,
     fixture_payload,
     load_scenario,
-    run_dichotomy,
     run_scenario,
 )
 
@@ -109,6 +114,14 @@ class TestLoadScenario:
         with pytest.raises(ConfigInvalid):
             load_scenario("fixture: [unclosed\n")
 
+    def test_missing_file_is_named(self, tmp_path):
+        for source in (str(tmp_path / "typo.yaml"), tmp_path / "typo.yaml"):
+            with pytest.raises(ConfigInvalid) as exc_info:
+                load_scenario(source)
+            assert exc_info.value.problems == [f"config file {source} does not exist"]
+        # an inline one-line mapping is still YAML text, not a path
+        assert load_scenario("{fixture: {name: linear_A0}}").fixture == "linear_A0"
+
     def test_dichotomy_section(self):
         sc = load_scenario({
             **MINIMAL,
@@ -158,6 +171,60 @@ class TestCache:
         npz.write_bytes(b"not an archive")
         again = cached_inventory(shear05, 2)
         assert len(again) == len(cold)
+
+    def test_key_covers_code_identity(self, monkeypatch):
+        payload = {"x": 1}
+        base = {kind: content_key(kind, payload) for kind in scenarios.CACHE_SCHEMA}
+        assert base["orbits"] != base["conjugacy"]
+        monkeypatch.setattr(anosovlab, "__version__", anosovlab.__version__ + ".post1")
+        for kind, key in base.items():
+            assert content_key(kind, payload) != key
+        monkeypatch.undo()
+        for kind, key in base.items():
+            monkeypatch.setitem(scenarios.CACHE_SCHEMA, kind, scenarios.CACHE_SCHEMA[kind] + 1)
+            assert content_key(kind, payload) != key
+            monkeypatch.undo()
+            assert content_key(kind, payload) == key
+
+    def test_concurrent_writers_of_one_entry(self, tmp_path, monkeypatch, linear_map):
+        """Two cold lookups of one key interleave: the first writer is held
+        between writing its files and renaming them until the second is done."""
+        monkeypatch.setenv("ANOSOVLAB_CACHE", str(tmp_path / "cache"))
+        real_replace = os.replace
+        first_wrote, second_done = threading.Event(), threading.Event()
+        held = []
+
+        def replace_holding_first_writer(src, dst):
+            if threading.current_thread() is not threading.main_thread() and not held:
+                held.append(src)
+                first_wrote.set()
+                assert second_done.wait(30)
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_holding_first_writer)
+        errors = []
+
+        def first():
+            try:
+                cached_inventory(linear_map, 2)
+            except Exception as exc:  # surfaced below; a thread cannot fail the test
+                errors.append(exc)
+
+        writer = threading.Thread(target=first)
+        writer.start()
+        try:
+            assert first_wrote.wait(30)
+            second = cached_inventory(linear_map, 2)
+        finally:
+            second_done.set()
+            writer.join(30)
+        assert not writer.is_alive()
+        assert errors == []
+        assert held
+        warm = cached_inventory(linear_map, 2)
+        assert len(warm) == len(second) and warm.found_counts == second.found_counts
+        leftovers = [p.name for p in (tmp_path / "cache").rglob("*") if p.name.endswith(".tmp")]
+        assert leftovers == []
 
 
 def _small_scenario(tmp_path: Path, **kw) -> Scenario:
@@ -287,10 +354,10 @@ class TestDichotomy:
     def test_thread_count_does_not_change_bytes(self, tmp_path):
         base = _small_scenario(
             tmp_path / "t1", fixture="shear_A0",
-            dichotomy_family="shear_A0", dichotomy_epsilons=(0.0, 0.02),
+            dichotomy_family="shear_A0", dichotomy_epsilons=(0.0, 0.02), stages=("dichotomy",),
         )
-        r1 = run_dichotomy(base, threads=1)
-        r2 = run_dichotomy(
+        r1 = run_scenario(base, threads=1)
+        r2 = run_scenario(
             dataclasses.replace(base, out_dir=str(tmp_path / "t2")), threads=3
         )
         assert r1.exit_code == r2.exit_code == 0
@@ -299,6 +366,97 @@ class TestDichotomy:
         ).read_bytes()
 
     def test_missing_section_is_error(self, tmp_path):
-        result = run_dichotomy(_small_scenario(tmp_path))
+        result = run_scenario(_small_scenario(tmp_path, stages=("dichotomy",)))
         assert result.exit_code == 1
         assert "dichotomy" in result.error
+        assert "stages: \n" in (tmp_path / "summary.txt").read_text()
+
+    def test_rows_skip_the_conjugacy_stage_work(self, tmp_path, monkeypatch):
+        """A row reads specialness only: no residual, round trip or decay."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sweep row started conjugacy-stage work")
+
+        monkeypatch.setattr(ConjugacyEvaluator, "apply_inverse", refuse)
+        monkeypatch.setattr(scenarios, "_conjugacy_numbers", refuse)
+        report = dichotomy_sweep("shear_A0", [0.02], _small_scenario(tmp_path))
+        assert not report.rows[0].special
+
+
+class TestRunContext:
+    def test_artifacts_are_built_once(self, tmp_path):
+        run = RunContext(_small_scenario(tmp_path, fixture="shear_A0", epsilon=0.05), tmp_path)
+        assert run.inventory is run.inventory
+        assert run.rigidity.inventory is run.inventory
+        assert run.specialness.max_defect > 0.0
+        assert run.evaluator is run.evaluator
+
+    def test_series_depth_reaches_the_metric_stage(self, tmp_path, monkeypatch):
+        seen = []
+        real = scenarios.conjugacy_leaf_isometry_check
+
+        def spy(f, ce, psi, **kw):
+            seen.append(ce)
+            return real(f, ce, psi, **kw)
+
+        monkeypatch.setattr(scenarios, "conjugacy_leaf_isometry_check", spy)
+        sc = load_scenario({
+            "fixture": {"name": "linear_A0"},
+            "depths": {"series": 9, "max_period": 2},
+            "sampling": {"points": 8, "pairs": 10, "codes_per_point": 4},
+            "tolerances": {"conjugacy_residual": 1e-7},
+            "output": str(tmp_path),
+            "stages": ["metric"],
+        })
+        assert run_scenario(sc).exit_code == 0
+        assert [ce.series_depth for ce in seen] == [9]
+
+    def test_warm_conjugacy_stage_builds_no_evaluator(self, tmp_path, monkeypatch):
+        calls = []
+        real = scenarios.conjugacy_evaluator
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "conjugacy_evaluator", counting)
+        monkeypatch.setenv("ANOSOVLAB_CACHE", str(tmp_path / "cache"))
+        sc = _small_scenario(tmp_path / "cold", stages=("conjugacy",))
+        run_scenario(sc)
+        assert len(calls) == 1
+        run_scenario(dataclasses.replace(sc, out_dir=str(tmp_path / "warm")))
+        assert len(calls) == 1
+        assert _read_outputs(tmp_path / "cold") == _read_outputs(tmp_path / "warm")
+
+    def test_shear_isometry_skipped_non_rigid(self, tmp_path, monkeypatch):
+        """The metric stage alone decides that the leaf-isometry check cannot
+        run on the shear, and it builds no conjugacy evaluator for it."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluator built for a skipped check")
+
+        monkeypatch.setattr(scenarios, "conjugacy_evaluator", refuse)
+        sc = _small_scenario(tmp_path, fixture="shear_A0", epsilon=0.05, stages=("metric",))
+        result = run_scenario(sc)
+        assert result.exit_code == 2
+        assert "periodic obstruction" in "\n".join(result.findings)
+        rows = (tmp_path / "isometry.csv").read_text().splitlines()
+        assert rows == ["pair,d_s,linear_distance,scaled_deviation"]
+        summary = (tmp_path / "summary.txt").read_text()
+        assert "isometry_status: skipped_non_rigid" in summary
+        assert "isometry_scale: nan" in summary
+        assert "isometry_pairs: 0" in summary
+        assert "holonomy_status: skipped_non_rigid" in summary
+
+    def test_holonomy_refused_on_the_runs_own_verdict(self, tmp_path, monkeypatch):
+        """The metric stage hands the branches verdict to the holonomy check."""
+        sc = _small_scenario(tmp_path, stages=("branches", "metric"))
+        run = RunContext(sc, tmp_path)
+        verdict = run.integrability
+        assert verdict.integrable
+        monkeypatch.setattr(
+            RunContext, "integrability", dataclasses.replace(verdict, integrable=False)
+        )
+        outcome = scenarios._STAGE_FN["metric"](RunContext(sc, tmp_path))
+        assert ("holonomy_status", "refused_non_integrable") in outcome.summary
+        assert any("holonomy refused" in msg for msg in outcome.findings)
