@@ -27,6 +27,7 @@ from anosovlab.util import (
     canonical_sign,
     float_cell,
     largest_principal_angle,
+    pairwise_principal_angles,
     qr_pos,
     subspace_intersection,
     wrap,
@@ -102,19 +103,36 @@ def _generic_frame(d: int) -> np.ndarray:
     return q
 
 
-def _descending_frame(jacs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """QR frame whose leading columns span realized-growth flags at the endpoint.
+def _descending_frame(jacs: np.ndarray, depth: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """QR frames whose leading columns span realized-growth flags at the endpoint.
 
     This is the forward QR chain of Ginelli et al., PRL 99, 130601 (2007),
-    with the per-step log rates averaged over the chain.
+    with the per-step log rates averaged over the chain. The chain runs over
+    every window of `depth` consecutive factors (default: all of them):
+    jacs (T + depth - 1, n, d, d) gives frames and rates for the T windows,
+    shapes (T, n, d, d) and (T, n, d), window t applying jacs[t] first.
     """
-    depth, n, d, _ = jacs.shape
-    q = np.broadcast_to(_generic_frame(d), (n, d, d)).copy()
-    logs = np.zeros((n, d))
+    depth = jacs.shape[0] if depth is None else depth
+    windows = jacs.shape[0] - depth + 1
+    n, d = jacs.shape[1], jacs.shape[-1]
+    q = np.broadcast_to(_generic_frame(d), (windows, n, d, d)).copy()
+    logs = np.zeros((windows, n, d))
     for j in range(depth):
-        q, r = qr_pos(jacs[j] @ q)
-        logs += np.log(np.abs(r[:, np.arange(d), np.arange(d)]))
+        q, r = qr_pos(jacs[j : j + windows] @ q)
+        logs += np.log(np.abs(r[..., np.arange(d), np.arange(d)]))
     return q, logs / depth
+
+
+def _ascending_frame(jacs: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Frames of the transposed cocycle over each depth-window of forward Jacobians.
+
+    Run from the far end of the window, the transposed chain's QR flag orders
+    directions by decreasing growth, so the last i columns span the i
+    most-contracted ones. Returns frames (T, n, d, d) and descending rates
+    (T, n, d) for the windows starting at jacs[t].
+    """
+    q, logs = _descending_frame(np.swapaxes(jacs[::-1], -1, -2), depth)
+    return q[::-1], -np.sort(-logs[::-1], axis=-1)
 
 
 def _check_rates(rates: np.ndarray, k: int, min_gap: float) -> None:
@@ -130,25 +148,46 @@ def _check_rates(rates: np.ndarray, k: int, min_gap: float) -> None:
         )
 
 
+def first_stable_direction(
+    f: TorusMap, jacs: np.ndarray, depth: int, min_gap: float = 0.02
+) -> np.ndarray:
+    """Most-contracted direction at the first T steps of n forward orbits.
+
+    jacs (T + depth - 1, n, d, d) holds DF along the orbits; the direction at
+    step t comes from the window jacs[t : t + depth]. Returns unit vectors
+    (T, n, d). For one stable direction in the plane it is the rotation of
+    the most-expanded right-singular direction, which a plain transpose-matvec
+    recursion finds without any QR factorizations; otherwise it is the last
+    column of the ascending frame, with the rate gaps checked.
+    """
+    d, k = f.dim, f.model.stable_dim
+    windows = jacs.shape[0] - depth + 1
+    if d == 2 and k == 1:
+        v = np.broadcast_to(f.model.unstable_subspace[:, 0], (windows,) + jacs.shape[1:-1]).copy()
+        for j in range(depth - 1, -1, -1):
+            v = np.einsum("tnji,tnj->tni", jacs[j : j + windows], v)
+            v /= np.linalg.norm(v, axis=-1, keepdims=True)
+        return np.stack([-v[..., 1], v[..., 0]], axis=-1)
+    q, rates = _ascending_frame(jacs, depth)
+    _check_rates(rates, k, min_gap)
+    return canonical_sign(q[..., d - 1])
+
+
 def _stable_field(
     f: TorusMap, pts: np.ndarray, depth: int, min_gap: float = 0.02
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched stable directions (n, d, k), unstable subspace (n, d, d-k), rates."""
     d, k = f.dim, f.model.stable_dim
-    fwd = _forward_jacobians(f, pts, depth)
-    # the transposed cocycle from its far end: its QR flag orders directions by
-    # decreasing growth, so the last i columns span the i most-contracted ones
-    q_asc, rates_asc = _descending_frame(np.swapaxes(fwd[::-1], 2, 3))
-    rates = -np.sort(-rates_asc, axis=1)
+    q_asc, rates = _ascending_frame(_forward_jacobians(f, pts, depth), depth)
+    q_asc, rates = q_asc[0], rates[0]
     _check_rates(rates, k, min_gap)
-    bwd = _backward_jacobians(f, pts, depth)
-    q_desc, _ = _descending_frame(bwd)
-    unstable = q_desc[:, :, : d - k]
+    q_desc, _ = _descending_frame(_backward_jacobians(f, pts, depth))
+    unstable = q_desc[0, :, :, : d - k]
     stable = np.empty((pts.shape[0], d, k))
     stable[:, :, 0] = canonical_sign(q_asc[:, :, d - 1])
     for i in range(2, k + 1):
         asc_i = q_asc[:, :, d - i:]
-        desc_i = q_desc[:, :, : d - i + 1]
+        desc_i = q_desc[0, :, :, : d - i + 1]
         for row in range(pts.shape[0]):
             stable[row, :, i - 1] = subspace_intersection(asc_i[row], desc_i[row])
     return stable, unstable, rates
@@ -226,11 +265,7 @@ def branch_spread(f: TorusMap, x, codes: list[BranchCode]) -> float:
     pts = wrap(np.asarray(x, dtype=float))[None, :]
     arr = np.array([c.choices for c in codes], dtype=int)
     bases = _branch_walk_directions(f, pts, arr)[0]
-    worst = 0.0
-    for i in range(len(codes)):
-        for j in range(i + 1, len(codes)):
-            worst = max(worst, largest_principal_angle(bases[i], bases[j]))
-    return worst
+    return float(pairwise_principal_angles(bases).max())
 
 
 @dataclass(frozen=True)
@@ -281,28 +316,22 @@ def integrability_verdict(
     codes = _sample_codes(rng, f.degree, codes_per_point, depth)
     bases = _branch_walk_directions(f, pts, codes)
     labels = ["".join(str(c) for c in row) for row in codes]
-    rows = []
-    worst = 0.0
-    witness = None
-    for p in range(samples):
-        for i in range(codes.shape[0]):
-            for j in range(i + 1, codes.shape[0]):
-                ang = largest_principal_angle(bases[p, i], bases[p, j])
-                rows.append((tuple(float(c) for c in pts[p]), labels[i], labels[j], ang))
-                if ang > worst:
-                    worst = ang
-                    witness = {
-                        "point": tuple(float(c) for c in pts[p]),
-                        "code_a": labels[i],
-                        "code_b": labels[j],
-                        "angle": ang,
-                    }
+    pairs = np.transpose(np.triu_indices(codes.shape[0], 1)).tolist()
+    angles = pairwise_principal_angles(bases).tolist()
+    rows = tuple(
+        (tuple(pts[p].tolist()), labels[i], labels[j], ang)
+        for p in range(samples)
+        for (i, j), ang in zip(pairs, angles[p])
+    )
+    # the witness is the first pair, in row order, with the largest angle
+    top = max(rows, key=lambda row: row[3], default=None)
+    worst = 0.0 if top is None else top[3]
     integrable = worst <= tol
     return IntegrabilityReport(
         integrable=integrable,
         max_spread=worst,
         tol=tol,
         depth=depth,
-        witness=None if integrable else witness,
-        rows=tuple(rows),
+        witness=None if integrable else dict(zip(("point", "code_a", "code_b", "angle"), top)),
+        rows=rows,
     )

@@ -121,6 +121,8 @@ class ConjugacyEvaluator:
 
         The iteration x <- x - beta (x + u(x) - y) contracts when beta is small
         against ||Du||; beta adapts per row by residual-decrease backtracking.
+        Rows are independent, so each step evaluates u only on the rows whose
+        residual still exceeds tol.
         """
         yb = np.asarray(y, dtype=float)
         single = yb.ndim == 1
@@ -132,19 +134,23 @@ class ConjugacyEvaluator:
         rn = np.linalg.norm(res, axis=1)
         beta = np.full(yb.shape[0], 1.0)
         for _ in range(max_iter):
-            active = rn > tol
-            if not active.any():
+            active = np.flatnonzero(rn > tol)
+            if not active.size:
                 break
-            cand = x.copy()
-            cand[active] -= beta[active, None] * res[active]
-            res_c = cand + self.h_displacement(cand) - yb
+            cand = x[active] - beta[active, None] * res[active]
+            # numpy multiplies a one-row batch on its matrix-vector path, which
+            # rounds unlike the rows of a larger batch; doubling the row keeps x
+            # bit-identical to stepping every row
+            batch = cand if active.size > 1 else np.repeat(cand, 2, axis=0)
+            res_c = cand + self.h_displacement(batch)[: active.size] - yb[active]
             rn_c = np.linalg.norm(res_c, axis=1)
-            better = active & (rn_c < rn)
-            x[better] = cand[better]
-            res[better] = res_c[better]
-            rn[better] = rn_c[better]
-            beta[better] = np.minimum(1.0, beta[better] * 1.25)
-            beta[active & ~better] *= 0.5
+            better = rn_c < rn[active]
+            up = active[better]
+            x[up] = cand[better]
+            res[up] = res_c[better]
+            rn[up] = rn_c[better]
+            beta[up] = np.minimum(1.0, beta[up] * 1.25)
+            beta[active[~better]] *= 0.5
         bad = np.flatnonzero(rn > tol)
         if bad.size:
             x = self._inverse_fallback(x, yb, bad, tol)

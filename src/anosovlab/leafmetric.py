@@ -20,6 +20,7 @@ from anosovlab.bundles import (
     _descending_frame,
     _forward_jacobians,
     _stable_field,
+    first_stable_direction,
 )
 from anosovlab.conjugacy import ConjugacyEvaluator
 from anosovlab.errors import (
@@ -40,9 +41,9 @@ from anosovlab.util import float_cell, grid_points, wrap
 def stable_direction_stack(f: TorusMap, pts: np.ndarray, i: int, depth: int = 12) -> np.ndarray:
     """First i stable directions at each point, shape (n, d, i), unit columns.
 
-    For one stable direction in the plane the most-contracted direction is the
-    rotation of the most-expanded right-singular direction, which a plain
-    transpose-matvec recursion finds without any QR factorizations.
+    The first direction reads a depth-long forward Jacobian chain from each
+    point (see `first_stable_direction`); deeper ones intersect it with the
+    backward flag.
     """
     k = f.model.stable_dim
     if not 1 <= i <= k:
@@ -50,13 +51,10 @@ def stable_direction_stack(f: TorusMap, pts: np.ndarray, i: int, depth: int = 12
     if f.epsilon == 0.0:
         stack = f.model.stable_lines[:i].T
         return np.broadcast_to(stack, (pts.shape[0],) + stack.shape).copy()
-    if f.dim == 2 and k == 1:
-        jacs = _forward_jacobians(f, pts, depth)
-        v = np.broadcast_to(f.model.unstable_subspace[:, 0], pts.shape).copy()
-        for j in range(depth - 1, -1, -1):
-            v = np.einsum("nji,nj->ni", jacs[j], v)
-            v /= np.linalg.norm(v, axis=1, keepdims=True)
-        return np.stack([-v[:, 1], v[:, 0]], axis=1)[:, :, None]
+    if i == 1:
+        # plane chains start at the lift point itself, QR chains at its torus cell
+        jacs = _forward_jacobians(f, pts if f.dim == 2 else wrap(pts), depth)
+        return first_stable_direction(f, jacs, depth)[0][:, :, None]
     stable, _, _ = _stable_field(f, wrap(pts), depth)
     return stable[:, :, :i]
 
@@ -73,9 +71,8 @@ def unstable_direction_field(f: TorusMap, pts: np.ndarray, depth: int = 12) -> n
     if f.epsilon == 0.0:
         line = f.model.unstable_subspace[:, 0]
         return np.broadcast_to(line, pts.shape).copy()
-    jacs = _backward_jacobians(f, wrap(pts), depth)
-    q, _ = _descending_frame(jacs)
-    return q[:, :, 0]
+    q, _ = _descending_frame(_backward_jacobians(f, wrap(pts), depth))
+    return q[0, :, :, 0]
 
 
 # -- leaf polylines ------------------------------------------------------------
@@ -309,16 +306,38 @@ class CocycleSolution:
         ]
 
 
+def _sum_chunks(n: int) -> int:
+    return max(1, n // 20000)
+
+
 def _segment_mean(f: TorusMap, phi, segments: int, segment_len: int, seed: int) -> float:
     """Average of phi along long forward orbit segments (telescoping-exact for
-    coboundaries plus a constant)."""
+    coboundaries plus a constant).
+
+    An observable with an orbit form (`phi.along_orbit`, see
+    `stable_log_norm_observable`) is evaluated on time blocks of the
+    segments, each reading `lookahead` further orbit points; any other is
+    evaluated point by point. Either way the values are summed in the same
+    chunks, so both give the same float.
+    """
     rng = np.random.default_rng(seed)
     starts = rng.random((segments, f.dim))
-    flat = f.orbit_points(starts, segment_len).reshape(-1, f.dim)
+    along_orbit = getattr(phi, "along_orbit", None)
+    if along_orbit is None:
+        flat = f.orbit_points(starts, segment_len).reshape(-1, f.dim)
+        vals = np.concatenate([phi(c) for c in np.array_split(flat, _sum_chunks(flat.shape[0]))])
+    else:
+        extra = along_orbit.lookahead
+        orbit = f.orbit_points(starts, segment_len + extra)
+        block = max(1, 2**16 // segments)  # time steps; bounds the Jacobian and frame stacks
+        vals = np.concatenate([
+            along_orbit(orbit[t : min(t + block, segment_len) + extra]).ravel()
+            for t in range(0, segment_len, block)
+        ])
     total = 0.0
-    for chunk in np.array_split(flat, max(1, flat.shape[0] // 20000)):
-        total += float(np.sum(phi(chunk)))
-    return total / flat.shape[0]
+    for chunk in np.array_split(vals, _sum_chunks(vals.size)):
+        total += float(np.sum(chunk))
+    return total / vals.size
 
 
 def _periodic_obstruction(phi, mean: float, inventory: OrbitInventory) -> float:
@@ -406,13 +425,40 @@ def stable_log_norm_observable(f: TorusMap, i: int = 1, depth: int = 12):
     For i >= 2 the factor is the quotient norm on E^s_(1..i)/E^s_(1..i-1),
     computed as the component of DF e_i(x) along the direction of E^s_(1..i)
     orthogonal to E^s_(1..i-1) at the image point.
+
+    For i = 1 on a perturbed map phi also has an orbit form,
+    `phi.along_orbit`, which evaluates it along forward orbit segments from
+    one Jacobian per orbit point; `phi.along_orbit.lookahead` is the number
+    of points it reads past the last value.
     """
     if i == 1:
+        def log_contraction(jacs, v):
+            w = np.einsum("nij,nj->ni", jacs, v)
+            return np.log(np.linalg.norm(w, axis=1))
+
         def phi(pts):
             pts = np.atleast_2d(pts)
-            v = stable_direction_field(f, pts, 1, depth)
-            w = np.einsum("nij,nj->ni", f.jacobian(pts), v)
-            return np.log(np.linalg.norm(w, axis=1))
+            return log_contraction(f.jacobian(pts), stable_direction_field(f, pts, 1, depth))
+
+        if f.epsilon == 0.0:
+            return phi
+
+        def along_orbit(orbit):
+            """phi at orbit[t] for t < len(orbit) - depth + 1, shape (T, n).
+
+            orbit (T + depth - 1, n, d) holds n forward orbits; each point's
+            Jacobian serves as DF in phi and in the direction windows of the
+            depth - 1 points before it.
+            """
+            d = f.dim
+            jacs = f.jacobian(orbit.reshape(-1, d)).reshape(orbit.shape + (d,))
+            v = first_stable_direction(f, jacs, depth)
+            vals = log_contraction(jacs[: v.shape[0]].reshape(-1, d, d), v.reshape(-1, d))
+            return vals.reshape(v.shape[:2])
+
+        # function attributes, so wrappers that copy __dict__ keep the orbit form
+        along_orbit.lookahead = depth - 1
+        phi.along_orbit = along_orbit
         return phi
 
     def _normal_unit(stack):

@@ -178,14 +178,18 @@ def load_scenario(source) -> Scenario:
     else:
         path = Path(source)
         try:
-            text = path.read_text() if path.exists() else str(source)
+            is_file = path.exists()
+        except OSError:  # e.g. ENAMETOOLONG: YAML text with a long line names no file
+            is_file = False
+        try:
+            text = path.read_text() if is_file else str(source)
         except OSError as exc:
             raise ConfigInvalid([f"cannot read config: {exc}"]) from exc
         try:
             cfg = yaml.safe_load(text)
         except yaml.YAMLError as exc:
             raise ConfigInvalid([f"not valid YAML: {exc}"]) from exc
-        if isinstance(cfg, str) and not path.exists():
+        if isinstance(cfg, str) and not is_file:
             # a lone scalar is a path that names no file, not YAML text
             raise ConfigInvalid([f"config file {source} does not exist"])
     if not isinstance(cfg, dict):

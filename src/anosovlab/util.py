@@ -49,16 +49,9 @@ def qr_pos(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def canonical_sign(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Flip sign so the first component exceeding tol is positive; batched."""
     v = np.asarray(v, dtype=float)
-    single = v.ndim == 1
-    vv = v[None, :] if single else v
-    out = vv.copy()
-    for row in out:
-        for x in row:
-            if abs(x) > tol:
-                if x < 0.0:
-                    row *= -1.0
-                break
-    return out[0] if single else out
+    big = np.abs(v) > tol
+    lead = np.take_along_axis(v, np.argmax(big, axis=-1)[..., None], axis=-1)
+    return np.where(big.any(axis=-1, keepdims=True) & (lead < 0.0), -v, v)
 
 
 def orthonormal_columns(m: np.ndarray) -> np.ndarray:
@@ -67,18 +60,29 @@ def orthonormal_columns(m: np.ndarray) -> np.ndarray:
     return q
 
 
+def pairwise_principal_angles(bases: np.ndarray) -> np.ndarray:
+    """Largest principal angle (radians) between every pair of m subspaces.
+
+    bases (..., m, d, k) holds spanning sets of equal-dimension subspaces.
+    Returns (..., m(m-1)/2), pairs (i, j) with i < j in np.triu_indices order.
+    """
+    q, _ = qr_pos(np.asarray(bases, dtype=float))
+    a, b = np.triu_indices(q.shape[-3], 1)
+    sigma = np.linalg.svd(np.swapaxes(q[..., a, :, :], -1, -2) @ q[..., b, :, :], compute_uv=False)
+    return np.arccos(np.clip(sigma.min(axis=-1), -1.0, 1.0))
+
+
 def largest_principal_angle(b1: np.ndarray, b2: np.ndarray) -> float:
     """Largest principal angle (radians) between equal-dimension subspaces.
 
-    Inputs are matrices whose columns span the subspaces; orthonormalized
-    here, so callers may pass raw spanning sets.
+    Inputs are matrices whose columns span the subspaces (or single
+    vectors); orthonormalized here, so callers may pass raw spanning sets.
     """
-    q1 = orthonormal_columns(np.atleast_2d(np.asarray(b1, dtype=float).T).T)
-    q2 = orthonormal_columns(np.atleast_2d(np.asarray(b2, dtype=float).T).T)
-    if q1.shape != q2.shape:
-        raise ValueError(f"subspace dimensions differ: {q1.shape[1]} vs {q2.shape[1]}")
-    sigma = np.linalg.svd(q1.T @ q2, compute_uv=False)
-    return float(np.arccos(np.clip(sigma.min(), -1.0, 1.0)))
+    m1 = np.atleast_2d(np.asarray(b1, dtype=float).T).T
+    m2 = np.atleast_2d(np.asarray(b2, dtype=float).T).T
+    if m1.shape != m2.shape:
+        raise ValueError(f"subspace dimensions differ: {m1.shape[1]} vs {m2.shape[1]}")
+    return float(pairwise_principal_angles(np.stack([m1, m2]))[0])
 
 
 def subspace_intersection(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:

@@ -5,12 +5,15 @@ import pytest
 
 from anosovlab.bundles import (
     BranchCode,
+    _branch_walk_directions,
+    _sample_codes,
     branch_spread,
     integrability_verdict,
     stable_splitting_at,
     unstable_direction_along_branch,
 )
 from anosovlab.errors import GapTooSmall
+from anosovlab.util import largest_principal_angle, orthonormal_columns, pairwise_principal_angles
 
 
 def _unit_eigvec(a: np.ndarray, which: int) -> np.ndarray:
@@ -23,6 +26,12 @@ def _unit_eigvec(a: np.ndarray, which: int) -> np.ndarray:
 
 def _angle(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.arccos(min(1.0, abs(float(u @ v)))))
+
+
+def _pair_angle(b1: np.ndarray, b2: np.ndarray) -> float:
+    """One pair at a time: two QR factorizations and one SVD."""
+    sigma = np.linalg.svd(orthonormal_columns(b1).T @ orthonormal_columns(b2), compute_uv=False)
+    return float(np.arccos(np.clip(sigma.min(), -1.0, 1.0)))
 
 
 class TestStableSplitting:
@@ -141,3 +150,45 @@ class TestBranchDirections:
         rows = rep.csv_rows()
         assert rows[0] == ["point", "code_a", "code_b", "angle"]
         assert len(rows) == 1 + 3 * 3  # 3 points x C(3,2) pairs
+
+
+class TestBatchedAngles:
+    """All pairs in one QR and one SVD call equal the pair-by-pair loop."""
+
+    @pytest.mark.parametrize("name", ["shear05", "conjugated05", "product05"])
+    def test_match_pair_loop(self, name, request, rng):
+        f = request.getfixturevalue(name)
+        codes = _sample_codes(rng, f.degree, 6, 10)
+        bases = _branch_walk_directions(f, rng.random((5, f.dim)), codes)
+        assert bases.shape[-1] == f.dim - f.model.stable_dim  # m = 1 in the plane, 2 on T^3
+        loop = [
+            _pair_angle(bases[p, i], bases[p, j])
+            for p in range(5)
+            for i in range(6)
+            for j in range(i + 1, 6)
+        ]
+        assert pairwise_principal_angles(bases).ravel().tolist() == loop
+        assert largest_principal_angle(bases[0, 1], bases[0, 4]) == _pair_angle(bases[0, 1], bases[0, 4])
+
+    def test_verdict_rows_and_witness_match_pair_loop(self, shear05):
+        rep = integrability_verdict(shear05, samples=6, codes_per_point=5, seed=3)
+        rng = np.random.default_rng(3)
+        pts = rng.random((6, 2))
+        codes = _sample_codes(rng, shear05.degree, 5, 12)
+        bases = _branch_walk_directions(shear05, pts, codes)
+        loop = [
+            _pair_angle(bases[p, i], bases[p, j])
+            for p in range(6)
+            for i in range(5)
+            for j in range(i + 1, 5)
+        ]
+        assert [row[3] for row in rep.rows] == loop
+        first_max = loop.index(max(loop))
+        assert rep.max_spread == loop[first_max]
+        assert rep.witness["angle"] == loop[first_max]
+        assert rep.witness["point"] == rep.rows[first_max][0]
+
+    def test_vectors_and_dimension_check(self):
+        assert largest_principal_angle([1.0, 0.0], [1.0, 1.0]) == pytest.approx(np.pi / 4)
+        with pytest.raises(ValueError, match="dimensions differ"):
+            largest_principal_angle(np.eye(3)[:, :2], np.eye(3)[:, :1])

@@ -185,10 +185,7 @@ def test_console_script_installed(tmp_path):
     """
     module, attr = _script_target()
     wrapper = f"import sys; from {module} import {attr}; sys.exit({attr}())"
-    env = dict(os.environ)  # carries ANOSOVLAB_CACHE from _isolated_cache
-    pkg_root = str(Path(anosovlab.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
-    opts = dict(cwd=tmp_path, env=env, capture_output=True, text=True)
+    opts = _fresh_process_opts(tmp_path)
     installed = shutil.which("anosovlab")
 
     def run(*argv):
@@ -198,6 +195,32 @@ def test_console_script_installed(tmp_path):
             assert (script.returncode, script.stdout) == (proc.returncode, proc.stdout)
         return proc
 
+    _check_exit_codes(tmp_path, run)
+
+
+def test_python_m_package(tmp_path):
+    """`python -m anosovlab` is the command, as `python -m anosovlab.cli` is."""
+    opts = _fresh_process_opts(tmp_path)
+
+    def run(*argv):
+        proc = subprocess.run([sys.executable, "-m", "anosovlab", *argv], **opts)
+        cli = subprocess.run([sys.executable, "-m", "anosovlab.cli", *argv], **opts)
+        assert (proc.returncode, proc.stdout) == (cli.returncode, cli.stdout)
+        return proc
+
+    _check_exit_codes(tmp_path, run)
+
+
+def _fresh_process_opts(tmp_path):
+    """subprocess.run options for a fresh interpreter that imports this package."""
+    env = dict(os.environ)  # carries ANOSOVLAB_CACHE from _isolated_cache
+    pkg_root = str(Path(anosovlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
+    return dict(cwd=tmp_path, env=env, capture_output=True, text=True)
+
+
+def _check_exit_codes(tmp_path, run):
+    """Exit 0 when clean, 2 on a finding, 1 on a config error, across the process boundary."""
     clean = run("analyze", "--config", _config(tmp_path, LINEAR_YAML))
     assert clean.returncode == 0, clean.stderr
     assert "wrote" in clean.stdout

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from anosovlab.conjugacy import (
+    ConjugacyEvaluator,
     conjugacy_evaluator,
     deep_translation_decay,
     displacement_field,
@@ -83,6 +84,49 @@ class TestEvaluator:
         assert ce.conjugation_residual(samples=100, seed=3) <= 1e-6
         x = rng.random((40, 2)) * 2 - 0.5
         assert np.abs(ce.apply_inverse(ce.apply(x)) - x).max() <= 1e-8
+
+    def test_inverse_steps_only_active_rows(self, shear05, rng, monkeypatch):
+        """Same x as stepping every row each time, from fewer H evaluations."""
+        ce = conjugacy_evaluator(shear05)
+        y = rng.random((24, 2))
+        tol, max_iter = 1e-10, 120  # every row converges, the last ones alone
+
+        # the whole-batch iteration, with its unconverged rows left as they are
+        x = y.copy()
+        res = x + ce.h_displacement(x) - y
+        rn = np.linalg.norm(res, axis=1)
+        beta = np.full(y.shape[0], 1.0)
+        whole_batch = 0
+        for _ in range(max_iter):
+            active = rn > tol
+            if not active.any():
+                break
+            cand = x.copy()
+            cand[active] -= beta[active, None] * res[active]
+            res_c = cand + ce.h_displacement(cand) - y
+            whole_batch += y.shape[0]
+            rn_c = np.linalg.norm(res_c, axis=1)
+            better = active & (rn_c < rn)
+            x[better] = cand[better]
+            res[better] = res_c[better]
+            rn[better] = rn_c[better]
+            beta[better] = np.minimum(1.0, beta[better] * 1.25)
+            beta[active & ~better] *= 0.5
+
+        fallback_rows = []
+        monkeypatch.setattr(
+            ConjugacyEvaluator, "_inverse_fallback",
+            lambda self, x, yb, rows, tol: fallback_rows.append(rows.tolist()) or x,
+        )
+        evaluated = []
+        h = ConjugacyEvaluator.h_displacement
+        monkeypatch.setattr(
+            ConjugacyEvaluator, "h_displacement",
+            lambda self, pts: evaluated.append(len(pts)) or h(self, pts),
+        )
+        assert np.array_equal(ce.apply_inverse(y, tol=tol, max_iter=max_iter), x)
+        assert fallback_rows == ([np.flatnonzero(rn > tol).tolist()] if (rn > tol).any() else [])
+        assert sum(evaluated[1:]) < whole_batch
 
     def test_sampled_u_within_sup_bound(self, shear05, rng):
         ce = conjugacy_evaluator(shear05)

@@ -1,17 +1,21 @@
 """Leaf traces, the cocycle solver, the affine leaf metric, and holonomies."""
 
+import functools
+
 import numpy as np
 import pytest
 
-from anosovlab.bundles import integrability_verdict
+from anosovlab.bundles import first_stable_direction, integrability_verdict
 from anosovlab.conjugacy import conjugacy_evaluator
 from anosovlab.errors import (
+    GapTooSmall,
     NoIntersection,
     ObstructionNonzero,
     RefusedNonIntegrable,
     StepRejected,
 )
 from anosovlab.leafmetric import (
+    _segment_mean,
     affine_distance,
     bundle_coboundary_psi,
     conjugacy_leaf_isometry_check,
@@ -20,6 +24,8 @@ from anosovlab.leafmetric import (
     livschitz_solve,
     map_polyline,
     quasi_isometry_fit,
+    stable_direction_stack,
+    stable_log_norm_observable,
     strong_stable_holonomy,
     tangency_residual,
     trace_stable_leaf,
@@ -97,6 +103,53 @@ class TestTraces:
     def test_step_rejected_on_curved_field(self, conjugated05):
         with pytest.raises(StepRejected):
             trace_stable_leaf(conjugated05, [0.3, 0.4], L=0.3, h=0.05, max_turn=1e-12)
+
+
+class TestOrbitForm:
+    """The stable log-contraction observable along orbits, one Jacobian per point."""
+
+    @pytest.mark.parametrize("name", ["shear05", "product05"])
+    def test_matches_pointwise_phi(self, name, request, rng):
+        f = request.getfixturevalue(name)
+        phi = stable_log_norm_observable(f, 1, depth=12)
+        assert phi.along_orbit.lookahead == 11
+        orbit = f.orbit_points(rng.random((7, f.dim)), 40)
+        vals = phi.along_orbit(orbit)
+        assert vals.shape == (29, 7)
+        pointwise = phi(orbit[:29].reshape(-1, f.dim)).reshape(29, 7)
+        assert np.array_equal(vals, pointwise)
+
+    def test_windows_match_per_point_chains(self, shear05, rng):
+        orbit = shear05.orbit_points(rng.random((5, 2)), 20)
+        jacs = shear05.jacobian(orbit.reshape(-1, 2)).reshape(20, 5, 2, 2)
+        windows = first_stable_direction(shear05, jacs, 12)
+        assert windows.shape == (9, 5, 2)
+        for t in range(9):
+            assert np.array_equal(windows[t], stable_direction_stack(shear05, orbit[t], 1, 12)[:, :, 0])
+
+    def test_gap_still_checked(self, product05, rng):
+        orbit = product05.orbit_points(rng.random((3, 3)), 16)
+        jacs = product05.jacobian(orbit.reshape(-1, 3)).reshape(16, 3, 3, 3)
+        with pytest.raises(GapTooSmall):
+            first_stable_direction(product05, jacs, 12, min_gap=5.0)
+
+    def test_linear_map_has_no_orbit_form(self, linear_map):
+        """Its phi is constant; the solver never walks orbits for it."""
+        assert not hasattr(stable_log_norm_observable(linear_map, 1), "along_orbit")
+
+    @pytest.mark.parametrize("name, segments, length", [("shear05", 128, 1200), ("product05", 16, 200)])
+    def test_segment_mean_same_float(self, name, segments, length, request):
+        """128 segments make 512-step blocks, so 1200 steps cross two block ends."""
+        f = request.getfixturevalue(name)
+        phi = stable_log_norm_observable(f, 1, depth=12)
+        traced = functools.wraps(phi)(lambda pts: phi(pts))
+        assert traced.along_orbit is phi.along_orbit
+
+        def pointwise(pts):
+            return phi(pts)
+
+        orbit_form = _segment_mean(f, traced, segments, length, seed=4)
+        assert orbit_form == _segment_mean(f, pointwise, segments, length, seed=4)
 
 
 class TestCocycleSolver:

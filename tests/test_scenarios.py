@@ -122,6 +122,11 @@ class TestLoadScenario:
         # an inline one-line mapping is still YAML text, not a path
         assert load_scenario("{fixture: {name: linear_A0}}").fixture == "linear_A0"
 
+    def test_long_yaml_line_is_not_a_path(self):
+        """A line longer than a file name may be is YAML text, not a path error."""
+        text = "fixture:\n  name: linear_A0\n# " + "x" * 300 + "\n"
+        assert load_scenario(text).fixture == "linear_A0"
+
     def test_dichotomy_section(self):
         sc = load_scenario({
             **MINIMAL,
