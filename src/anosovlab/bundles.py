@@ -85,9 +85,6 @@ def _backward_jacobians(f: TorusMap, pts: np.ndarray, depth: int) -> np.ndarray:
     return jacs
 
 
-_SEED_FRAMES: dict[int, np.ndarray] = {}
-
-
 def _generic_frame(d: int) -> np.ndarray:
     """Fixed generic orthonormal seed for the QR recursions.
 
@@ -95,12 +92,7 @@ def _generic_frame(d: int) -> np.ndarray:
     fixtures), in which case the QR flag never reorders columns by growth
     rate and the trailing column is not the most contracted direction.
     """
-    q = _SEED_FRAMES.get(d)
-    if q is None:
-        rng = np.random.default_rng(1905)
-        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        _SEED_FRAMES[d] = q
-    return q
+    return np.linalg.qr(np.random.default_rng(1905).standard_normal((d, d)))[0]
 
 
 def _descending_frame(jacs: np.ndarray, depth: int | None = None) -> tuple[np.ndarray, np.ndarray]:

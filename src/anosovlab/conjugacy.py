@@ -291,6 +291,12 @@ class SpecialnessReport:
     special: bool
     rows: tuple  # (point, direction j, defect, stable part, unstable part)
 
+    def csv_rows(self) -> list[list[str]]:
+        out = [["point", "direction", "defect", "stable_component", "unstable_component"]]
+        for pt, j, d, s, u in self.rows:
+            out.append([" ".join(float_cell(c) for c in pt), str(j), float_cell(d), float_cell(s), float_cell(u)])
+        return out
+
 
 def specialness_defect(
     ce: ConjugacyEvaluator, samples: int = 50, seed: int = 0, threshold: float = 1e-4

@@ -107,7 +107,7 @@ def _align(dirs: np.ndarray, prev: np.ndarray) -> np.ndarray:
     return out
 
 
-def _trace_batch(f, starts, field, L, h, max_turn):
+def _trace_batch(starts, field, L, h, max_turn):
     """Midpoint-rule traces in both directions; (n, 2*steps+1, d) and center index."""
     steps = max(1, int(np.ceil(L / h)))
     n, d = starts.shape
@@ -153,7 +153,7 @@ def trace_unstable_leaf(
     def field(pts):
         return unstable_direction_field(f, pts, depth)
 
-    pts, center = _trace_batch(f, start, field, L, h, max_turn)
+    pts, center = _trace_batch(start, field, L, h, max_turn)
     return LeafPolyline(
         points=pts[0], arclength=_cumulative_arclength(pts[0]), index=0, center_index=center
     )
@@ -174,7 +174,7 @@ def trace_stable_leaves(
     def field(pts):
         return stable_direction_field(f, pts, i, depth)
 
-    traces, center = _trace_batch(f, arr, field, L, h, max_turn)
+    traces, center = _trace_batch(arr, field, L, h, max_turn)
     return [
         LeafPolyline(traces[j], _cumulative_arclength(traces[j]), i, center)
         for j in range(arr.shape[0])
@@ -519,7 +519,7 @@ def _fractional_point(leaf: LeafPolyline, pos: float) -> np.ndarray:
     return (1.0 - t) * leaf.points[j] + t * leaf.points[j + 1]
 
 
-def affine_distance(f: TorusMap, i: int, leaf: LeafPolyline, a, b, psi: CocycleSolution | None) -> float:
+def affine_distance(leaf: LeafPolyline, a, b, psi: CocycleSolution | None) -> float:
     """Trapezoid integral of e^(psi) arclength between two leaf positions.
 
     a and b index polyline nodes; fractional values interpolate inside the
@@ -648,8 +648,8 @@ def holonomy_isometry_check(
     def s_field(pts):
         return stable_direction_field(f, pts, i, depth)
 
-    base_tr, c0 = _trace_batch(f, xs, s_field, 0.2, h, 0.35)
-    unst_tr, cu = _trace_batch(f, xs, u_field, 0.08, h, 0.35)
+    base_tr, c0 = _trace_batch(xs, s_field, 0.2, h, 0.35)
+    unst_tr, cu = _trace_batch(xs, u_field, 0.08, h, 0.35)
 
     primes = np.array(
         [unst_tr[s, cu + int(round(delta[s] / h))] for s in range(samples)]
@@ -663,9 +663,9 @@ def holonomy_isometry_check(
         ia[s] = base.node_near_arc(base.arclength[c0] + offs[s, 0])
         ib[s] = base.node_near_arc(base.arclength[c0] + offs[s, 1])
     # half-length must exceed the largest base offset (0.16) so every slide lands
-    target_tr, _ = _trace_batch(f, primes, s_field, 0.44, h, 0.35)
-    ua_tr, _ = _trace_batch(f, base_tr[np.arange(samples), ia], u_field, 0.25, h, 0.35)
-    ub_tr, _ = _trace_batch(f, base_tr[np.arange(samples), ib], u_field, 0.25, h, 0.35)
+    target_tr, _ = _trace_batch(primes, s_field, 0.44, h, 0.35)
+    ua_tr, _ = _trace_batch(base_tr[np.arange(samples), ia], u_field, 0.25, h, 0.35)
+    ub_tr, _ = _trace_batch(base_tr[np.arange(samples), ib], u_field, 0.25, h, 0.35)
 
     rows = []
     worst = 0.0
@@ -674,8 +674,8 @@ def holonomy_isometry_check(
         target = LeafPolyline(target_tr[s], _cumulative_arclength(target_tr[s]), i, 0)
         _, sa, _ = _segment_crossing(ua_tr[s], target.points)
         _, sb, _ = _segment_crossing(ub_tr[s], target.points)
-        d_src = affine_distance(f, i, bases[s], int(ia[s]), int(ib[s]), psi)
-        d_img = affine_distance(f, i, target, sa, sb, psi)
+        d_src = affine_distance(bases[s], int(ia[s]), int(ib[s]), psi)
+        d_img = affine_distance(target, sa, sb, psi)
         rel = abs(d_img - d_src) / d_src
         rows.append((s, d_src, d_img, rel))
         worst = max(worst, rel)
@@ -753,7 +753,7 @@ def conjugacy_leaf_isometry_check(
     def s_field(pts):
         return stable_direction_field(f, pts, i, depth)
 
-    traces, center = _trace_batch(f, starts, s_field, 0.3, h, 0.35)
+    traces, center = _trace_batch(starts, s_field, 0.3, h, 0.35)
 
     per_leaf = int(np.ceil(1.5 * samples / n_leaves))
     d_vals, e_vals = [], []
@@ -764,7 +764,7 @@ def conjugacy_leaf_isometry_check(
         ib = rng.integers(0, n_nodes, per_leaf)
         ok = np.abs(ia - ib) > int(0.02 / h)
         for a, b in zip(ia[ok], ib[ok]):
-            d_vals.append(affine_distance(f, i, leaf, int(a), int(b), psi))
+            d_vals.append(affine_distance(leaf, int(a), int(b), psi))
             ha = ce.apply(leaf.points[int(a)][None, :])[0]
             hb = ce.apply(leaf.points[int(b)][None, :])[0]
             e_vals.append(float(np.linalg.norm(ha - hb)))

@@ -56,45 +56,30 @@ class TrigField:
             sins.append(np.array([e[2] for e in entries], dtype=float))
         return TrigField(tuple(freqs), tuple(coss), tuple(sins), dim)
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
+    def _trig_pass(self, x, value: bool, jacobian: bool) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """One trig pass per coordinate giving the value, the Jacobian or both."""
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for i in range(self.dim):
-            k = self.freqs[i]
-            if k.size == 0:
-                continue
-            theta = 2.0 * np.pi * ((x @ k.T) % 1.0)
-            out[..., i] = np.cos(theta) @ self.cos_coeffs[i] + np.sin(theta) @ self.sin_coeffs[i]
-        return out
-
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        jac = np.zeros(x.shape + (self.dim,))
-        for i in range(self.dim):
-            k = self.freqs[i]
-            if k.size == 0:
-                continue
-            theta = 2.0 * np.pi * ((x @ k.T) % 1.0)
-            weight = -np.sin(theta) * self.cos_coeffs[i] + np.cos(theta) * self.sin_coeffs[i]
-            jac[..., i, :] = 2.0 * np.pi * (weight @ k)
-        return jac
-
-    def evaluate_and_jacobian(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Value and Jacobian sharing one trig pass per coordinate."""
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        jac = np.zeros(x.shape + (self.dim,))
-        for i in range(self.dim):
-            k = self.freqs[i]
+        out = np.zeros_like(x) if value else None
+        jac = np.zeros(x.shape + (self.dim,)) if jacobian else None
+        for i, k in enumerate(self.freqs):
             if k.size == 0:
                 continue
             theta = 2.0 * np.pi * ((x @ k.T) % 1.0)
             c, s = np.cos(theta), np.sin(theta)
-            out[..., i] = c @ self.cos_coeffs[i] + s @ self.sin_coeffs[i]
-            jac[..., i, :] = 2.0 * np.pi * (
-                (-s * self.cos_coeffs[i] + c * self.sin_coeffs[i]) @ k
-            )
+            if value:
+                out[..., i] = c @ self.cos_coeffs[i] + s @ self.sin_coeffs[i]
+            if jacobian:
+                jac[..., i, :] = 2.0 * np.pi * ((-s * self.cos_coeffs[i] + c * self.sin_coeffs[i]) @ k)
         return out, jac
+
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
+        return self._trig_pass(x, value=True, jacobian=False)[0]
+
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        return self._trig_pass(x, value=False, jacobian=True)[1]
+
+    def evaluate_and_jacobian(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self._trig_pass(x, value=True, jacobian=True)
 
     def sup_bound(self) -> float:
         """Rigorous sup of the Euclidean norm: per-coordinate amplitude sums."""
@@ -205,13 +190,20 @@ class TorusMap:
         return jac[0] if single else jac
 
     def step_with_jacobian(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(wrap(F(t)), DF(t)) sharing one inner inverse solve; batched."""
+        """(wrap(F(t)), DF(t)) sharing one inner inverse solve or trig pass; batched."""
         tb = np.asarray(t, dtype=float)
+        a = self.model.array
         if self.conjugator is not None:
             y = self._g_inverse(tb)
-            w = y @ self.model.array.T
+            w = y @ a.T
             return wrap(self._g(w)), self._conjugated_jacobian(y, w)
-        return wrap(self.evaluate(tb)), self.jacobian(tb)
+        if self.is_linear:
+            return wrap(self.evaluate(tb)), self.jacobian(tb)
+        xb, single = _as_batch(tb)
+        val, dval = self.perturbation.evaluate_and_jacobian(xb)
+        out = wrap(xb @ a.T + self.epsilon * val)
+        jac = np.broadcast_to(a, xb.shape + (self.dim,)) + self.epsilon * dval
+        return (out[0], jac[0]) if single else (out, jac)
 
     def invert_with_jacobian(self, y, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
         """(x, DF(x)) with F(x) = y; the conjugated form reuses the inner point."""

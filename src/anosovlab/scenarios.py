@@ -13,10 +13,10 @@ Determinism contract: every sampled quantity is derived from the scenario
 seed, and CSV bodies are byte-identical across repeated runs and thread
 counts. Wall-clock data goes to run_meta.txt only.
 
-Expensive artifacts (periodic orbit inventories, conjugacy diagnostics) are
-cached on disk keyed by a content hash of the fixture, the parameters that
-affect the numbers, the package version and a per-kind schema number, so a
-cache hit reproduces a cold run exactly.
+Each stage's outcome (summary pairs, findings, rendered CSV tables) is cached
+on disk as one JSON record, keyed by the stage name, every scenario field that
+can move its bytes, the numpy version and a digest of the package's sources,
+so a cache hit writes exactly what a cold run writes.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import os
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from hashlib import sha256
 from pathlib import Path
@@ -36,11 +36,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-import anosovlab
 from anosovlab.bundles import IntegrabilityReport, integrability_verdict
 from anosovlab.conjugacy import (
     ConjugacyEvaluator,
-    DecayTable,
     SpecialnessReport,
     conjugacy_evaluator,
     deep_translation_decay,
@@ -64,14 +62,12 @@ from anosovlab.linear import covering_radius_table
 from anosovlab.maps import (
     FIXTURE_NAMES,
     TorusMap,
-    TrigField,
     anosov_certificate,
     fixture_catalog,
     local_diffeo_margin,
 )
 from anosovlab.orbits import (
     OrbitInventory,
-    PeriodicOrbit,
     RigidityReport,
     enumerate_orbits,
     rigidity_report,
@@ -297,7 +293,7 @@ def load_scenario(source) -> Scenario:
     return Scenario(**values)
 
 
-# -- content-addressed cache ----------------------------------------------------
+# -- stage cache -----------------------------------------------------------------
 
 
 def cache_root() -> Path:
@@ -305,49 +301,34 @@ def cache_root() -> Path:
     return Path(env) if env else Path.home() / ".cache" / "anosovlab"
 
 
-def _field_payload(tf: TrigField | None):
-    if tf is None:
-        return None
-    return [
-        [
-            [[int(round(c)) for c in row] for row in np.atleast_2d(tf.freqs[i]).tolist()],
-            [float(c) for c in np.atleast_1d(tf.cos_coeffs[i]).tolist()],
-            [float(c) for c in np.atleast_1d(tf.sin_coeffs[i]).tolist()],
-        ]
-        for i in range(tf.dim)
-    ]
+def source_digest() -> str:
+    """Digest of the package's own sources: any code change is a cache miss."""
+    h = sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(f"{path.name}\0{sha256(path.read_bytes()).hexdigest()}\n".encode())
+    return h.hexdigest()
 
 
-def fixture_payload(f: TorusMap) -> dict:
-    """Content identity of a map: matrix plus perturbation data, not the label."""
-    return {
-        "matrix": [[int(round(v)) for v in row] for row in f.model.matrix.array.tolist()],
-        "epsilon": float(f.epsilon),
-        "perturbation": _field_payload(f.perturbation),
-        "conjugator": _field_payload(f.conjugator),
-    }
+def stage_key(stage: str, sc: Scenario) -> str:
+    """Hash of a stage, the scenario fields that can move its bytes and the code.
 
-
-# bump a kind's number whenever the shape of its cached blob changes
-CACHE_SCHEMA = {"orbits": 1, "conjugacy": 2}
-
-
-def content_key(kind: str, payload: dict) -> str:
-    """Hash of the artifact kind, its inputs and the code that computes it."""
-    code = {"version": anosovlab.__version__, "schema": CACHE_SCHEMA[kind]}
-    blob = kind + "\n" + json.dumps([code, payload], sort_keys=True, separators=(",", ":"))
+    The output directory and the stage list move no byte of a stage's outcome,
+    and neither does the thread count, so they stay out of the key.
+    """
+    inputs = {f.name: getattr(sc, f.name) for f in fields(sc) if f.name not in ("out_dir", "stages")}
+    blob = json.dumps([stage, inputs, np.__version__, source_digest()], default=repr)
     return sha256(blob.encode()).hexdigest()
 
 
-def _cache_file(key: str, suffix: str) -> Path:
-    return cache_root() / key[:2] / (key + suffix)
+def _cache_file(key: str) -> Path:
+    return cache_root() / key[:2] / (key + ".json")
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
     """Write through a temporary file of this writer's own, then rename.
 
-    Concurrent writers of one key (sweep rows sharing an epsilon) each rename
-    a complete file of their own; the last rename wins.
+    Concurrent writers of one key each rename a complete file of their own;
+    the last rename wins.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
@@ -356,87 +337,15 @@ def _atomic_write(path: Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-def _cache_get_json(key: str) -> dict | None:
-    path = _cache_file(key, ".json")
-    if not path.exists():
-        return None
+def _cache_read(key: str) -> dict | None:
+    """The stored record, or None when absent or unreadable (a corrupt entry is a miss)."""
     try:
-        return json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
+        record = json.loads(_cache_file(key).read_text())
+    except (OSError, ValueError):
         return None
-
-
-def _cache_put_json(key: str, obj: dict) -> None:
-    _atomic_write(_cache_file(key, ".json"), json.dumps(obj).encode())
-
-
-def cached_inventory(f: TorusMap, max_period: int, tol: float = 1e-12) -> OrbitInventory:
-    """enumerate_orbits with a disk cache; hits rebuild the inventory verbatim."""
-    key = content_key(
-        "orbits",
-        {"fixture": fixture_payload(f), "max_period": max_period, "tol": tol},
-    )
-    npz_path = _cache_file(key, ".npz")
-    meta = _cache_get_json(key)
-    if meta is not None and npz_path.exists():
-        try:
-            with np.load(npz_path, allow_pickle=False) as data:
-                return _inventory_from_arrays(dict(data.items()), meta)
-        except (OSError, ValueError, KeyError):
-            pass  # corrupt entry: fall through to a cold run
-    inv = enumerate_orbits(f, max_period, tol=tol)
-    arrays, meta = _inventory_to_arrays(inv)
-    buf = io.BytesIO()
-    np.savez(buf, **arrays)
-    _atomic_write(npz_path, buf.getvalue())
-    _cache_put_json(key, meta)
-    return inv
-
-
-def _inventory_to_arrays(inv: OrbitInventory) -> tuple[dict, dict]:
-    orbits = inv.orbits
-    pts = (
-        np.concatenate([o.points for o in orbits])
-        if orbits
-        else np.zeros((0, 0))
-    )
-    arrays = {
-        "points": pts,
-        "periods": np.array([o.period for o in orbits], dtype=int),
-        "translations": np.array([o.translation_class for o in orbits], dtype=int).reshape(len(orbits), -1),
-        "exponents": np.array([o.stable_exponents for o in orbits], dtype=float).reshape(len(orbits), -1),
-        "residuals": np.array([o.residual for o in orbits], dtype=float),
-    }
-    meta = {
-        "expected": [[n, c] for n, c in sorted(inv.expected_counts.items())],
-        "found": [[n, c] for n, c in sorted(inv.found_counts.items())],
-        "failures": [[n, list(seed), res] for n, seed, res in inv.failures],
-    }
-    return arrays, meta
-
-
-def _inventory_from_arrays(arrays: dict, meta: dict) -> OrbitInventory:
-    periods = arrays["periods"]
-    orbits, offset = [], 0
-    for idx, n in enumerate(periods):
-        n = int(n)
-        orbits.append(
-            PeriodicOrbit(
-                points=arrays["points"][offset : offset + n].copy(),
-                period=n,
-                translation_class=tuple(int(c) for c in arrays["translations"][idx]),
-                stable_exponents=tuple(float(v) for v in arrays["exponents"][idx]),
-                residual=float(arrays["residuals"][idx]),
-                orbit_id=idx,
-            )
-        )
-        offset += n
-    return OrbitInventory(
-        orbits=tuple(orbits),
-        expected_counts={int(n): int(c) for n, c in meta["expected"]},
-        found_counts={int(n): int(c) for n, c in meta["found"]},
-        failures=tuple((int(n), tuple(seed), float(r)) for n, seed, r in meta["failures"]),
-    )
+    if not isinstance(record, dict) or record.keys() != {"summary", "findings", "tables"}:
+        return None
+    return record
 
 
 # -- report plumbing -------------------------------------------------------------
@@ -444,10 +353,11 @@ def _inventory_from_arrays(arrays: dict, meta: dict) -> OrbitInventory:
 
 @dataclass
 class StageOutcome:
-    name: str
+    """What a stage computed; the runner renders, writes and caches it."""
+
     summary: list  # (key, value-string) pairs
     findings: list
-    files: list
+    tables: dict  # CSV file name -> rows
 
 
 @dataclass(frozen=True)
@@ -459,10 +369,14 @@ class ScenarioResult:
     error: str | None = None
 
 
-def _write_csv(path: Path, rows: list) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerows(rows)
+def _render(outcome: StageOutcome) -> dict:
+    """The JSON-safe form the runner writes and caches: each table as CSV text."""
+    tables = {}
+    for name, rows in outcome.tables.items():
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        tables[name] = buf.getvalue()
+    return {"summary": [list(p) for p in outcome.summary], "findings": list(outcome.findings), "tables": tables}
 
 
 def _yn(flag: bool) -> str:
@@ -478,7 +392,7 @@ def _kv_csv(pairs: list) -> list:
 
 @dataclass
 class RunContext:
-    """One run: the scenario, where it writes, and its shared artifacts.
+    """One run: the scenario, its thread count and its shared artifacts.
 
     Every artifact is built on first use and then shared, so a stage that
     needs the orbit inventory or the integrability verdict reads the one an
@@ -487,7 +401,6 @@ class RunContext:
     """
 
     sc: Scenario
-    out: Path
     threads: int = 1
 
     @cached_property
@@ -502,7 +415,7 @@ class RunContext:
 
     @cached_property
     def inventory(self) -> OrbitInventory:
-        return cached_inventory(self.f, self.sc.max_period)
+        return enumerate_orbits(self.f, self.sc.max_period)
 
     @cached_property
     def specialness(self) -> SpecialnessReport:
@@ -532,7 +445,7 @@ class RunContext:
 
 
 def _stage_analyze(run: RunContext) -> StageOutcome:
-    f, out = run.f, run.out
+    f = run.f
     m = f.model
     pairs = [
         ("fixture", f.label),
@@ -548,8 +461,6 @@ def _stage_analyze(run: RunContext) -> StageOutcome:
         ("stable_norm", float_cell(m.stable_norm)),
         ("unstable_conorm", float_cell(m.unstable_conorm)),
     ]
-    _write_csv(out / "analyze.csv", _kv_csv(pairs))
-
     k_max = 8 if m.dim == 2 else 5
     table = covering_radius_table(m.matrix, k_max)
     rows = [["k", "radius", "bound", "fitted_constant"]]
@@ -560,8 +471,6 @@ def _stage_analyze(run: RunContext) -> StageOutcome:
             float_cell(entry["bound"]),
             float_cell(entry["fitted_constant"]),
         ])
-    _write_csv(out / "covering.csv", rows)
-
     # descriptive only: the k=1 fitted bound is tight for the 2x2 model but
     # reducible matrices with a unimodular block never equidistribute preimages
     violations = [e["k"] for e in table[1:] if e["radius"] > e["bound"] * (1 + 1e-9)]
@@ -570,7 +479,7 @@ def _stage_analyze(run: RunContext) -> StageOutcome:
         ("covering_constant", float_cell(table[0]["fitted_constant"])),
         ("covering_bound_held", _yn(not violations)),
     ]
-    return StageOutcome("analyze", summary, [], ["analyze.csv", "covering.csv"])
+    return StageOutcome(summary, [], {"analyze.csv": _kv_csv(pairs), "covering.csv": rows})
 
 
 def _stage_certify(run: RunContext) -> StageOutcome:
@@ -598,12 +507,10 @@ def _stage_certify(run: RunContext) -> StageOutcome:
             ("failure", str(exc)),
             ("diffeo_margin", float_cell(margin)),
         ]
-    _write_csv(run.out / "certify.csv", _kv_csv(pairs))
-    return StageOutcome("certify", pairs, findings, ["certify.csv"])
+    return StageOutcome(pairs, findings, {"certify.csv": _kv_csv(pairs)})
 
 
-def _conjugacy_numbers(run: RunContext) -> dict:
-    """All conjugacy-stage numbers as JSON-safe data (cacheable)."""
+def _stage_conjugacy(run: RunContext) -> StageOutcome:
     f, sc, ce = run.f, run.sc, run.evaluator
     rng = np.random.default_rng(sc.seed + 29)
     x = rng.random((64, f.dim)) * 2.0 - 0.5
@@ -612,87 +519,32 @@ def _conjugacy_numbers(run: RunContext) -> dict:
     residual = float(np.abs(lhs - rhs).max())
     y = rng.random((32, f.dim))
     roundtrip = float(np.abs(ce.apply_inverse(ce.apply(y)) - y).max())
-
     rep = run.specialness
     decay = deep_translation_decay(ce, m_max=6, samples=12, seed=sc.seed + 31)
-    return {
-        "series_depth": ce.series_depth,
-        "tail_bound": float(ce.tail_bound),
-        "sup_bound": float(ce.sup_bound),
-        "residual": residual,
-        "roundtrip": roundtrip,
-        "special": bool(rep.special),
-        "max_defect": float(rep.max_defect),
-        "max_unstable_component": float(rep.max_unstable_component),
-        "u_sup": float(rep.u_sup_measured),
-        "specialness_rows": [
-            [list(pt), int(j), d, s, u] for pt, j, d, s, u in rep.rows
-        ],
-        "decay_rows": [[int(m), list(vec), dm, dinv] for m, vec, dm, dinv in decay.rows],
-        "decay_rate": float(decay.fitted_rate),
-        "stable_log_norm": float(decay.stable_log_norm),
-    }
-
-
-def _stage_conjugacy(run: RunContext) -> StageOutcome:
-    sc = run.sc
-    key = content_key(
-        "conjugacy",
-        {
-            "fixture": fixture_payload(run.f),
-            "residual_target": sc.residual_target,
-            "depth": sc.series_depth,
-            "samples": sc.points,
-            "seed": sc.seed,
-            "threshold": sc.specialness_threshold,
-        },
-    )
-    data = _cache_get_json(key)
-    if data is None:
-        data = _conjugacy_numbers(run)
-        _cache_put_json(key, data)
-
-    rows = [["point", "direction", "defect", "stable_component", "unstable_component"]]
-    for pt, j, d, s, u in data["specialness_rows"]:
-        rows.append([
-            " ".join(float_cell(c) for c in pt),
-            str(j),
-            float_cell(d),
-            float_cell(s),
-            float_cell(u),
-        ])
-    _write_csv(run.out / "conjugacy.csv", rows)
-    decay = DecayTable(
-        rows=tuple(data["decay_rows"]),
-        fitted_rate=data["decay_rate"],
-        stable_log_norm=data["stable_log_norm"],
-    )
-    _write_csv(run.out / "decay.csv", decay.csv_rows())
 
     findings = []
-    if not data["special"]:
+    if not rep.special:
         findings.append(
             "conjugacy does not commute with integer translations "
-            f"(defect {data['max_defect']:.3e} vs sup|u| {data['u_sup']:.3e}): map is not special"
+            f"(defect {rep.max_defect:.3e} vs sup|u| {rep.u_sup_measured:.3e}): map is not special"
         )
     pairs = [
-        ("series_depth", str(data["series_depth"])),
-        ("tail_bound", float_cell(data["tail_bound"])),
-        ("sup_bound", float_cell(data["sup_bound"])),
-        ("sampled_residual", float_cell(data["residual"])),
-        ("roundtrip_error", float_cell(data["roundtrip"])),
-        ("special", _yn(data["special"])),
-        ("specialness_defect", float_cell(data["max_defect"])),
-        ("defect_unstable_component", float_cell(data["max_unstable_component"])),
-        ("decay_fitted_rate", float_cell(data["decay_rate"])),
-        ("decay_expected_rate", float_cell(data["stable_log_norm"])),
+        ("series_depth", str(ce.series_depth)),
+        ("tail_bound", float_cell(ce.tail_bound)),
+        ("sup_bound", float_cell(ce.sup_bound)),
+        ("sampled_residual", float_cell(residual)),
+        ("roundtrip_error", float_cell(roundtrip)),
+        ("special", _yn(rep.special)),
+        ("specialness_defect", float_cell(rep.max_defect)),
+        ("defect_unstable_component", float_cell(rep.max_unstable_component)),
+        ("decay_fitted_rate", float_cell(decay.fitted_rate)),
+        ("decay_expected_rate", float_cell(decay.stable_log_norm)),
     ]
-    return StageOutcome("conjugacy", pairs, findings, ["conjugacy.csv", "decay.csv"])
+    return StageOutcome(pairs, findings, {"conjugacy.csv": rep.csv_rows(), "decay.csv": decay.csv_rows()})
 
 
 def _stage_orbits(run: RunContext) -> StageOutcome:
     sc, inv, rep = run.sc, run.inventory, run.rigidity
-    _write_csv(run.out / "orbits.csv", rep.csv_rows())
     findings = []
     if not inv.complete:
         findings.append(
@@ -714,12 +566,11 @@ def _stage_orbits(run: RunContext) -> StageOutcome:
         ("max_spread", float_cell(rep.max_spread)),
         ("rigid", _yn(rep.rigid)),
     ]
-    return StageOutcome("orbits", pairs, findings, ["orbits.csv"])
+    return StageOutcome(pairs, findings, {"orbits.csv": rep.csv_rows()})
 
 
 def _stage_branches(run: RunContext) -> StageOutcome:
     rep = run.integrability
-    _write_csv(run.out / "branches.csv", rep.csv_rows())
     findings = []
     if not rep.integrable:
         findings.append(
@@ -732,13 +583,12 @@ def _stage_branches(run: RunContext) -> StageOutcome:
         ("spread_tol", float_cell(rep.tol)),
         ("depth", str(rep.depth)),
     ]
-    return StageOutcome("branches", pairs, findings, ["branches.csv"])
+    return StageOutcome(pairs, findings, {"branches.csv": rep.csv_rows()})
 
 
 def _stage_metric(run: RunContext) -> StageOutcome:
-    f, sc, out = run.f, run.sc, run.out
+    f, sc = run.f, run.sc
     findings: list = []
-    files = ["coboundary.csv", "isometry.csv"]
     phi = stable_log_norm_observable(f, i=1, depth=sc.branch_depth)
     lam = f.model.stable_exponents[0]
     psi = None
@@ -765,7 +615,7 @@ def _stage_metric(run: RunContext) -> StageOutcome:
             )
         else:
             psi = sol.negated()
-    _write_csv(out / "coboundary.csv", sol.csv_rows())
+    tables = {"coboundary.csv": sol.csv_rows()}
     pairs = [
         ("cocycle_mean", float_cell(sol.mean)),
         ("linear_exponent", float_cell(lam)),
@@ -791,7 +641,7 @@ def _stage_metric(run: RunContext) -> StageOutcome:
                 f"conjugacy is not a leaf isometry after scaling: worst deviation "
                 f"{iso.max_relative_deviation:.3e} > {sc.isometry_tol:g}"
             )
-    _write_csv(out / "isometry.csv", iso.csv_rows())
+    tables["isometry.csv"] = iso.csv_rows()
     pairs += [
         ("isometry_status", iso.status),
         ("isometry_scale", float_cell(iso.scale)),
@@ -808,8 +658,7 @@ def _stage_metric(run: RunContext) -> StageOutcome:
             findings.append("unstable holonomy refused: branch-dependent unstable directions")
             pairs.append(("holonomy_status", "refused_non_integrable"))
         else:
-            _write_csv(out / "holonomy.csv", hol.csv_rows())
-            files.append("holonomy.csv")
+            tables["holonomy.csv"] = hol.csv_rows()
             if hol.max_relative_defect > sc.isometry_tol:
                 findings.append(
                     f"unstable holonomy is not an isometry for the affine metric: worst defect "
@@ -823,7 +672,7 @@ def _stage_metric(run: RunContext) -> StageOutcome:
     else:
         reason = "non_rigid" if psi is None else "dim_not_2"
         pairs.append(("holonomy_status", f"skipped_{reason}"))
-    return StageOutcome("metric", pairs, findings, files)
+    return StageOutcome(pairs, findings, tables)
 
 
 # -- dichotomy sweep ------------------------------------------------------------------
@@ -897,7 +746,7 @@ class DichotomyReport:
 
 def _dichotomy_row(family: str, eps: float, sc: Scenario) -> DichotomyRow:
     """The three verdicts of one family member, read from its own run context."""
-    run = RunContext(replace(sc, fixture=family, epsilon=eps, custom=None), Path(sc.out_dir))
+    run = RunContext(replace(sc, fixture=family, epsilon=eps, custom=None))
     sp, iv, rep = run.specialness, run.integrability, run.rigidity
     return DichotomyRow(
         epsilon=eps,
@@ -934,7 +783,6 @@ def _stage_dichotomy(run: RunContext) -> StageOutcome:
     if sc.dichotomy_family is None:
         raise ConfigInvalid(["dichotomy: section required for the dichotomy verb"])
     report = dichotomy_sweep(sc.dichotomy_family, sc.dichotomy_epsilons, sc, threads=run.threads)
-    _write_csv(run.out / "dichotomy.csv", report.csv_rows())
     findings = []
     if report.irreducible and not report.all_agree:
         bad = [r.epsilon for r in report.rows if not r.agreement]
@@ -953,7 +801,7 @@ def _stage_dichotomy(run: RunContext) -> StageOutcome:
             f"deviation={float_cell(r.rigidity_deviation)} special={_yn(r.special)} "
             f"integrable={_yn(r.integrable)} rigid={_yn(r.rigid)}",
         ))
-    return StageOutcome("dichotomy", pairs, findings, ["dichotomy.csv"])
+    return StageOutcome(pairs, findings, {"dichotomy.csv": report.csv_rows()})
 
 
 # pipeline order; `dichotomy` is not a pipeline stage and runs only when asked for
@@ -972,17 +820,17 @@ _STAGE_FN = {
 
 
 def _write_summary(
-    path: Path, sc: Scenario, outcomes: list, findings: list, error: str | None, exit_code: int
+    path: Path, sc: Scenario, records: list, findings: list, error: str | None, exit_code: int
 ) -> None:
     lines = [
         f"scenario: {sc.fixture}" + (f" epsilon={sc.epsilon:g}" if sc.epsilon else ""),
         f"seed: {sc.seed}",
-        f"stages: {' '.join(o.name for o in outcomes)}",
+        f"stages: {' '.join(name for name, _ in records)}",
         "",
     ]
-    for o in outcomes:
-        lines.append(f"[{o.name}]")
-        lines += [f"{k}: {v}" for k, v in o.summary]
+    for name, record in records:
+        lines.append(f"[{name}]")
+        lines += [f"{k}: {v}" for k, v in record["summary"]]
         lines.append("")
     lines.append("[findings]")
     lines += findings if findings else ["none"]
@@ -992,33 +840,45 @@ def _write_summary(
     path.write_text("\n".join(lines))
 
 
-def _write_meta(path: Path, started: float, threads: int) -> None:
-    path.write_text(
-        "\n".join(
-            [
-                f"started_unix: {started:.3f}",
-                f"elapsed_seconds: {time.time() - started:.3f}",
-                f"threads: {threads}",
-                f"numpy: {np.__version__}",
-                "",
-            ]
-        )
-    )
+def _write_meta(path: Path, started: float, threads: int, stage_log: list) -> None:
+    lines = [
+        f"started_unix: {started:.3f}",
+        f"elapsed_seconds: {time.time() - started:.3f}",
+        f"threads: {threads}",
+        f"numpy: {np.__version__}",
+    ]
+    for name, cache, seconds in stage_log:
+        lines += [f"stage_{name}_cache: {cache}", f"stage_{name}_seconds: {seconds:.3f}"]
+    path.write_text("\n".join(lines + [""]))
+
+
+def _stage_record(run: RunContext, stage: str) -> tuple[dict, bool]:
+    """The stage's record and whether the cache served it; a miss computes and stores it."""
+    key = stage_key(stage, run.sc)
+    record = _cache_read(key)
+    if record is not None:
+        return record, True
+    record = _render(_STAGE_FN[stage](run))
+    _atomic_write(_cache_file(key), json.dumps(record).encode())
+    return record, False
 
 
 def run_scenario(sc: Scenario, threads: int = 1) -> ScenarioResult:
     """Execute the configured stages; write CSV reports, summary.txt, run_meta.txt.
 
-    `sc.stages` names pipeline stages, or `("dichotomy",)` for the sweep.
+    `sc.stages` names pipeline stages, or `("dichotomy",)` for the sweep. A
+    stage whose outcome is cached is not called: its stored tables are written.
     Exit code 0: clean; 2: verdict-level findings (non-special, non-rigid,
     branch-dependent directions, failed certification, metric obstructions,
     disagreeing sweep verdicts); 1: infrastructure error (reported in the
     summary, partial files kept).
     """
     started = time.time()
-    run = RunContext(sc, Path(sc.out_dir), threads)
-    run.out.mkdir(parents=True, exist_ok=True)
-    outcomes: list[StageOutcome] = []
+    run = RunContext(sc, threads)
+    out = Path(sc.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    records: list[tuple[str, dict]] = []
+    stage_log: list[tuple[str, str, float]] = []
     findings: list[str] = []
     files: list[str] = []
     error = None
@@ -1026,16 +886,20 @@ def run_scenario(sc: Scenario, threads: int = 1) -> ScenarioResult:
         for stage in _STAGE_FN:
             if stage not in sc.stages:
                 continue
-            outcome = _STAGE_FN[stage](run)
-            outcomes.append(outcome)
-            findings += [f"{stage}: {msg}" for msg in outcome.findings]
-            files += outcome.files
+            t0 = time.perf_counter()
+            record, hit = _stage_record(run, stage)
+            for name, text in record["tables"].items():
+                (out / name).write_text(text, newline="")
+                files.append(name)
+            stage_log.append((stage, "hit" if hit else "miss", time.perf_counter() - t0))
+            records.append((stage, record))
+            findings += [f"{stage}: {msg}" for msg in record["findings"]]
     except AnosovLabError as exc:
         error = f"{type(exc).__name__}: {exc}"
     exit_code = 1 if error else (2 if findings else 0)
-    summary_path = run.out / "summary.txt"
-    _write_summary(summary_path, sc, outcomes, findings, error, exit_code)
-    _write_meta(run.out / "run_meta.txt", started, threads)
+    summary_path = out / "summary.txt"
+    _write_summary(summary_path, sc, records, findings, error, exit_code)
+    _write_meta(out / "run_meta.txt", started, threads, stage_log)
     return ScenarioResult(
         exit_code=exit_code,
         findings=tuple(findings),

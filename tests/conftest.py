@@ -6,13 +6,10 @@ import pytest
 from anosovlab.maps import fixture_catalog
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _isolated_cache(tmp_path_factory):
-    """Point the artifact cache at a throwaway directory for the whole run."""
-    import os
-
-    os.environ["ANOSOVLAB_CACHE"] = str(tmp_path_factory.mktemp("cache"))
-    yield
+@pytest.fixture(autouse=True)
+def _isolated_cache(tmp_path_factory, monkeypatch):
+    """Give every test a stage cache of its own, so each test computes what it checks."""
+    monkeypatch.setenv("ANOSOVLAB_CACHE", str(tmp_path_factory.mktemp("cache")))
 
 
 @pytest.fixture(scope="session")
@@ -46,7 +43,7 @@ def cubic():
 
 
 @pytest.fixture(scope="session")
-def conjugated_psi(conjugated05, _isolated_cache):
+def conjugated_psi(conjugated05):
     """Transfer function for the stable log-norm cocycle; ~5s, reused widely."""
     from anosovlab.leafmetric import bundle_coboundary_psi
     from anosovlab.orbits import enumerate_orbits

@@ -210,10 +210,10 @@ def test_08_affine_leaf_metric(conjugated05, conjugated_psi):
         c = leaf.center_index
         image = map_polyline(conjugated05, leaf)
         for da, db in offsets:
-            d_src = affine_distance(conjugated05, 1, leaf, c + da, c + db, conjugated_psi)
-            d_img = affine_distance(conjugated05, 1, image, c + da, c + db, conjugated_psi)
+            d_src = affine_distance(leaf, c + da, c + db, conjugated_psi)
+            d_img = affine_distance(image, c + da, c + db, conjugated_psi)
             worst_ratio = max(worst_ratio, abs(d_img / (MU_S * d_src) - 1.0))
-            plain = affine_distance(conjugated05, 1, leaf, c + da, c + db, None)
+            plain = affine_distance(leaf, c + da, c + db, None)
             k_ok = k_ok and plain / k_bound <= d_src <= plain * k_bound
             count += 1
     assert count == 100
@@ -240,7 +240,7 @@ def test_09_conjugacy_leaf_isometry(conjugated05, conjugated_psi):
     )
 
 
-def test_10_deterministic_outputs(tmp_path):
+def test_10_deterministic_outputs(tmp_path, monkeypatch):
     def outputs(d):
         return {
             p.name: p.read_bytes() for p in sorted(d.iterdir()) if p.name != "run_meta.txt"
@@ -253,6 +253,7 @@ def test_10_deterministic_outputs(tmp_path):
             points=8, pairs=10, codes_per_point=4, max_period=2, seed=0,
             out_dir=str(tmp_path / name),
         )
+        monkeypatch.setenv("ANOSOVLAB_CACHE", str(tmp_path / f"cache_{name}"))  # both runs compute
         run_scenario(sc)
         runs.append(outputs(tmp_path / name))
     repeat_same = runs[0] == runs[1]
@@ -264,6 +265,7 @@ def test_10_deterministic_outputs(tmp_path):
             dichotomy_epsilons=(0.0, 0.02), points=8, codes_per_point=4,
             max_period=2, seed=0, out_dir=str(tmp_path / name), stages=("dichotomy",),
         )
+        monkeypatch.setenv("ANOSOVLAB_CACHE", str(tmp_path / f"cache_{name}"))
         assert run_scenario(sc, threads=threads).exit_code == 0
         sweeps.append((tmp_path / name / "dichotomy.csv").read_bytes())
     thread_same = sweeps[0] == sweeps[1]

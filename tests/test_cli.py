@@ -140,10 +140,12 @@ class TestDichotomyVerb:
         assert main(["dichotomy", "--config", cfg]) == 1
         assert "dichotomy" in capsys.readouterr().err
 
-    def test_sweep_thread_invariance(self, tmp_path):
+    def test_sweep_thread_invariance(self, tmp_path, monkeypatch):
         cfg1 = _config(tmp_path, SWEEP_YAML, name="s1.yaml", out="d1")
         cfg2 = _config(tmp_path, SWEEP_YAML, name="s2.yaml", out="d2")
+        monkeypatch.setenv("ANOSOVLAB_CACHE", str(tmp_path / "cache1"))  # both runs compute
         assert main(["dichotomy", "--config", cfg1]) == 0
+        monkeypatch.setenv("ANOSOVLAB_CACHE", str(tmp_path / "cache2"))
         assert main(["dichotomy", "--config", cfg2, "--threads", "2"]) == 0
         b1 = (tmp_path / "d1" / "dichotomy.csv").read_bytes()
         b2 = (tmp_path / "d2" / "dichotomy.csv").read_bytes()
@@ -213,7 +215,7 @@ def test_python_m_package(tmp_path):
 
 def _fresh_process_opts(tmp_path):
     """subprocess.run options for a fresh interpreter that imports this package."""
-    env = dict(os.environ)  # carries ANOSOVLAB_CACHE from _isolated_cache
+    env = dict(os.environ)  # carries the test's own ANOSOVLAB_CACHE
     pkg_root = str(Path(anosovlab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
     return dict(cwd=tmp_path, env=env, capture_output=True, text=True)

@@ -217,23 +217,23 @@ class TestCocycleSolver:
 class TestAffineDistance:
     def test_plain_arclength(self, linear_map):
         leaf = trace_stable_leaf(linear_map, [0.3, 0.4], L=0.1)
-        total = affine_distance(linear_map, 1, leaf, 0, len(leaf) - 1, None)
+        total = affine_distance(leaf, 0, len(leaf) - 1, None)
         assert total == pytest.approx(float(leaf.arclength[-1]), abs=1e-12)
         # order does not matter, fractional endpoints interpolate
-        assert affine_distance(linear_map, 1, leaf, len(leaf) - 1, 0, None) == pytest.approx(
+        assert affine_distance(leaf, len(leaf) - 1, 0, None) == pytest.approx(
             total, abs=1e-12
         )
         first_seg = float(np.linalg.norm(leaf.points[1] - leaf.points[0]))
-        assert affine_distance(linear_map, 1, leaf, 0, 0.5, None) == pytest.approx(
+        assert affine_distance(leaf, 0, 0.5, None) == pytest.approx(
             0.5 * first_seg, abs=1e-12
         )
         with pytest.raises(ValueError):
-            affine_distance(linear_map, 1, leaf, -1, 2, None)
+            affine_distance(leaf, -1, 2, None)
 
     def test_weight_bounds(self, conjugated05, conjugated_psi):
         leaf = trace_stable_leaf(conjugated05, [0.3, 0.4], L=0.1)
-        plain = affine_distance(conjugated05, 1, leaf, 0, len(leaf) - 1, None)
-        weighted = affine_distance(conjugated05, 1, leaf, 0, len(leaf) - 1, conjugated_psi)
+        plain = affine_distance(leaf, 0, len(leaf) - 1, None)
+        weighted = affine_distance(leaf, 0, len(leaf) - 1, conjugated_psi)
         hi = float(np.exp(conjugated_psi.sup_transfer))
         assert plain / hi <= weighted <= plain * hi
 

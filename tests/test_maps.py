@@ -126,6 +126,37 @@ class TestTrigField:
         assert np.max(np.abs(val - field.evaluate(x))) == 0.0
         assert np.max(np.abs(jac - field.jacobian(x))) == 0.0
 
+    def test_methods_match_the_separate_trig_formulas(self, rng):
+        field = TrigField.from_terms(
+            3, {0: [((1, 2, 0), 0.3, -0.7)], 2: [((2, 0, 1), 0.1, 0.4), ((0, 1, 3), -0.2, 0.0)]}
+        )
+        x = rng.random((64, 3)) * 5.0 - 2.0
+        val, jac = np.zeros_like(x), np.zeros(x.shape + (3,))
+        for i in range(3):
+            k = field.freqs[i]
+            if k.size == 0:
+                continue
+            theta = 2.0 * np.pi * ((x @ k.T) % 1.0)
+            val[:, i] = np.cos(theta) @ field.cos_coeffs[i] + np.sin(theta) @ field.sin_coeffs[i]
+            weight = -np.sin(theta) * field.cos_coeffs[i] + np.cos(theta) * field.sin_coeffs[i]
+            jac[:, i, :] = 2.0 * np.pi * (weight @ k)
+        assert np.array_equal(field.evaluate(x), val)
+        assert np.array_equal(field.jacobian(x), jac)
+        both = field.evaluate_and_jacobian(x)
+        assert np.array_equal(both[0], val) and np.array_equal(both[1], jac)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 4096])
+    def test_step_takes_one_trig_pass(self, shear05, product05, n, rng, monkeypatch):
+        """step_with_jacobian equals wrap(F), DF from two passes, bit for bit."""
+        for f in (shear05, product05):
+            t = rng.random((n, f.dim))
+            want = (wrap(f.evaluate(t)), f.jacobian(t))
+            with monkeypatch.context() as m:
+                for name in ("evaluate", "jacobian"):
+                    m.setattr(TrigField, name, lambda self, x: pytest.fail("second trig pass"))
+                got = f.step_with_jacobian(t)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
     def test_sup_bound_dominates_samples(self, rng):
         field = TrigField.from_terms(2, {0: [((1, 1), 0.5, 0.5)], 1: [((1, 0), 0.0, 1.0)]})
         x = rng.random((500, 2))

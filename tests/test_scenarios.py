@@ -1,4 +1,4 @@
-"""Scenario configs, content cache, runner exit codes, dichotomy sweeps."""
+"""Scenario configs, stage cache, runner exit codes, dichotomy sweeps."""
 
 import dataclasses
 import os
@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import anosovlab
 from anosovlab import scenarios
 from anosovlab.conjugacy import ConjugacyEvaluator
 from anosovlab.errors import ConfigInvalid
@@ -19,15 +18,14 @@ from anosovlab.scenarios import (
     DichotomyRow,
     RunContext,
     Scenario,
-    cached_inventory,
-    content_key,
     dichotomy_sweep,
-    fixture_payload,
     load_scenario,
     run_scenario,
+    stage_key,
 )
 
 MINIMAL = {"fixture": {"name": "linear_A0"}}
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestLoadScenario:
@@ -140,60 +138,135 @@ class TestLoadScenario:
             load_scenario({**MINIMAL, "dichotomy": {"family": "nope", "epsilons": [0.1]}})
 
 
+def _meta(out: Path) -> dict[str, str]:
+    lines = (out / "run_meta.txt").read_text().splitlines()
+    return dict(line.split(": ", 1) for line in lines)
+
+
+def _cache_states(out: Path) -> dict[str, str]:
+    return {k: v for k, v in _meta(out).items() if k.endswith("_cache")}
+
+
 class TestCache:
-    def test_fixture_payload_ignores_label(self):
-        a = fixture_catalog("shear_A0", 0.05)
-        b = dataclasses.replace(a, label="renamed")
-        assert fixture_payload(a) == fixture_payload(b)
-        key = content_key("orbits", fixture_payload(a))
-        assert key == content_key("orbits", fixture_payload(b))
-        other = fixture_catalog("shear_A0", 0.02)
-        assert key != content_key("orbits", fixture_payload(other))
+    # one changed value per key input; every Scenario field but out_dir and stages
+    CHANGED = {
+        "fixture": "shear_A0",
+        "epsilon": 0.05,
+        "custom": {"matrix": [[2, 1], [1, 1]]},
+        "rigidity_threshold": 1e-3,
+        "spread_tol": 2e-3,
+        "residual_target": 1e-8,
+        "specialness_threshold": 1e-5,
+        "obstruction_tol": 1e-3,
+        "exponent_tol": 1e-3,
+        "isometry_tol": 1e-2,
+        "series_depth": 9,
+        "branch_depth": 10,
+        "max_period": 2,
+        "fourier_order": 8,
+        "points": 12,
+        "codes_per_point": 4,
+        "pairs": 30,
+        "seed": 7,
+        "dichotomy_family": "shear_A0",
+        "dichotomy_epsilons": (0.0, 0.02),
+    }
 
-    def test_inventory_roundtrip(self, shear05):
-        cold = cached_inventory(shear05, 2)
-        warm = cached_inventory(shear05, 2)
-        assert warm.expected_counts == cold.expected_counts
-        assert warm.found_counts == cold.found_counts
-        assert len(warm) == len(cold)
-        for a, b in zip(cold, warm):
-            assert np.array_equal(a.points, b.points)
-            assert a.period == b.period
-            assert a.translation_class == b.translation_class
-            assert a.stable_exponents == b.stable_exponents
-            assert a.orbit_id == b.orbit_id
-
-    def test_corrupt_entry_falls_back(self, shear05, monkeypatch):
-        from anosovlab import scenarios
-
-        cold = cached_inventory(shear05, 2)
-        key = content_key(
-            "orbits",
-            {"fixture": fixture_payload(shear05), "max_period": 2, "tol": 1e-12},
-        )
-        npz = scenarios._cache_file(key, ".npz")
-        assert npz.exists()
-        npz.write_bytes(b"not an archive")
-        again = cached_inventory(shear05, 2)
-        assert len(again) == len(cold)
+    def test_key_covers_every_input(self):
+        base = Scenario(fixture="linear_A0")
+        key = stage_key("orbits", base)
+        names = {f.name for f in dataclasses.fields(Scenario)}
+        assert set(self.CHANGED) == names - {"out_dir", "stages"}
+        for name, value in self.CHANGED.items():
+            assert stage_key("orbits", dataclasses.replace(base, **{name: value})) != key, name
+        assert stage_key("orbits", dataclasses.replace(base, out_dir="elsewhere", stages=("orbits",))) == key
+        assert stage_key("metric", base) != key
 
     def test_key_covers_code_identity(self, monkeypatch):
-        payload = {"x": 1}
-        base = {kind: content_key(kind, payload) for kind in scenarios.CACHE_SCHEMA}
-        assert base["orbits"] != base["conjugacy"]
-        monkeypatch.setattr(anosovlab, "__version__", anosovlab.__version__ + ".post1")
-        for kind, key in base.items():
-            assert content_key(kind, payload) != key
+        base = Scenario(fixture="linear_A0")
+        key = stage_key("orbits", base)
+        monkeypatch.setattr(scenarios, "source_digest", lambda: "0" * 64)
+        assert stage_key("orbits", base) != key
         monkeypatch.undo()
-        for kind, key in base.items():
-            monkeypatch.setitem(scenarios.CACHE_SCHEMA, kind, scenarios.CACHE_SCHEMA[kind] + 1)
-            assert content_key(kind, payload) != key
-            monkeypatch.undo()
-            assert content_key(kind, payload) == key
+        monkeypatch.setattr(np, "__version__", np.__version__ + ".post1")
+        assert stage_key("orbits", base) != key
+        monkeypatch.undo()
+        assert stage_key("orbits", base) == key
 
-    def test_concurrent_writers_of_one_entry(self, tmp_path, monkeypatch, linear_map):
-        """Two cold lookups of one key interleave: the first writer is held
-        between writing its files and renaming them until the second is done."""
+    def test_source_digest_reads_every_module(self, tmp_path, monkeypatch):
+        package = Path(scenarios.__file__).parent
+        for path in package.glob("*.py"):
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        digest = scenarios.source_digest()
+        monkeypatch.setattr(scenarios, "__file__", str(tmp_path / "scenarios.py"))
+        assert scenarios.source_digest() == digest
+        with open(tmp_path / "util.py", "a") as fh:
+            fh.write("\n")
+        assert scenarios.source_digest() != digest
+
+    def test_custom_yaml_fixture_has_a_key(self, tmp_path):
+        text = (
+            "fixture:\n  name: custom\n  epsilon: 0.01\n  custom:\n"
+            "    matrix: [[2, 1], [1, 1]]\n    terms: {{1: [[[1, 0], 0.0, {c}]]}}\n"
+            f"output: {tmp_path / 'out'}\nstages: [analyze]\n"
+        )
+        sc = load_scenario(text.format(c=1.0))
+        key = stage_key("analyze", sc)
+        assert stage_key("analyze", load_scenario(text.format(c=1.0))) == key
+        assert stage_key("analyze", load_scenario(text.format(c=0.5))) != key
+        assert run_scenario(sc).exit_code == 0
+        assert run_scenario(sc).exit_code == 0
+        assert _cache_states(tmp_path / "out") == {"stage_analyze_cache": "hit"}
+
+    def test_cold_then_warm_meta_and_bytes(self, tmp_path):
+        sc = _small_scenario(tmp_path / "cold")
+        cold = run_scenario(sc, threads=1)
+        warm = run_scenario(dataclasses.replace(sc, out_dir=str(tmp_path / "warm")), threads=2)
+        assert cold.exit_code == warm.exit_code == 0
+        assert cold.files == warm.files
+        assert _cache_states(tmp_path / "cold") == {f"stage_{s}_cache": "miss" for s in STAGES}
+        assert _cache_states(tmp_path / "warm") == {f"stage_{s}_cache": "hit" for s in STAGES}
+        assert all(float(_meta(tmp_path / "warm")[f"stage_{s}_seconds"]) >= 0.0 for s in STAGES)
+        assert _read_outputs(tmp_path / "cold") == _read_outputs(tmp_path / "warm")
+
+    def test_warm_run_computes_nothing(self, tmp_path, monkeypatch):
+        runs = {
+            "all": _small_scenario(tmp_path / "all"),
+            "dichotomy": _small_scenario(
+                tmp_path / "dichotomy", fixture="shear_A0", dichotomy_family="shear_A0",
+                dichotomy_epsilons=(0.0, 0.02), stages=("dichotomy",),
+            ),
+        }
+        cold = {name: run_scenario(sc) for name, sc in runs.items()}
+        assert {name: r.exit_code for name, r in cold.items()} == {"all": 0, "dichotomy": 0}
+
+        def refuse(run):
+            raise AssertionError("a warm run called a stage")
+
+        for stage in list(scenarios._STAGE_FN):
+            monkeypatch.setitem(scenarios._STAGE_FN, stage, refuse)
+        for name, sc in runs.items():
+            warm = run_scenario(dataclasses.replace(sc, out_dir=str(tmp_path / f"{name}_warm")))
+            assert warm.exit_code == cold[name].exit_code
+            assert _read_outputs(tmp_path / f"{name}_warm") == _read_outputs(tmp_path / name)
+
+    def test_corrupt_entry_falls_back(self, tmp_path):
+        sc = _small_scenario(tmp_path / "cold", stages=("analyze",))
+        run_scenario(sc)
+        entry = scenarios._cache_file(stage_key("analyze", sc))
+        assert entry.exists()
+        for junk in (b"not json", b'{"summary": []}', b"[1, 2]"):
+            entry.write_bytes(junk)
+            again = dataclasses.replace(sc, out_dir=str(tmp_path / "again"))
+            assert run_scenario(again).exit_code == 0
+            assert _cache_states(tmp_path / "again") == {"stage_analyze_cache": "miss"}
+            assert _read_outputs(tmp_path / "again") == _read_outputs(tmp_path / "cold")
+        run_scenario(dataclasses.replace(sc, out_dir=str(tmp_path / "warm")))
+        assert _cache_states(tmp_path / "warm") == {"stage_analyze_cache": "hit"}
+
+    def test_concurrent_writers_of_one_entry(self, tmp_path, monkeypatch):
+        """Two cold runs of one stage interleave: the first writer is held
+        between writing its entry and renaming it until the second is done."""
         monkeypatch.setenv("ANOSOVLAB_CACHE", str(tmp_path / "cache"))
         real_replace = os.replace
         first_wrote, second_done = threading.Event(), threading.Event()
@@ -207,11 +280,12 @@ class TestCache:
             return real_replace(src, dst)
 
         monkeypatch.setattr(os, "replace", replace_holding_first_writer)
+        sc = _small_scenario(tmp_path / "first", stages=("orbits",))
         errors = []
 
         def first():
             try:
-                cached_inventory(linear_map, 2)
+                run_scenario(sc)
             except Exception as exc:  # surfaced below; a thread cannot fail the test
                 errors.append(exc)
 
@@ -219,17 +293,31 @@ class TestCache:
         writer.start()
         try:
             assert first_wrote.wait(30)
-            second = cached_inventory(linear_map, 2)
+            second = run_scenario(dataclasses.replace(sc, out_dir=str(tmp_path / "second")))
         finally:
             second_done.set()
             writer.join(30)
         assert not writer.is_alive()
         assert errors == []
         assert held
-        warm = cached_inventory(linear_map, 2)
-        assert len(warm) == len(second) and warm.found_counts == second.found_counts
+        assert second.exit_code == 0
+        warm = run_scenario(dataclasses.replace(sc, out_dir=str(tmp_path / "warm")))
+        assert warm.exit_code == 0
+        assert _cache_states(tmp_path / "warm") == {"stage_orbits_cache": "hit"}
+        outputs = [_read_outputs(tmp_path / name) for name in ("first", "second", "warm")]
+        assert outputs[0] == outputs[1] == outputs[2]
         leftovers = [p.name for p in (tmp_path / "cache").rglob("*") if p.name.endswith(".tmp")]
         assert leftovers == []
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
+def test_shipped_config_builds_its_map(config):
+    sc = load_scenario(config)
+    f = sc.build_map()
+    assert f.evaluate(np.zeros((1, f.dim))).shape == (1, f.dim)
+    if sc.dichotomy_family is not None:
+        for eps in sc.dichotomy_epsilons:
+            assert fixture_catalog(sc.dichotomy_family, eps).dim >= 2
 
 
 def _small_scenario(tmp_path: Path, **kw) -> Scenario:
@@ -269,10 +357,13 @@ class TestRunScenario:
         assert "exit_code: 0" in summary
         assert (tmp_path / "a" / "run_meta.txt").exists()
 
-    def test_repeat_runs_byte_identical(self, tmp_path):
+    def test_repeat_runs_byte_identical(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("ANOSOVLAB_CACHE", str(tmp_path / "cache_one"))  # both runs compute
         r1 = run_scenario(_small_scenario(tmp_path / "one"))
+        monkeypatch.setenv("ANOSOVLAB_CACHE", str(tmp_path / "cache_two"))
         r2 = run_scenario(_small_scenario(tmp_path / "two"))
         assert r1.exit_code == r2.exit_code == 0
+        assert set(_cache_states(tmp_path / "two").values()) == {"miss"}
         out1 = _read_outputs(tmp_path / "one")
         out2 = _read_outputs(tmp_path / "two")
         assert out1.keys() == out2.keys()
@@ -356,16 +447,19 @@ class TestDichotomy:
             "special", "integrable", "rigid", "agreement",
         ]
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path):
+    def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
         base = _small_scenario(
             tmp_path / "t1", fixture="shear_A0",
             dichotomy_family="shear_A0", dichotomy_epsilons=(0.0, 0.02), stages=("dichotomy",),
         )
+        monkeypatch.setenv("ANOSOVLAB_CACHE", str(tmp_path / "cache_t1"))  # both runs compute
         r1 = run_scenario(base, threads=1)
+        monkeypatch.setenv("ANOSOVLAB_CACHE", str(tmp_path / "cache_t3"))
         r2 = run_scenario(
             dataclasses.replace(base, out_dir=str(tmp_path / "t2")), threads=3
         )
         assert r1.exit_code == r2.exit_code == 0
+        assert _cache_states(tmp_path / "t2") == {"stage_dichotomy_cache": "miss"}
         assert (tmp_path / "t1" / "dichotomy.csv").read_bytes() == (
             tmp_path / "t2" / "dichotomy.csv"
         ).read_bytes()
@@ -383,14 +477,14 @@ class TestDichotomy:
             raise AssertionError("sweep row started conjugacy-stage work")
 
         monkeypatch.setattr(ConjugacyEvaluator, "apply_inverse", refuse)
-        monkeypatch.setattr(scenarios, "_conjugacy_numbers", refuse)
+        monkeypatch.setattr(scenarios, "deep_translation_decay", refuse)
         report = dichotomy_sweep("shear_A0", [0.02], _small_scenario(tmp_path))
         assert not report.rows[0].special
 
 
 class TestRunContext:
     def test_artifacts_are_built_once(self, tmp_path):
-        run = RunContext(_small_scenario(tmp_path, fixture="shear_A0", epsilon=0.05), tmp_path)
+        run = RunContext(_small_scenario(tmp_path, fixture="shear_A0", epsilon=0.05))
         assert run.inventory is run.inventory
         assert run.rigidity.inventory is run.inventory
         assert run.specialness.max_defect > 0.0
@@ -456,12 +550,12 @@ class TestRunContext:
     def test_holonomy_refused_on_the_runs_own_verdict(self, tmp_path, monkeypatch):
         """The metric stage hands the branches verdict to the holonomy check."""
         sc = _small_scenario(tmp_path, stages=("branches", "metric"))
-        run = RunContext(sc, tmp_path)
+        run = RunContext(sc)
         verdict = run.integrability
         assert verdict.integrable
         monkeypatch.setattr(
             RunContext, "integrability", dataclasses.replace(verdict, integrable=False)
         )
-        outcome = scenarios._STAGE_FN["metric"](RunContext(sc, tmp_path))
+        outcome = scenarios._STAGE_FN["metric"](RunContext(sc))
         assert ("holonomy_status", "refused_non_integrable") in outcome.summary
         assert any("holonomy refused" in msg for msg in outcome.findings)
