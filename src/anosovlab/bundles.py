@@ -35,28 +35,6 @@ from anosovlab.util import (
 
 
 @dataclass(frozen=True)
-class BranchCode:
-    """Finite backward-orbit choice: coset index per step."""
-
-    choices: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(c < 0 for c in self.choices):
-            raise ValueError("branch choices must be nonnegative coset indices")
-
-    @property
-    def depth(self) -> int:
-        return len(self.choices)
-
-    def validate(self, degree: int) -> None:
-        if any(c >= degree for c in self.choices):
-            raise ValueError(f"branch choice out of range for degree {degree}: {self.choices}")
-
-    def __str__(self) -> str:
-        return "".join(str(c) for c in self.choices)
-
-
-@dataclass(frozen=True)
 class SplittingSample:
     """Stable directions and one branch's unstable subspace at a point."""
 
@@ -235,29 +213,6 @@ def _branch_walk_directions(
     for step in range(depth - 1, -1, -1):
         basis, _ = qr_pos(f.jacobian(trail[step]) @ basis)
     return basis.reshape(n_pts, n_codes, d, -1)
-
-
-def unstable_direction_along_branch(f: TorusMap, x, code: BranchCode) -> np.ndarray:
-    """Orthonormal unstable basis at x along the coded backward branch."""
-    code.validate(f.degree)
-    pts = wrap(np.asarray(x, dtype=float))[None, :]
-    codes = np.array([code.choices], dtype=int)
-    basis = _branch_walk_directions(f, pts, codes)[0, 0]
-    if basis.shape[1] == 1:
-        basis = canonical_sign(basis[None, :, 0])[0][:, None]
-    return basis
-
-
-def branch_spread(f: TorusMap, x, codes: list[BranchCode]) -> float:
-    """Largest pairwise principal angle between branch unstable directions at x."""
-    if len(codes) < 2:
-        raise ValueError("spread needs at least two branch codes")
-    for c in codes:
-        c.validate(f.degree)
-    pts = wrap(np.asarray(x, dtype=float))[None, :]
-    arr = np.array([c.choices for c in codes], dtype=int)
-    bases = _branch_walk_directions(f, pts, arr)[0]
-    return float(pairwise_principal_angles(bases).max())
 
 
 @dataclass(frozen=True)

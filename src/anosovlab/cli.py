@@ -1,11 +1,12 @@
 """Command-line entry point.
 
-    anosovlab VERB --config scenario.yaml [--out DIR] [--seed N] [--threads N]
+    anosovlab VERB --config scenario.yaml [--out DIR] [--seed N]
 
 Verbs select pipeline stages: analyze, certify, conjugacy, orbits, branches,
 metric run one stage each; `all` runs the full pipeline; `dichotomy` runs the
 epsilon sweep configured in the scenario's dichotomy section. Exit codes: 0
 clean, 2 verdict-level findings, 1 infrastructure or config errors.
+`--threads N` (N >= 1) is accepted and has no effect: sweeps run serially.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def _parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker threads for sweeps (results are thread-count invariant)",
+        help="accepted for compatibility; has no effect (sweeps run serially)",
     )
     return p
 
@@ -48,16 +49,19 @@ def main(argv=None) -> int:
             print(f"config error: {problem}", file=sys.stderr)
         return 1
 
+    if args.seed is not None and args.seed < 0:
+        print("config error: --seed must be >= 0", file=sys.stderr)
+        return 1
+    if args.threads < 1:
+        print("config error: --threads must be >= 1", file=sys.stderr)
+        return 1
     if args.out is not None:
         sc = replace(sc, out_dir=args.out)
     if args.seed is not None:
         sc = replace(sc, seed=args.seed)
-    if args.threads < 1:
-        print("config error: --threads must be >= 1", file=sys.stderr)
-        return 1
 
     stages = STAGES if args.verb == "all" else (args.verb,)
-    result = run_scenario(replace(sc, stages=stages), threads=args.threads)
+    result = run_scenario(replace(sc, stages=stages))
 
     print(f"wrote {result.summary_path}")
     for name in result.files:

@@ -223,22 +223,6 @@ def leaf_invariance_defect(f: TorusMap, leaf: LeafPolyline, **trace_kw) -> float
     return float(polyline_distance(image.points[keep], fresh).max())
 
 
-def quasi_isometry_fit(leaves: list[LeafPolyline], pairs_per_leaf: int = 200, seed: int = 0):
-    """Fit arclength ~ a * euclidean + b over sampled same-leaf node pairs."""
-    rng = np.random.default_rng(seed)
-    eu, arc = [], []
-    for leaf in leaves:
-        n = len(leaf)
-        idx = rng.integers(0, n, (pairs_per_leaf, 2))
-        idx = idx[idx[:, 0] != idx[:, 1]]
-        eu.append(np.linalg.norm(leaf.points[idx[:, 0]] - leaf.points[idx[:, 1]], axis=1))
-        arc.append(np.abs(leaf.arclength[idx[:, 0]] - leaf.arclength[idx[:, 1]]))
-    eu, arc = np.concatenate(eu), np.concatenate(arc)
-    a, b = np.polyfit(eu, arc, 1)
-    resid = arc - (a * eu + b)
-    return {"a": float(a), "b": float(b), "max_residual": float(np.abs(resid).max())}
-
-
 # -- cocycle solver ------------------------------------------------------------
 
 
@@ -306,6 +290,11 @@ class CocycleSolution:
         ]
 
 
+# orbit segments that estimate the cocycle mean: count and length
+_SEGMENTS = 160
+_SEGMENT_LEN = 4000
+
+
 def _sum_chunks(n: int) -> int:
     return max(1, n // 20000)
 
@@ -353,25 +342,21 @@ def livschitz_solve(
     phi,
     inventory: OrbitInventory,
     fourier_order: int = 16,
-    grid_n: int | None = None,
     obstruction_tol: float = 1e-4,
-    segments: int = 160,
-    segment_len: int = 4000,
     seed: int = 0,
 ) -> CocycleSolution:
     """Decompose phi = mean + psi(f x) - psi(x) by grid least squares.
 
-    The mean comes from long orbit segments (exact up to 2 sup|psi|/len per
-    segment when the decomposition exists); psi from least squares over
-    Fourier modes |k|_inf <= fourier_order on a grid_n^d grid, with the sup
-    residual measured on a finer off-lattice grid. The obstruction is the
-    worst deviation of an average over an orbit of `inventory` from the mean;
-    when it exceeds obstruction_tol the best fit is attached to
-    ObstructionNonzero.
+    The mean comes from _SEGMENTS orbit segments of _SEGMENT_LEN steps (exact
+    up to 2 sup|psi|/len per segment when the decomposition exists); psi from
+    least squares over Fourier modes |k|_inf <= fourier_order on a 64^2
+    (plane) or 20^3 grid, with the sup residual measured on a finer
+    off-lattice grid. The obstruction is the worst deviation of an average
+    over an orbit of `inventory` from the mean; when it exceeds
+    obstruction_tol the best fit is attached to ObstructionNonzero.
     """
     d = f.dim
-    if grid_n is None:
-        grid_n = 64 if d == 2 else 20
+    grid_n = 64 if d == 2 else 20
     if d > 2:
         fourier_order = min(fourier_order, 6)
 
@@ -384,7 +369,7 @@ def livschitz_solve(
         cos_c, sin_c = np.zeros(0), np.zeros(0)
         residual = float(np.ptp(probe_vals))
     else:
-        orbit_mean = _segment_mean(f, phi, segments, segment_len, seed)
+        orbit_mean = _segment_mean(f, phi, _SEGMENTS, _SEGMENT_LEN, seed)
         mean = orbit_mean
 
         grid = grid_points(d, grid_n)
@@ -487,18 +472,18 @@ def bundle_coboundary_psi(
     i: int = 1,
     fourier_order: int = 16,
     depth: int = 12,
-    lambda_tol: float = 1e-4,
-    **solver_kw,
 ) -> CocycleSolution:
     """Transfer function for the stable log-contraction cocycle on E^s_i.
 
     Returns the solution in "transfer" orientation: phi - mean = psi - psi(Fx),
     so the affine metric weight is exp(psi). A periodic obstruction above
     tolerance propagates as ObstructionNonzero and is the non-rigidity signal,
-    not a failure of the solver.
+    not a failure of the solver. A mean more than 1e-4 from the linear
+    exponent raises NoConvergence.
     """
+    lambda_tol = 1e-4
     phi = stable_log_norm_observable(f, i, depth)
-    sol = livschitz_solve(f, phi, inventory, fourier_order, **solver_kw)
+    sol = livschitz_solve(f, phi, inventory, fourier_order)
     target = f.model.stable_exponents[i - 1]
     if abs(sol.mean - target) > lambda_tol:
         raise NoConvergence(
@@ -686,28 +671,6 @@ def holonomy_isometry_check(
         mean_relative_defect=total / samples,
         rows=tuple(rows),
     )
-
-
-def strong_stable_holonomy(f: TorusMap, x, x_prime, y) -> np.ndarray:
-    """Slide y between E^s_1 leaves inside a common weak-stable plane.
-
-    Only meaningful when the stable bundle splits (k >= 2); implemented for
-    linear maps, where leaves are affine lines and the slide is a 2x2 solve
-    in the (e_1, e_2) leaf coordinates.
-    """
-    k = f.model.stable_dim
-    if k < 2:
-        raise ValueError("strong stable holonomy needs at least two stable directions")
-    if f.epsilon != 0.0:
-        raise ValueError("implemented on linear fixtures only")
-    x = np.asarray(x, dtype=float)
-    xp = np.asarray(x_prime, dtype=float)
-    y = np.asarray(y, dtype=float)
-    e1 = f.model.stable_lines[0]
-    e2 = f.model.stable_lines[1]
-    basis = np.column_stack([e1, e2])
-    coeff, *_ = np.linalg.lstsq(basis, xp - y, rcond=None)
-    return y + coeff[1] * e2
 
 
 # -- conjugacy leaf isometry -----------------------------------------------------

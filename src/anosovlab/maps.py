@@ -25,7 +25,7 @@ from anosovlab.errors import (
     NotLocalDiffeo,
     UnknownFixture,
 )
-from anosovlab.linear import IntMatrix, LinearModel, analyze_matrix, coset_representatives
+from anosovlab.linear import LinearModel, analyze_matrix, coset_representatives
 from anosovlab.util import grid_points, inv_batched, solve_batched, torus_distance, wrap
 
 

@@ -19,12 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from anosovlab.errors import NoConvergence, ResourceLimit, SingularJacobian
-from anosovlab.intlinalg import IMatrix, identity, int_add, int_det, int_pow, int_scale
+from anosovlab.intlinalg import identity, int_add, int_pow, int_scale
 from anosovlab.linear import IntMatrix, LinearModel, coset_representatives
 from anosovlab.maps import TorusMap
 from anosovlab.util import float_cell, qr_pos, torus_distance, wrap
 
 _DEDUP_DECIMALS = 8
+_NEWTON_TOL = 1e-12  # sup residual of F^n(x) - x - m at an accepted periodic point
+_CONTINUATION_STEP = 0.01  # epsilon step of the first continuation attempt
+_MAX_QR_PASSES = 600
 
 
 @dataclass(frozen=True)
@@ -102,7 +105,7 @@ def _refine_batch(
     return x, res, res <= tol
 
 
-def _spectrum_points(f: TorusMap, points: np.ndarray, max_passes: int = 600) -> np.ndarray:
+def _spectrum_points(f: TorusMap, points: np.ndarray) -> np.ndarray:
     """Per-step log moduli of the cocycle eigenvalues along a cycle, ascending."""
     n, d = points.shape
     jacs = f.jacobian(points)
@@ -112,7 +115,7 @@ def _spectrum_points(f: TorusMap, points: np.ndarray, max_passes: int = 600) -> 
     converged = False
     # Q carries a burn-in transient; once a full pass reproduces the previous
     # one the flag is invariant and that single pass holds the exact rates.
-    for _ in range(max_passes):
+    for _ in range(_MAX_QR_PASSES):
         pass_log = np.zeros(d)
         for k in range(n):
             q, r = qr_pos(jacs[k] @ q)
@@ -122,7 +125,7 @@ def _spectrum_points(f: TorusMap, points: np.ndarray, max_passes: int = 600) -> 
             break
         prev = pass_log
     if not converged:
-        raise NoConvergence(f"QR exponent passes did not stabilize in {max_passes} rounds")
+        raise NoConvergence(f"QR exponent passes did not stabilize in {_MAX_QR_PASSES} rounds")
     exponents = np.sort(pass_log / n)
     if n <= 8:
         prod = np.eye(d)
@@ -145,13 +148,6 @@ def stable_spectrum_of_orbit(f: TorusMap, orbit: PeriodicOrbit | np.ndarray) -> 
     if stable.max() >= 0:
         raise NoConvergence(f"expected {k} negative exponents, got {exponents}")
     return tuple(float(v) for v in stable)
-
-
-def refine_orbit(f: TorusMap, seed, n: int, tol: float = 1e-12) -> PeriodicOrbit:
-    pts, res, ok = _refine_batch(f, np.asarray(seed, dtype=float)[None, :], n, tol)
-    if not ok[0]:
-        raise NoConvergence(f"orbit refinement stalled at residual {res[0]:.3e}")
-    return _build_orbit(f, pts[0], n, float(res[0]))
 
 
 def _cycle_points(f: TorusMap, x0: np.ndarray, n: int) -> np.ndarray:
@@ -257,20 +253,14 @@ def _collision_rows(pts: np.ndarray, ok: np.ndarray) -> np.ndarray:
     return np.array(sorted(set(redo)), dtype=int)
 
 
-def enumerate_orbits(
-    f: TorusMap,
-    max_period: int,
-    tol: float = 1e-12,
-    cap: int = 200_000,
-    continuation_step: float = 0.01,
-) -> OrbitInventory:
+def enumerate_orbits(f: TorusMap, max_period: int) -> OrbitInventory:
     """Continue every linear periodic point to f and group into minimal-period cycles."""
     expected, found, failures = {}, {}, []
     orbit_map: dict[tuple, PeriodicOrbit] = {}
     for n in range(1, max_period + 1):
         expected[n] = abs(_power_minus_identity(f.model.matrix, n).det)
-        seeds = linear_periodic_points(f.model, n, cap=cap)
-        pts, res, ok = _continue_rows(f, seeds, n, tol, continuation_step)
+        seeds = linear_periodic_points(f.model, n)
+        pts, res, ok = _continue_rows(f, seeds, n, _NEWTON_TOL, _CONTINUATION_STEP)
         # a coarse continuation can hop a seed into a neighbouring basin; the
         # duplicates it produces are redone from scratch with finer steps
         for shrink in (4.0, 16.0, 64.0):
@@ -278,7 +268,7 @@ def enumerate_orbits(
             if not redo.size:
                 break
             pts[redo], res[redo], ok[redo] = _continue_rows(
-                f, seeds[redo], n, tol, continuation_step / shrink
+                f, seeds[redo], n, _NEWTON_TOL, _CONTINUATION_STEP / shrink
             )
         for idx in _collision_rows(pts, ok):
             ok[idx] = False

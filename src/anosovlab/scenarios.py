@@ -10,8 +10,8 @@ directions, failed certification, ...) are collected rather than raised, and
 drive the exit code: 0 clean, 2 findings, 1 infrastructure error.
 
 Determinism contract: every sampled quantity is derived from the scenario
-seed, and CSV bodies are byte-identical across repeated runs and thread
-counts. Wall-clock data goes to run_meta.txt only.
+seed, and CSV bodies are byte-identical across repeated runs. Sweep rows run
+one after another in input order. Wall-clock data goes to run_meta.txt only.
 
 Each stage's outcome (summary pairs, findings, rendered CSV tables) is cached
 on disk as one JSON record, keyed by the stage name, every scenario field that
@@ -27,7 +27,6 @@ import json
 import os
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from hashlib import sha256
@@ -142,6 +141,9 @@ _SECTIONS = {
 
 _TOP_KEYS = {"fixture", "tolerances", "depths", "sampling", "seed", "output", "stages", "dichotomy"}
 
+# fixtures that exist only at epsilon 0
+_UNPERTURBED = ("linear_A0", "cubic_companion")
+
 
 def _coerce(kind: str, value):
     """Return (ok, coerced). Booleans are not numbers here."""
@@ -212,7 +214,7 @@ def load_scenario(source) -> Scenario:
             problems.append("fixture.epsilon: must be a number >= 0")
         else:
             values["epsilon"] = float(eps)
-            if name in ("linear_A0", "cubic_companion") and eps != 0.0:
+            if name in _UNPERTURBED and eps != 0.0:
                 problems.append(f"fixture.epsilon: {name} takes no perturbation scale")
         custom = fix.get("custom")
         if custom is not None and not isinstance(custom, dict):
@@ -273,6 +275,8 @@ def load_scenario(source) -> Scenario:
             family = dich.get("family")
             if family not in FIXTURE_NAMES:
                 problems.append(f"dichotomy.family: unknown fixture {family!r}")
+            elif family == "custom":
+                problems.append("dichotomy.family: a custom fixture cannot be swept")
             else:
                 values["dichotomy_family"] = family
             eps_list = dich.get("epsilons")
@@ -284,6 +288,8 @@ def load_scenario(source) -> Scenario:
                 problems.append("dichotomy.epsilons: must be a non-empty list of numbers >= 0")
             else:
                 values["dichotomy_epsilons"] = tuple(float(e) for e in eps_list)
+                if family in _UNPERTURBED and any(e != 0.0 for e in eps_list):
+                    problems.append(f"dichotomy.epsilons: {family} takes no perturbation scale")
             for key in dich:
                 if key not in ("family", "epsilons"):
                     problems.append(f"dichotomy.{key}: unknown key")
@@ -313,7 +319,7 @@ def stage_key(stage: str, sc: Scenario) -> str:
     """Hash of a stage, the scenario fields that can move its bytes and the code.
 
     The output directory and the stage list move no byte of a stage's outcome,
-    and neither does the thread count, so they stay out of the key.
+    so they stay out of the key.
     """
     inputs = {f.name: getattr(sc, f.name) for f in fields(sc) if f.name not in ("out_dir", "stages")}
     blob = json.dumps([stage, inputs, np.__version__, source_digest()], default=repr)
@@ -392,7 +398,7 @@ def _kv_csv(pairs: list) -> list:
 
 @dataclass
 class RunContext:
-    """One run: the scenario, its thread count and its shared artifacts.
+    """One run: the scenario and its shared artifacts.
 
     Every artifact is built on first use and then shared, so a stage that
     needs the orbit inventory or the integrability verdict reads the one an
@@ -401,7 +407,6 @@ class RunContext:
     """
 
     sc: Scenario
-    threads: int = 1
 
     @cached_property
     def f(self) -> TorusMap:
@@ -677,6 +682,9 @@ def _stage_metric(run: RunContext) -> StageOutcome:
 
 # -- dichotomy sweep ------------------------------------------------------------------
 
+# a sweep diagnostic at or below this level counts as vanished
+_VANISHED = 1e-6
+
 
 @dataclass(frozen=True)
 class DichotomyRow:
@@ -705,10 +713,10 @@ class DichotomyReport:
     def all_agree(self) -> bool:
         return all(r.agreement for r in self.rows)
 
-    def co_vanishing(self, zero_level: float = 1e-6) -> bool:
+    def co_vanishing(self) -> bool:
         """All three diagnostics shrink toward zero as epsilon does.
 
-        Values below zero_level count as vanished; above it each diagnostic
+        Values at or below _VANISHED count as zero; above it each diagnostic
         must be nondecreasing in epsilon.
         """
         ordered = sorted(self.rows, key=lambda r: r.epsilon)
@@ -718,7 +726,7 @@ class DichotomyReport:
             lambda r: r.rigidity_deviation,
         ):
             vals = [take(r) for r in ordered]
-            floored = [0.0 if v <= zero_level else v for v in vals]
+            floored = [0.0 if v <= _VANISHED else v for v in vals]
             if any(b < a for a, b in zip(floored, floored[1:])):
                 return False
             if ordered[0].epsilon == 0.0 and floored[0] != 0.0:
@@ -759,22 +767,12 @@ def _dichotomy_row(family: str, eps: float, sc: Scenario) -> DichotomyRow:
     )
 
 
-def dichotomy_sweep(
-    family: str, epsilons, sc: Scenario, threads: int = 1
-) -> DichotomyReport:
-    """Specialness, branch spread and rigidity per epsilon, in a fixed row order.
-
-    Rows are independent, so they may be computed in a thread pool; the merge
-    is by input position and the numbers do not depend on the thread count.
-    """
+def dichotomy_sweep(family: str, epsilons, sc: Scenario) -> DichotomyReport:
+    """Specialness, branch spread and rigidity per epsilon, in input order."""
     eps = [float(e) for e in epsilons]
-    if threads > 1 and len(eps) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda e: _dichotomy_row(family, e, sc), eps))
-    else:
-        rows = [_dichotomy_row(family, e, sc) for e in eps]
+    rows = tuple(_dichotomy_row(family, e, sc) for e in eps)
     irreducible = fixture_catalog(family, eps[0] if eps else 0.0).model.irreducible
-    return DichotomyReport(family=family, irreducible=irreducible, rows=tuple(rows))
+    return DichotomyReport(family=family, irreducible=irreducible, rows=rows)
 
 
 def _stage_dichotomy(run: RunContext) -> StageOutcome:
@@ -782,7 +780,7 @@ def _stage_dichotomy(run: RunContext) -> StageOutcome:
     sc = run.sc
     if sc.dichotomy_family is None:
         raise ConfigInvalid(["dichotomy: section required for the dichotomy verb"])
-    report = dichotomy_sweep(sc.dichotomy_family, sc.dichotomy_epsilons, sc, threads=run.threads)
+    report = dichotomy_sweep(sc.dichotomy_family, sc.dichotomy_epsilons, sc)
     findings = []
     if report.irreducible and not report.all_agree:
         bad = [r.epsilon for r in report.rows if not r.agreement]
@@ -840,11 +838,10 @@ def _write_summary(
     path.write_text("\n".join(lines))
 
 
-def _write_meta(path: Path, started: float, threads: int, stage_log: list) -> None:
+def _write_meta(path: Path, started: float, stage_log: list) -> None:
     lines = [
         f"started_unix: {started:.3f}",
         f"elapsed_seconds: {time.time() - started:.3f}",
-        f"threads: {threads}",
         f"numpy: {np.__version__}",
     ]
     for name, cache, seconds in stage_log:
@@ -863,7 +860,7 @@ def _stage_record(run: RunContext, stage: str) -> tuple[dict, bool]:
     return record, False
 
 
-def run_scenario(sc: Scenario, threads: int = 1) -> ScenarioResult:
+def run_scenario(sc: Scenario) -> ScenarioResult:
     """Execute the configured stages; write CSV reports, summary.txt, run_meta.txt.
 
     `sc.stages` names pipeline stages, or `("dichotomy",)` for the sweep. A
@@ -874,7 +871,7 @@ def run_scenario(sc: Scenario, threads: int = 1) -> ScenarioResult:
     summary, partial files kept).
     """
     started = time.time()
-    run = RunContext(sc, threads)
+    run = RunContext(sc)
     out = Path(sc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records: list[tuple[str, dict]] = []
@@ -899,7 +896,7 @@ def run_scenario(sc: Scenario, threads: int = 1) -> ScenarioResult:
     exit_code = 1 if error else (2 if findings else 0)
     summary_path = out / "summary.txt"
     _write_summary(summary_path, sc, records, findings, error, exit_code)
-    _write_meta(out / "run_meta.txt", started, threads, stage_log)
+    _write_meta(out / "run_meta.txt", started, stage_log)
     return ScenarioResult(
         exit_code=exit_code,
         findings=tuple(findings),

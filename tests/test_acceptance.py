@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from anosovlab.bundles import integrability_verdict
+from anosovlab.cli import main
 from anosovlab.conjugacy import (
     conjugacy_evaluator,
     deep_translation_decay,
@@ -258,15 +259,17 @@ def test_10_deterministic_outputs(tmp_path, monkeypatch):
         runs.append(outputs(tmp_path / name))
     repeat_same = runs[0] == runs[1]
 
+    sweep = tmp_path / "sweep.yaml"
+    sweep.write_text(
+        "fixture: {name: shear_A0}\nsampling: {points: 8, codes_per_point: 4}\n"
+        "depths: {max_period: 2}\nseed: 0\n"
+        "dichotomy: {family: shear_A0, epsilons: [0.0, 0.02]}\n"
+    )
     sweeps = []
-    for name, threads in (("t1", 1), ("t3", 3)):
-        sc = Scenario(
-            fixture="shear_A0", dichotomy_family="shear_A0",
-            dichotomy_epsilons=(0.0, 0.02), points=8, codes_per_point=4,
-            max_period=2, seed=0, out_dir=str(tmp_path / name), stages=("dichotomy",),
-        )
+    for name, threads in (("t1", "1"), ("t3", "3")):
         monkeypatch.setenv("ANOSOVLAB_CACHE", str(tmp_path / f"cache_{name}"))
-        assert run_scenario(sc, threads=threads).exit_code == 0
+        argv = ["dichotomy", "--config", str(sweep), "--out", str(tmp_path / name), "--threads", threads]
+        assert main(argv) == 0
         sweeps.append((tmp_path / name / "dichotomy.csv").read_bytes())
     thread_same = sweeps[0] == sweeps[1]
 

@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from anosovlab.bundles import (
-    BranchCode,
     _branch_walk_directions,
     _sample_codes,
-    branch_spread,
     integrability_verdict,
     stable_splitting_at,
-    unstable_direction_along_branch,
 )
 from anosovlab.errors import GapTooSmall
 from anosovlab.util import largest_principal_angle, orthonormal_columns, pairwise_principal_angles
@@ -87,38 +84,16 @@ class TestStableSplitting:
             stable_splitting_at(linear_map, [0.3, 0.7], min_gap=10.0)
 
 
-class TestBranchCode:
-    def test_str_and_depth(self):
-        code = BranchCode((0, 1, 2, 1))
-        assert str(code) == "0121"
-        assert code.depth == 4
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            BranchCode((0, -1))
-
-    def test_validate_against_degree(self):
-        BranchCode((0, 1)).validate(2)
-        with pytest.raises(ValueError):
-            BranchCode((0, 2)).validate(2)
-
-
 class TestBranchDirections:
     def test_linear_branch_independent(self, linear_map):
         a = linear_map.model.array
         vu = _unit_eigvec(a, 1)
-        for code in (BranchCode((0,) * 10), BranchCode((1, 0) * 5)):
-            u = unstable_direction_along_branch(linear_map, [0.2, 0.9], code)
+        codes = np.array([[0] * 10, [1, 0] * 5])
+        for u in _branch_walk_directions(linear_map, np.array([[0.2, 0.9]]), codes)[0]:
             assert _angle(u[:, 0], vu) < 1e-12
-        spread = branch_spread(
-            linear_map, [0.4, 0.9],
-            [BranchCode((0,) * 10), BranchCode((1,) * 10), BranchCode((0, 1) * 5)],
-        )
-        assert spread < 1e-12
-
-    def test_spread_needs_two_codes(self, linear_map):
-        with pytest.raises(ValueError):
-            branch_spread(linear_map, [0.4, 0.9], [BranchCode((0,) * 4)])
+        codes = np.array([[0] * 10, [1] * 10, [0, 1] * 5])
+        bases = _branch_walk_directions(linear_map, np.array([[0.4, 0.9]]), codes)
+        assert pairwise_principal_angles(bases).max() < 1e-12
 
     def test_conjugated_integrable(self, conjugated05):
         rep = integrability_verdict(conjugated05, samples=12, codes_per_point=5, seed=3)
@@ -133,11 +108,9 @@ class TestBranchDirections:
         w = rep.witness
         assert w is not None
         # the witness pair must reproduce its reported angle
-        again = branch_spread(
-            shear05, np.array(w["point"]),
-            [BranchCode(tuple(int(c) for c in w["code_a"])),
-             BranchCode(tuple(int(c) for c in w["code_b"]))],
-        )
+        codes = np.array([[int(c) for c in w["code_a"]], [int(c) for c in w["code_b"]]])
+        bases = _branch_walk_directions(shear05, np.array([w["point"]]), codes)
+        again = float(pairwise_principal_angles(bases).max())
         assert again == pytest.approx(w["angle"], abs=1e-9)
 
     def test_product_integrable(self, product05):

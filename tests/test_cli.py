@@ -72,6 +72,13 @@ class TestArgs:
         assert main(["analyze", "--config", cfg, "--threads", "0"]) == 1
         assert "--threads" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", "-50"])
+    def test_negative_seed(self, tmp_path, capsys, seed):
+        cfg = _config(tmp_path, LINEAR_YAML)
+        assert main(["analyze", "--config", cfg, "--seed", seed]) == 1
+        assert capsys.readouterr().err == "config error: --seed must be >= 0\n"
+        assert not (tmp_path / "run").exists()
+
 
 class TestConfigErrors:
     def test_each_problem_gets_a_stderr_line(self, tmp_path, capsys):
@@ -139,6 +146,19 @@ class TestDichotomyVerb:
         cfg = _config(tmp_path, LINEAR_YAML)
         assert main(["dichotomy", "--config", cfg]) == 1
         assert "dichotomy" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family, field", [
+        ("custom", "dichotomy.family"),
+        ("linear_A0", "dichotomy.epsilons"),
+    ])
+    def test_unsweepable_family_is_a_config_error(self, tmp_path, capsys, family, field):
+        text = SWEEP_YAML.replace("family: shear_A0", f"family: {family}")
+        cfg = _config(tmp_path, text)
+        assert main(["dichotomy", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
 
     def test_sweep_thread_invariance(self, tmp_path, monkeypatch):
         cfg1 = _config(tmp_path, SWEEP_YAML, name="s1.yaml", out="d1")

@@ -23,10 +23,8 @@ from anosovlab.leafmetric import (
     leaf_invariance_defect,
     livschitz_solve,
     map_polyline,
-    quasi_isometry_fit,
     stable_direction_stack,
     stable_log_norm_observable,
-    strong_stable_holonomy,
     tangency_residual,
     trace_stable_leaf,
     trace_stable_leaves,
@@ -59,9 +57,9 @@ class TestTraces:
         rel = leaf.points - leaf.points[leaf.center_index]
         cross = rel[:, 0] * v_s[1] - rel[:, 1] * v_s[0]
         assert np.abs(cross).max() < 1e-12
-        fit = quasi_isometry_fit([leaf], seed=1)
-        assert fit["a"] == pytest.approx(1.0, abs=1e-9)
-        assert abs(fit["b"]) < 1e-9
+        # on a straight leaf the arclength is the euclidean distance from node 0
+        chord = np.linalg.norm(leaf.points - leaf.points[0], axis=1)
+        assert np.abs(chord - leaf.arclength).max() < 1e-9
 
     def test_linear_image_contracts_at_eigenrate(self, linear_map):
         leaf = trace_stable_leaf(linear_map, [0.3, 0.4], L=0.3)
@@ -277,21 +275,6 @@ class TestHolonomy:
         assert rep.mean_relative_defect <= rep.max_relative_defect
         assert len(rep.rows) == 8
         assert rep.csv_rows()[0] == ["sample", "d_s_source", "d_s_image", "relative_defect"]
-
-    def test_strong_stable_slide(self, cubic):
-        e1 = cubic.model.stable_lines[0]
-        e2 = cubic.model.stable_lines[1]
-        y = np.array([0.2, 0.3, 0.4])
-        xp = y + 0.3 * e1 - 0.2 * e2
-        got = strong_stable_holonomy(cubic, y, xp, y)
-        assert np.abs(got - (y - 0.2 * e2)).max() < 1e-10
-        assert np.abs((xp - got) - 0.3 * e1).max() < 1e-10
-
-    def test_strong_stable_requires_split_linear(self, linear_map, shear05):
-        with pytest.raises(ValueError):
-            strong_stable_holonomy(linear_map, np.zeros(2), np.zeros(2), np.zeros(2))
-        with pytest.raises(ValueError):
-            strong_stable_holonomy(shear05, np.zeros(2), np.zeros(2), np.zeros(2))
 
 
 class TestConjugacyIsometry:

@@ -5,9 +5,9 @@ import pytest
 
 from anosovlab.errors import ResourceLimit
 from anosovlab.orbits import (
+    _refine_batch,
     enumerate_orbits,
     linear_periodic_points,
-    refine_orbit,
     rigidity_report,
     stable_spectrum_of_orbit,
 )
@@ -94,9 +94,10 @@ class TestCycleStructure:
 
     def test_refine_orbit_finds_continued_fixed_point(self, shear05):
         fixed = enumerate_orbits(shear05, 1).by_period(1)[0]
-        o = refine_orbit(shear05, fixed.base_point + np.array([0.012, -0.008]), 1)
-        assert torus_distance(o.base_point, fixed.base_point) < 1e-10
-        assert o.period == 1
+        seed = fixed.base_point + np.array([0.012, -0.008])
+        pts, res, ok = _refine_batch(shear05, seed[None, :], 1, 1e-12)
+        assert ok[0] and res[0] <= 1e-12
+        assert torus_distance(pts[0], fixed.base_point) < 1e-10
 
 
 class TestRigidity:

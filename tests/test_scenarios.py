@@ -136,6 +136,13 @@ class TestLoadScenario:
             load_scenario({**MINIMAL, "dichotomy": {"family": "shear_A0", "epsilons": []}})
         with pytest.raises(ConfigInvalid, match="family"):
             load_scenario({**MINIMAL, "dichotomy": {"family": "nope", "epsilons": [0.1]}})
+        with pytest.raises(ConfigInvalid, match=r"dichotomy\.family: a custom fixture"):
+            load_scenario({**MINIMAL, "dichotomy": {"family": "custom", "epsilons": [0.0]}})
+        for family in ("linear_A0", "cubic_companion"):
+            with pytest.raises(ConfigInvalid, match=r"dichotomy\.epsilons: .* no perturbation scale"):
+                load_scenario({**MINIMAL, "dichotomy": {"family": family, "epsilons": [0.0, 0.01]}})
+            sc = load_scenario({**MINIMAL, "dichotomy": {"family": family, "epsilons": [0.0]}})
+            assert sc.dichotomy_epsilons == (0.0,)
 
 
 def _meta(out: Path) -> dict[str, str]:
@@ -220,8 +227,8 @@ class TestCache:
 
     def test_cold_then_warm_meta_and_bytes(self, tmp_path):
         sc = _small_scenario(tmp_path / "cold")
-        cold = run_scenario(sc, threads=1)
-        warm = run_scenario(dataclasses.replace(sc, out_dir=str(tmp_path / "warm")), threads=2)
+        cold = run_scenario(sc)
+        warm = run_scenario(dataclasses.replace(sc, out_dir=str(tmp_path / "warm")))
         assert cold.exit_code == warm.exit_code == 0
         assert cold.files == warm.files
         assert _cache_states(tmp_path / "cold") == {f"stage_{s}_cache": "miss" for s in STAGES}
@@ -446,23 +453,6 @@ class TestDichotomy:
             "epsilon", "specialness_defect", "max_branch_spread", "rigidity_deviation",
             "special", "integrable", "rigid", "agreement",
         ]
-
-    def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
-        base = _small_scenario(
-            tmp_path / "t1", fixture="shear_A0",
-            dichotomy_family="shear_A0", dichotomy_epsilons=(0.0, 0.02), stages=("dichotomy",),
-        )
-        monkeypatch.setenv("ANOSOVLAB_CACHE", str(tmp_path / "cache_t1"))  # both runs compute
-        r1 = run_scenario(base, threads=1)
-        monkeypatch.setenv("ANOSOVLAB_CACHE", str(tmp_path / "cache_t3"))
-        r2 = run_scenario(
-            dataclasses.replace(base, out_dir=str(tmp_path / "t2")), threads=3
-        )
-        assert r1.exit_code == r2.exit_code == 0
-        assert _cache_states(tmp_path / "t2") == {"stage_dichotomy_cache": "miss"}
-        assert (tmp_path / "t1" / "dichotomy.csv").read_bytes() == (
-            tmp_path / "t2" / "dichotomy.csv"
-        ).read_bytes()
 
     def test_missing_section_is_error(self, tmp_path):
         result = run_scenario(_small_scenario(tmp_path, stages=("dichotomy",)))
