@@ -55,6 +55,9 @@ def main(argv=None) -> int:
     if args.threads < 1:
         print("config error: --threads must be >= 1", file=sys.stderr)
         return 1
+    if args.out == "":
+        print("config error: --out must be a non-empty path", file=sys.stderr)
+        return 1
     if args.out is not None:
         sc = replace(sc, out_dir=args.out)
     if args.seed is not None:

@@ -30,6 +30,10 @@ from anosovlab.linear import LinearModel, minimal_deep_vector
 from anosovlab.maps import TorusMap
 from anosovlab.util import float_cell, grid_points, wrap
 
+# Anderson acceleration for H^{-1}: history window m and mixing beta
+_ANDERSON_WINDOW = 4
+_ANDERSON_MIXING = 1.0
+
 
 @dataclass(frozen=True, eq=False)
 class DisplacementField:
@@ -116,13 +120,22 @@ class ConjugacyEvaluator:
     def apply(self, x) -> np.ndarray:
         return np.asarray(x, dtype=float) + self.h_displacement(x)
 
-    def apply_inverse(self, y, tol: float = 1e-10, max_iter: int = 250) -> np.ndarray:
-        """Solve H(x) = y by damped fixed-point iteration with a root-finder fallback.
+    def _u_rows(self, x: np.ndarray) -> np.ndarray:
+        """u with each row rounded as in any larger batch: numpy multiplies a
+        one-row batch on its matrix-vector path, so a single row is doubled."""
+        if x.shape[0] > 1:
+            return self.h_displacement(x)
+        return self.h_displacement(np.repeat(x, 2, axis=0))[:1]
 
-        The iteration x <- x - beta (x + u(x) - y) contracts when beta is small
-        against ||Du||; beta adapts per row by residual-decrease backtracking.
-        Rows are independent, so each step evaluates u only on the rows whose
-        residual still exceeds tol.
+    def apply_inverse(self, y, tol: float = 1e-10, max_iter: int = 250) -> np.ndarray:
+        """Solve H(x) = y by per-row Anderson acceleration with a root-finder fallback.
+
+        Anderson mixing (J. ACM 12, 1965; Walker and Ni, SIAM J. Numer. Anal.
+        49, 2011) on x = y - u(x): with residual f = y - u(x) - x and the row's
+        last m differences dX, dF of iterates and residuals, x <- x + beta f -
+        (dX + beta dF) gamma for the min-norm gamma of min ||dF gamma - f||.
+        Rows step together until ||x + u(x) - y|| <= tol, so one batched pinv
+        serves them all and no row depends on the rest of the batch.
         """
         yb = np.asarray(y, dtype=float)
         single = yb.ndim == 1
@@ -130,30 +143,29 @@ class ConjugacyEvaluator:
         if self.map.is_linear:
             return yb[0].copy() if single else yb.copy()
         x = yb.copy()
-        res = x + self.h_displacement(x) - yb
-        rn = np.linalg.norm(res, axis=1)
-        beta = np.full(yb.shape[0], 1.0)
-        for _ in range(max_iter):
-            active = np.flatnonzero(rn > tol)
-            if not active.size:
+        f = -self._u_rows(x)
+        d_x = np.zeros(yb.shape + (_ANDERSON_WINDOW,))
+        d_f = np.zeros_like(d_x)
+        for k in range(max_iter + 1):
+            # a non-finite residual stays active and ends in the fallback
+            active = np.flatnonzero(~(np.linalg.norm(f, axis=1) <= tol))
+            if not active.size or k == max_iter:
                 break
-            cand = x[active] - beta[active, None] * res[active]
-            # numpy multiplies a one-row batch on its matrix-vector path, which
-            # rounds unlike the rows of a larger batch; doubling the row keeps x
-            # bit-identical to stepping every row
-            batch = cand if active.size > 1 else np.repeat(cand, 2, axis=0)
-            res_c = cand + self.h_displacement(batch)[: active.size] - yb[active]
-            rn_c = np.linalg.norm(res_c, axis=1)
-            better = rn_c < rn[active]
-            up = active[better]
-            x[up] = cand[better]
-            res[up] = res_c[better]
-            rn[up] = rn_c[better]
-            beta[up] = np.minimum(1.0, beta[up] * 1.25)
-            beta[active[~better]] *= 0.5
-        bad = np.flatnonzero(rn > tol)
-        if bad.size:
-            x = self._inverse_fallback(x, yb, bad, tol)
+            fa = f[active]
+            step = _ANDERSON_MIXING * fa
+            if k:
+                h = min(k, _ANDERSON_WINDOW)
+                df = d_f[active, :, :h]
+                gamma = np.linalg.pinv(df) @ fa[:, :, None]
+                step -= ((d_x[active, :, :h] + _ANDERSON_MIXING * df) @ gamma)[:, :, 0]
+            x_new = x[active] + step
+            f_new = yb[active] - x_new - self._u_rows(x_new)
+            slot = k % _ANDERSON_WINDOW
+            d_x[active, :, slot] = step
+            d_f[active, :, slot] = f_new - fa
+            x[active], f[active] = x_new, f_new
+        if active.size:
+            x = self._inverse_fallback(x, yb, active, tol)
         return x[0] if single else x
 
     def _inverse_fallback(self, x: np.ndarray, yb: np.ndarray, rows: np.ndarray, tol: float) -> np.ndarray:

@@ -79,6 +79,16 @@ class TestArgs:
         assert capsys.readouterr().err == "config error: --seed must be >= 0\n"
         assert not (tmp_path / "run").exists()
 
+    def test_empty_out(self, tmp_path, monkeypatch, capsys):
+        cfg = _config(tmp_path, LINEAR_YAML)
+        work = tmp_path / "cwd"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(["analyze", "--config", cfg, "--out", ""]) == 1
+        assert capsys.readouterr().err == "config error: --out must be a non-empty path\n"
+        assert not any(work.iterdir())
+        assert not (tmp_path / "run").exists()
+
 
 class TestConfigErrors:
     def test_each_problem_gets_a_stderr_line(self, tmp_path, capsys):

@@ -85,48 +85,39 @@ class TestEvaluator:
         x = rng.random((40, 2)) * 2 - 0.5
         assert np.abs(ce.apply_inverse(ce.apply(x)) - x).max() <= 1e-8
 
-    def test_inverse_steps_only_active_rows(self, shear05, rng, monkeypatch):
-        """Same x as stepping every row each time, from fewer H evaluations."""
+    def test_inverse_rows_match_single_row_calls(self, shear05, rng, monkeypatch):
+        """Each row of a batch solves as it would alone, in few H evaluations."""
         ce = conjugacy_evaluator(shear05)
         y = rng.random((24, 2))
-        tol, max_iter = 1e-10, 120  # every row converges, the last ones alone
-
-        # the whole-batch iteration, with its unconverged rows left as they are
-        x = y.copy()
-        res = x + ce.h_displacement(x) - y
-        rn = np.linalg.norm(res, axis=1)
-        beta = np.full(y.shape[0], 1.0)
-        whole_batch = 0
-        for _ in range(max_iter):
-            active = rn > tol
-            if not active.any():
-                break
-            cand = x.copy()
-            cand[active] -= beta[active, None] * res[active]
-            res_c = cand + ce.h_displacement(cand) - y
-            whole_batch += y.shape[0]
-            rn_c = np.linalg.norm(res_c, axis=1)
-            better = active & (rn_c < rn)
-            x[better] = cand[better]
-            res[better] = res_c[better]
-            rn[better] = rn_c[better]
-            beta[better] = np.minimum(1.0, beta[better] * 1.25)
-            beta[active & ~better] *= 0.5
-
-        fallback_rows = []
-        monkeypatch.setattr(
-            ConjugacyEvaluator, "_inverse_fallback",
-            lambda self, x, yb, rows, tol: fallback_rows.append(rows.tolist()) or x,
-        )
         evaluated = []
         h = ConjugacyEvaluator.h_displacement
         monkeypatch.setattr(
             ConjugacyEvaluator, "h_displacement",
             lambda self, pts: evaluated.append(len(pts)) or h(self, pts),
         )
-        assert np.array_equal(ce.apply_inverse(y, tol=tol, max_iter=max_iter), x)
-        assert fallback_rows == ([np.flatnonzero(rn > tol).tolist()] if (rn > tol).any() else [])
-        assert sum(evaluated[1:]) < whole_batch
+        batch = ce.apply_inverse(y)
+        assert len(evaluated) <= 40
+        for row, target in zip(batch, y):
+            assert np.array_equal(row, ce.apply_inverse(target))
+
+    @pytest.mark.parametrize("fixture", ["shear05", "product05", "conjugated05"])
+    def test_stage_roundtrip_needs_no_fallback(self, fixture, request, monkeypatch):
+        """The conjugacy stage's 32-point round trip at seed 0 converges by Anderson alone."""
+
+        def refuse(self, x, yb, rows, tol):
+            raise AssertionError(f"fallback entered for rows {rows.tolist()}")
+
+        monkeypatch.setattr(ConjugacyEvaluator, "_inverse_fallback", refuse)
+        f = request.getfixturevalue(fixture)
+        ce = conjugacy_evaluator(f)
+        rng = np.random.default_rng(29)  # _stage_conjugacy's stream at seed 0
+        rng.random((64, f.dim))
+        y = rng.random((32, f.dim))
+        hy = ce.apply(y)
+        tol = 1e-10
+        x = ce.apply_inverse(hy, tol=tol)
+        assert np.linalg.norm(x + ce.h_displacement(x) - hy, axis=1).max() <= tol
+        assert np.abs(x - y).max() <= 1e-8
 
     def test_sampled_u_within_sup_bound(self, shear05, rng):
         ce = conjugacy_evaluator(shear05)
@@ -193,6 +184,12 @@ class TestDeepDecay:
             assert np.abs(w - np.round(w)).max() < 1e-9
             assert d_m >= 0.0 and d_inv >= 0.0
         assert table.rows[5][2] < 0.5 * table.rows[0][2]
+
+    def test_product_inverse_converges_at_seed_six(self, product05):
+        """The conjugacy stage at --seed 6 samples this decay; its H^-1 once stalled."""
+        ce = conjugacy_evaluator(product05)
+        table = deep_translation_decay(ce, m_max=6, samples=12, seed=6 + 31)
+        assert max(r[3] for r in table.rows) <= 1e-8
 
     def test_csv_header(self, shear02):
         ce = conjugacy_evaluator(shear02)
