@@ -27,7 +27,6 @@ from anosovlab.errors import (
     RefusedNonIntegrable,
     ResourceLimit,
     SingularJacobian,
-    StepRejected,
     UnknownFixture,
 )
 
@@ -48,7 +47,6 @@ __all__ = [
     "RefusedNonIntegrable",
     "ResourceLimit",
     "SingularJacobian",
-    "StepRejected",
     "UnknownFixture",
     "__version__",
 ]

@@ -257,7 +257,10 @@ def integrability_verdict(
 
     Codes include the all-zeros and all-extreme constants plus seeded random
     draws; the spread is the max pairwise principal angle per sample point.
+    Fewer than 2 codes leave no pair to compare and raise ValueError.
     """
+    if codes_per_point < 2:
+        raise ValueError(f"codes_per_point {codes_per_point} leaves no branch pair to compare; need >= 2")
     rng = np.random.default_rng(seed)
     pts = rng.random((samples, f.dim))
     codes = _sample_codes(rng, f.degree, codes_per_point, depth)

@@ -40,31 +40,35 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+def _config_errors(problems) -> int:
+    for problem in problems:
+        print(f"config error: {problem}", file=sys.stderr)
+    return 1
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         sc = load_scenario(args.config)
     except ConfigInvalid as exc:
-        for problem in exc.problems:
-            print(f"config error: {problem}", file=sys.stderr)
-        return 1
+        return _config_errors(exc.problems)
 
     if args.seed is not None and args.seed < 0:
-        print("config error: --seed must be >= 0", file=sys.stderr)
-        return 1
+        return _config_errors(["--seed must be >= 0"])
     if args.threads < 1:
-        print("config error: --threads must be >= 1", file=sys.stderr)
-        return 1
+        return _config_errors(["--threads must be >= 1"])
     if args.out == "":
-        print("config error: --out must be a non-empty path", file=sys.stderr)
-        return 1
+        return _config_errors(["--out must be a non-empty path"])
     if args.out is not None:
         sc = replace(sc, out_dir=args.out)
     if args.seed is not None:
         sc = replace(sc, seed=args.seed)
 
     stages = STAGES if args.verb == "all" else (args.verb,)
-    result = run_scenario(replace(sc, stages=stages))
+    try:
+        result = run_scenario(replace(sc, stages=stages))
+    except ConfigInvalid as exc:  # an output or cache path that cannot be a directory
+        return _config_errors(exc.problems)
 
     print(f"wrote {result.summary_path}")
     for name in result.files:

@@ -56,10 +56,6 @@ class GapTooSmall(AnosovLabError):
     """Consecutive contraction rates too close to resolve a splitting."""
 
 
-class StepRejected(AnosovLabError):
-    """Leaf tracing step exceeded the curvature budget."""
-
-
 class ObstructionNonzero(AnosovLabError):
     """Periodic averages rule out a coboundary; best fit is attached."""
 
@@ -73,7 +69,7 @@ class RefusedNonIntegrable(AnosovLabError):
 
 
 class NoIntersection(AnosovLabError):
-    """Traced leaf never crossed the target leaf within the search length."""
+    """A leaf never crossed the target leaf within the search length."""
 
 
 class ConfigInvalid(AnosovLabError):

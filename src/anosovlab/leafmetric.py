@@ -1,10 +1,13 @@
-"""Stable leaf geometry: traces, the cocycle solver, and the affine leaf metric.
+"""Stable leaf geometry: leaves by pull-back, the cocycle solver, the affine leaf metric.
 
-Leaves are traced as polylines through the one-dimensional stable direction
-fields. The cocycle solver finds the mean and transfer function of an
+Leaves are polylines built by the graph transform: a straight segment along
+the linear stable line at the end of a wrapped forward orbit, pulled back
+through the lift (unstable leaves push a linear unstable segment forward the
+same way). The direction fields stay as the independent check of those
+leaves. The cocycle solver finds the mean and transfer function of an
 observable over the dynamics by Fourier least squares on a grid, with the
 periodic-orbit obstruction as the honesty check. The affine metric integrates
-e^(transfer) along traced leaves, which turns the map into a strict affine
+e^(transfer) along the leaves, which turns the map into a strict affine
 contraction leafwise.
 """
 
@@ -28,7 +31,6 @@ from anosovlab.errors import (
     NoIntersection,
     ObstructionNonzero,
     RefusedNonIntegrable,
-    StepRejected,
 )
 from anosovlab.maps import TorusMap
 from anosovlab.orbits import OrbitInventory
@@ -59,9 +61,9 @@ def stable_direction_stack(f: TorusMap, pts: np.ndarray, i: int, depth: int = 12
     return stable[:, :, :i]
 
 
-def stable_direction_field(f: TorusMap, pts: np.ndarray, i: int = 1, depth: int = 12) -> np.ndarray:
-    """Unit vectors along the i-th stable direction; sign not normalized."""
-    return stable_direction_stack(f, pts, i, depth)[:, :, i - 1]
+def stable_direction_field(f: TorusMap, pts: np.ndarray, depth: int = 12) -> np.ndarray:
+    """Unit vectors along the most-contracted stable direction; sign not normalized."""
+    return stable_direction_stack(f, pts, 1, depth)[:, :, 0]
 
 
 def unstable_direction_field(f: TorusMap, pts: np.ndarray, depth: int = 12) -> np.ndarray:
@@ -77,6 +79,13 @@ def unstable_direction_field(f: TorusMap, pts: np.ndarray, depth: int = 12) -> n
 
 # -- leaf polylines ------------------------------------------------------------
 
+# node spacing along a leaf: each side of arclength L gets ceil(L / _NODE_SPACING) nodes
+_NODE_SPACING = 1e-3
+# a side that comes out shorter than asked is widened by this much beyond the missing length
+_WIDEN = 1.05
+# most a walk may stretch its segment: rounding on the segment grows by as much
+_MAX_STRETCH = 1e7
+
 
 @dataclass(frozen=True)
 class LeafPolyline:
@@ -84,7 +93,7 @@ class LeafPolyline:
 
     points: np.ndarray      # (n, d)
     arclength: np.ndarray   # (n,) cumulative from node 0
-    index: int              # which stable direction, 1 = most contracted
+    index: int              # 1 for the most-contracted stable leaf, 0 for an unstable leaf
     center_index: int       # node at the seed point
 
     def __len__(self) -> int:
@@ -100,93 +109,85 @@ def _cumulative_arclength(points: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(steps)])
 
 
-def _align(dirs: np.ndarray, prev: np.ndarray) -> np.ndarray:
-    flip = np.sum(dirs * prev, axis=1) < 0.0
-    out = dirs.copy()
-    out[flip] *= -1.0
-    return out
-
-
-def _trace_batch(starts, field, L, h, max_turn):
-    """Midpoint-rule traces in both directions; (n, 2*steps+1, d) and center index."""
-    steps = max(1, int(np.ceil(L / h)))
-    n, d = starts.shape
-    out = np.empty((n, 2 * steps + 1, d))
-    out[:, steps] = starts
-    d0 = field(starts)
-    for sign in (1.0, -1.0):
-        x = starts.copy()
-        prev = sign * d0
-        for j in range(steps):
-            d1 = _align(field(x), prev)
-            d2 = _align(field(x + 0.5 * h * d1), d1)
-            turn = float(np.arccos(np.clip(np.sum(d1 * d2, axis=1), -1.0, 1.0)).max())
-            if turn > max_turn:
-                raise StepRejected(
-                    f"direction field turned {turn:.3f} rad in one step of {h}; reduce h"
-                )
-            x = x + h * d2
-            slot = steps + (j + 1) if sign > 0 else steps - (j + 1)
-            out[:, slot] = x
-            prev = d2
-    return out, steps
-
-
-def trace_stable_leaf(
-    f: TorusMap,
-    x,
-    i: int = 1,
-    L: float = 0.4,
-    h: float = 1e-3,
-    depth: int = 12,
-    max_turn: float = 0.35,
-) -> LeafPolyline:
-    """Polyline through the lift point x along E^s_i, arclength L each way."""
-    return trace_stable_leaves(f, [x], i, L, h, depth, max_turn)[0]
-
-
-def trace_unstable_leaf(
-    f: TorusMap, x, L: float = 0.4, h: float = 1e-3, depth: int = 12, max_turn: float = 0.35
-) -> LeafPolyline:
-    start = np.asarray(x, dtype=float)[None, :]
-
-    def field(pts):
-        return unstable_direction_field(f, pts, depth)
-
-    pts, center = _trace_batch(start, field, L, h, max_turn)
-    return LeafPolyline(
-        points=pts[0], arclength=_cumulative_arclength(pts[0]), index=0, center_index=center
-    )
-
-
-def trace_stable_leaves(
-    f: TorusMap,
-    starts,
-    i: int = 1,
-    L: float = 0.4,
-    h: float = 1e-3,
-    depth: int = 12,
-    max_turn: float = 0.35,
+def pull_back_leaves(
+    f: TorusMap, starts, L: float = 0.4, depth: int = 12, unstable: bool = False
 ) -> list[LeafPolyline]:
-    """Batched variant of trace_stable_leaf (one integration for all starts)."""
-    arr = np.atleast_2d(np.asarray(starts, dtype=float))
+    """Leaf polylines through the lift points `starts`, each side of arclength >= L.
 
-    def field(pts):
-        return stable_direction_field(f, pts, i, depth)
+    A stable leaf (the most-contracted one) comes from the graph transform
+    (Hirsch, Pugh and Shub, LNM 583): walk `depth` forward steps from the
+    start, wrapping each one and keeping its integer offset k_j, lay a
+    straight segment along the linear E^s at the end point, and pull it back
+    with F^-1(y + k_j). The lift F is a diffeomorphism of R^d, so the
+    segment's error across the leaf shrinks like |lambda_u|^-depth. Wrapping
+    keeps every coordinate of order one: unwrapped, the orbit grows like
+    |lambda_u|^depth and the nodes collapse onto each other.
 
-    traces, center = _trace_batch(arr, field, L, h, max_turn)
-    return [
-        LeafPolyline(traces[j], _cumulative_arclength(traces[j]), i, center)
-        for j in range(arr.shape[0])
-    ]
+    An unstable leaf (plane-like case, d - k = 1) swaps F and F^-1: a
+    linear-E^u segment is pushed forward along the wrapped lift preimage
+    orbit. Its backward branch is fixed, so it is the leaf only where the
+    unstable direction does not depend on the branch.
+
+    A side of m = ceil(L / _NODE_SPACING) nodes starts with node spacing
+    |lambda|^depth _NODE_SPACING along the segment and is widened until its
+    arclength reaches L. A linear map's leaf is the segment itself. The walk
+    stops short of `depth` where it would stretch the segment by more than
+    _MAX_STRETCH, since rounding on the segment grows by the same factor: on
+    the A0 maps after 13 steps for unstable leaves and 30 for stable ones.
+    """
+    pts = np.atleast_2d(np.asarray(starts, dtype=float))
+    n, d = pts.shape
+    model = f.model
+    if unstable:
+        if d - model.stable_dim != 1:
+            raise ValueError("unstable leaves need a one-dimensional unstable bundle")
+        walk, back = f.invert, f.evaluate
+        line, rate = model.unstable_subspace[:, 0], 1.0 / model.unstable_moduli[0]
+    else:
+        walk, back = f.evaluate, f.invert
+        line, rate = model.stable_lines[0], abs(model.stable_eigenvalues[0])
+    steps = 0 if f.is_linear else min(depth, int(np.log(_MAX_STRETCH) / -np.log(rate)))
+    # one ray per side of each leaf, rays n.. on the negative side; each ray walks
+    # its own copy of the orbit, so no kernel sees a one-row batch
+    origin = np.concatenate([pts, pts])
+    sign = np.repeat([1.0, -1.0], n)
+    ends, offsets = origin, []
+    for _ in range(steps):
+        y = walk(ends)
+        offsets.append(np.floor(y))
+        ends = y - offsets[-1]
+
+    m = max(1, int(np.ceil(L / _NODE_SPACING)))
+    spacing = np.full(2 * n, _NODE_SPACING * rate**steps)
+    sides = np.empty((2 * n, m, d))
+    todo = np.arange(2 * n)
+    while todo.size:
+        seg = np.empty((todo.size, m + 1, d))
+        seg[:, 0] = ends[todo]
+        seg[:, 1:] = (sign[todo] * spacing[todo])[:, None, None] * line
+        q = np.cumsum(seg, axis=1)[:, 1:]
+        for k in reversed(offsets):
+            q = back((q + k[todo, None]).reshape(-1, d)).reshape(q.shape)
+        sides[todo] = q
+        if not steps:  # the segment is the leaf, m * _NODE_SPACING >= L long
+            break
+        arc = np.linalg.norm(np.diff(q, axis=1), axis=2).sum(axis=1)
+        arc += np.linalg.norm(q[:, 0] - origin[todo], axis=1)
+        short = arc < L
+        spacing[todo[short]] *= _WIDEN * L / arc[short]
+        todo = todo[short]
+
+    leaves = []
+    for j in range(n):
+        nodes = np.concatenate([sides[n + j, ::-1], pts[j : j + 1], sides[j]])
+        leaves.append(LeafPolyline(nodes, _cumulative_arclength(nodes), 0 if unstable else 1, m))
+    return leaves
 
 
 def map_polyline(f: TorusMap, leaf: LeafPolyline) -> LeafPolyline:
     """Image polyline under the lift; its nodes stay on the image leaf."""
     pts = f.evaluate(leaf.points)
-    return replace(
-        leaf, points=pts, arclength=_cumulative_arclength(pts)
-    )
+    return replace(leaf, points=pts, arclength=_cumulative_arclength(pts))
 
 
 def tangency_residual(f: TorusMap, leaf: LeafPolyline, depth: int = 12) -> float:
@@ -194,33 +195,32 @@ def tangency_residual(f: TorusMap, leaf: LeafPolyline, depth: int = 12) -> float
     mids = 0.5 * (leaf.points[:-1] + leaf.points[1:])
     segs = np.diff(leaf.points, axis=0)
     segs /= np.linalg.norm(segs, axis=1, keepdims=True)
-    if leaf.index == 0:
-        dirs = unstable_direction_field(f, mids, depth)
-    else:
-        dirs = stable_direction_field(f, mids, leaf.index, depth)
+    field = unstable_direction_field if leaf.index == 0 else stable_direction_field
+    dirs = field(f, mids, depth)
     dots = np.clip(np.abs(np.sum(segs * dirs, axis=1)), 0.0, 1.0)
     return float(np.arccos(dots).max())
 
 
-def polyline_distance(points: np.ndarray, leaf: LeafPolyline) -> np.ndarray:
-    """Distance from each query point to the polyline (min over segments)."""
+def _nearest_on_polyline(points: np.ndarray, leaf: LeafPolyline) -> tuple[np.ndarray, np.ndarray]:
+    """Distance from each query point to the polyline, and the fractional node position of its foot."""
     a = leaf.points[:-1][None, :, :]
-    b = leaf.points[1:][None, :, :]
+    ab = np.diff(leaf.points, axis=0)[None, :, :]
     p = points[:, None, :]
-    ab = b - a
     t = np.clip(np.sum((p - a) * ab, axis=2) / np.sum(ab * ab, axis=2), 0.0, 1.0)
-    closest = a + t[:, :, None] * ab
-    return np.linalg.norm(p - closest, axis=2).min(axis=1)
+    dist = np.linalg.norm(p - (a + t[:, :, None] * ab), axis=2)
+    seg = dist.argmin(axis=1)
+    rows = np.arange(points.shape[0])
+    return dist[rows, seg], seg + t[rows, seg]
 
 
-def leaf_invariance_defect(f: TorusMap, leaf: LeafPolyline, **trace_kw) -> float:
-    """Hausdorff-style defect: image nodes against a fresh trace at the image center."""
+def leaf_invariance_defect(f: TorusMap, leaf: LeafPolyline, depth: int = 12) -> float:
+    """Hausdorff-style defect: image nodes against a fresh leaf at the image center."""
     image = map_polyline(f, leaf)
-    fresh = trace_stable_leaf(f, image.points[image.center_index], i=leaf.index, **trace_kw)
+    [fresh] = pull_back_leaves(f, image.points[image.center_index], depth=depth)
     span = fresh.arclength[-1]
     arc = np.abs(image.arclength - image.arclength[image.center_index])
     keep = arc <= 0.9 * span / 2.0
-    return float(polyline_distance(image.points[keep], fresh).max())
+    return float(_nearest_on_polyline(image.points[keep], fresh)[0].max())
 
 
 # -- cocycle solver ------------------------------------------------------------
@@ -423,7 +423,7 @@ def stable_log_norm_observable(f: TorusMap, i: int = 1, depth: int = 12):
 
         def phi(pts):
             pts = np.atleast_2d(pts)
-            return log_contraction(f.jacobian(pts), stable_direction_field(f, pts, 1, depth))
+            return log_contraction(f.jacobian(pts), stable_direction_field(f, pts, depth))
 
         if f.epsilon == 0.0:
             return phi
@@ -530,13 +530,13 @@ def affine_distance(leaf: LeafPolyline, a, b, psi: CocycleSolution | None) -> fl
 # -- holonomies -----------------------------------------------------------------
 
 
-def _segment_crossing(poly_u: np.ndarray, poly_s: np.ndarray):
-    """First crossing of the u-polyline through the s-polyline (2D).
-
-    Returns (u position, s position, point) with fractional segment indices.
-    """
-    diff = poly_u[:, None, :] - poly_s[None, :, :]
-    nearest = np.argmin(np.einsum("usd,usd->us", diff, diff), axis=1)
+def _segment_crossing(poly_u: np.ndarray, poly_s: np.ndarray) -> np.ndarray:
+    """First crossing point of the u-polyline through the s-polyline (2D)."""
+    # nearest s-node of each u-node: |s|^2 - 2 u.s orders them like |u - s|^2,
+    # with one (n_u, n_s) array in place of an (n_u, n_s, d) difference stack
+    dist = poly_u @ (-2.0 * poly_s.T)
+    dist += np.einsum("sd,sd->s", poly_s, poly_s)
+    nearest = np.argmin(dist, axis=1)
     seg_dirs = np.diff(poly_s, axis=0)
     tang = seg_dirs[np.minimum(nearest, poly_s.shape[0] - 2)]
     rel = poly_u - poly_s[nearest]
@@ -556,38 +556,40 @@ def _segment_crossing(poly_u: np.ndarray, poly_s: np.ndarray):
                 continue
             t, s = np.linalg.solve(mat, q0 - p0)
             if -1e-9 <= t <= 1 + 1e-9 and -1e-9 <= s <= 1 + 1e-9:
-                return j + float(t), m + float(s), p0 + t * (p1 - p0)
-    raise NoIntersection("unstable trace does not cross the target stable leaf")
+                return p0 + t * (p1 - p0)
+    raise NoIntersection("unstable leaf does not cross the target stable leaf")
 
 
 def unstable_holonomy(
     f: TorusMap,
     integrability: IntegrabilityReport,
-    x,
     x_prime,
     y,
-    i: int = 1,
     L: float = 0.5,
-    h: float = 1e-3,
     depth: int = 12,
-    target_leaf: LeafPolyline | None = None,
+    target_leaf: LeafPolyline | list[LeafPolyline] | None = None,
 ):
     """Slide y along its unstable leaf to the stable leaf of x_prime.
 
-    x and x_prime must lie on one unstable leaf and y on the stable leaf of x;
-    refused unless `integrability` (the caller's scan of f) found the unstable
-    direction branch-independent, since otherwise the holonomy is not well
-    defined. Returns the intersection lift point.
+    y must lie on the stable leaf of a point whose unstable leaf holds
+    x_prime. Rows of a batch y slide together, each to the stable leaf of its
+    row of x_prime, or to its entry of `target_leaf` when that is a list.
+    Refused unless `integrability` (the caller's scan of f) found the
+    unstable direction branch-independent, since otherwise the holonomy is
+    not well defined. Returns the intersection lift point(s), shaped like y.
     """
     if not integrability.integrable:
         raise RefusedNonIntegrable("unstable bundle not integrable; holonomy undefined")
     if f.dim != 2:
         raise ValueError("holonomy tracing implemented for the plane case")
+    ys = np.atleast_2d(np.asarray(y, dtype=float))
     if target_leaf is None:
-        target_leaf = trace_stable_leaf(f, x_prime, i=i, L=L, h=h, depth=depth)
-    u_leaf = trace_unstable_leaf(f, y, L=L, h=h, depth=depth)
-    _, _, point = _segment_crossing(u_leaf.points, target_leaf.points)
-    return point
+        primes = np.broadcast_to(np.asarray(x_prime, dtype=float), ys.shape)
+        target_leaf = pull_back_leaves(f, primes, L, depth)
+    targets = target_leaf if isinstance(target_leaf, list) else [target_leaf] * ys.shape[0]
+    u_leaves = pull_back_leaves(f, ys, L, depth, unstable=True)
+    points = np.array([_segment_crossing(u.points, t.points) for u, t in zip(u_leaves, targets)])
+    return points.reshape(np.shape(y))
 
 
 @dataclass(frozen=True)
@@ -608,10 +610,8 @@ def holonomy_isometry_check(
     f: TorusMap,
     integrability: IntegrabilityReport,
     psi: CocycleSolution,
-    i: int = 1,
     samples: int = 50,
     seed: int = 0,
-    h: float = 1e-3,
     depth: int = 12,
 ) -> HolonomyIsometryReport:
     """Measure |d^s(hol a, hol b) - d^s(a, b)| / d^s(a, b) over random slides.
@@ -627,48 +627,32 @@ def holonomy_isometry_check(
     delta = rng.uniform(0.02, 0.05, samples)
     offs = rng.uniform(0.05, 0.16, (samples, 2)) * np.array([-1.0, 1.0])
 
-    def u_field(pts):
-        return unstable_direction_field(f, pts, depth)
-
-    def s_field(pts):
-        return stable_direction_field(f, pts, i, depth)
-
-    base_tr, c0 = _trace_batch(xs, s_field, 0.2, h, 0.35)
-    unst_tr, cu = _trace_batch(xs, u_field, 0.08, h, 0.35)
-
-    primes = np.array(
-        [unst_tr[s, cu + int(round(delta[s] / h))] for s in range(samples)]
-    )
-    ia = np.empty(samples, dtype=int)
-    ib = np.empty(samples, dtype=int)
-    bases = []
-    for s in range(samples):
-        base = LeafPolyline(base_tr[s], _cumulative_arclength(base_tr[s]), i, c0)
-        bases.append(base)
-        ia[s] = base.node_near_arc(base.arclength[c0] + offs[s, 0])
-        ib[s] = base.node_near_arc(base.arclength[c0] + offs[s, 1])
+    bases = pull_back_leaves(f, xs, 0.2, depth)
+    primes = np.array([
+        u.points[u.node_near_arc(u.arclength[u.center_index] + dx)]
+        for u, dx in zip(pull_back_leaves(f, xs, 0.08, depth, unstable=True), delta)
+    ])
     # half-length must exceed the largest base offset (0.16) so every slide lands
-    target_tr, _ = _trace_batch(primes, s_field, 0.44, h, 0.35)
-    ua_tr, _ = _trace_batch(base_tr[np.arange(samples), ia], u_field, 0.25, h, 0.35)
-    ub_tr, _ = _trace_batch(base_tr[np.arange(samples), ib], u_field, 0.25, h, 0.35)
+    targets = pull_back_leaves(f, primes, 0.44, depth)
+    # the nodes a, b of each base leaf, and their slides to its target leaf
+    nodes = [[b.node_near_arc(b.arclength[b.center_index] + o) for o in off] for b, off in zip(bases, offs)]
+    slid = unstable_holonomy(
+        f, integrability, np.repeat(primes, 2, axis=0),
+        np.concatenate([b.points[ab] for b, ab in zip(bases, nodes)]),
+        L=0.25, depth=depth, target_leaf=[t for t in targets for _ in (0, 1)],
+    ).reshape(samples, 2, f.dim)
 
     rows = []
-    worst = 0.0
-    total = 0.0
-    for s in range(samples):
-        target = LeafPolyline(target_tr[s], _cumulative_arclength(target_tr[s]), i, 0)
-        _, sa, _ = _segment_crossing(ua_tr[s], target.points)
-        _, sb, _ = _segment_crossing(ub_tr[s], target.points)
-        d_src = affine_distance(bases[s], int(ia[s]), int(ib[s]), psi)
+    for s, (base, target, (a, b), ends) in enumerate(zip(bases, targets, nodes, slid)):
+        sa, sb = _nearest_on_polyline(ends, target)[1]
+        d_src = affine_distance(base, a, b, psi)
         d_img = affine_distance(target, sa, sb, psi)
-        rel = abs(d_img - d_src) / d_src
-        rows.append((s, d_src, d_img, rel))
-        worst = max(worst, rel)
-        total += rel
+        rows.append((s, d_src, d_img, abs(d_img - d_src) / d_src))
+    rel = np.array([r[3] for r in rows])
     return HolonomyIsometryReport(
         samples=samples,
-        max_relative_defect=worst,
-        mean_relative_defect=total / samples,
+        max_relative_defect=float(rel.max()),
+        mean_relative_defect=float(rel.mean()),
         rows=tuple(rows),
     )
 
@@ -695,44 +679,34 @@ def conjugacy_leaf_isometry_check(
     f: TorusMap,
     ce: ConjugacyEvaluator,
     psi: CocycleSolution,
-    i: int = 1,
     samples: int = 100,
     seed: int = 0,
-    h: float = 1e-3,
     depth: int = 12,
 ) -> ConjugacyIsometryReport:
     """Compare the affine leaf metric with Euclidean distance after conjugating.
 
-    Fits the one free scale between d^s_i(a, b) and |H(a) - H(b)|, with H from
-    the evaluator `ce` of f, and reports the worst relative deviation after
-    scaling. `psi` is the transfer function of the stable cocycle; without one
-    (a periodic obstruction) the metric does not exist and the check is not
-    run.
+    Fits the one free scale between d^s(a, b) and |H(a) - H(b)|, with H from
+    the evaluator `ce` of f, over node pairs more than 0.02 apart in
+    arclength on stable leaves, and reports the worst relative deviation
+    after scaling. `psi` is the transfer function of the stable cocycle;
+    without one (a periodic obstruction) the metric does not exist and the
+    check is not run.
     """
     rng = np.random.default_rng(seed)
     n_leaves = 8
-    starts = rng.random((n_leaves, f.dim))
-
-    def s_field(pts):
-        return stable_direction_field(f, pts, i, depth)
-
-    traces, center = _trace_batch(starts, s_field, 0.3, h, 0.35)
+    leaves = pull_back_leaves(f, rng.random((n_leaves, f.dim)), 0.3, depth)
 
     per_leaf = int(np.ceil(1.5 * samples / n_leaves))
-    d_vals, e_vals = [], []
-    n_nodes = traces.shape[1]
-    for leaf_id in range(n_leaves):
-        leaf = LeafPolyline(traces[leaf_id], _cumulative_arclength(traces[leaf_id]), i, center)
-        ia = rng.integers(0, n_nodes, per_leaf)
-        ib = rng.integers(0, n_nodes, per_leaf)
-        ok = np.abs(ia - ib) > int(0.02 / h)
-        for a, b in zip(ia[ok], ib[ok]):
-            d_vals.append(affine_distance(leaf, int(a), int(b), psi))
-            ha = ce.apply(leaf.points[int(a)][None, :])[0]
-            hb = ce.apply(leaf.points[int(b)][None, :])[0]
-            e_vals.append(float(np.linalg.norm(ha - hb)))
-    d_arr = np.array(d_vals[:samples])
-    e_arr = np.array(e_vals[:samples])
+    chosen = []  # (leaf, node a, node b)
+    for leaf in leaves:
+        ia = rng.integers(0, len(leaf), per_leaf)
+        ib = rng.integers(0, len(leaf), per_leaf)
+        ok = np.abs(leaf.arclength[ia] - leaf.arclength[ib]) > 0.02
+        chosen += [(leaf, int(a), int(b)) for a, b in zip(ia[ok], ib[ok])]
+    chosen = chosen[:samples]
+    d_arr = np.array([affine_distance(leaf, a, b, psi) for leaf, a, b in chosen])
+    ends = ce.apply(np.array([leaf.points[[a, b]] for leaf, a, b in chosen]).reshape(-1, f.dim))
+    e_arr = np.linalg.norm(ends[0::2] - ends[1::2], axis=1)
     scale = float((d_arr @ e_arr) / (d_arr @ d_arr))
     dev = np.abs(e_arr / (scale * d_arr) - 1.0)
     rows = tuple(

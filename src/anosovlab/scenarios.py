@@ -139,6 +139,12 @@ _SECTIONS = {
     },
 }
 
+# sampling counts below 2 make a verdict hold by construction
+_AT_LEAST_TWO = {
+    "codes_per_point": "one branch code per point leaves no pair of branches to compare",
+    "pairs": "one pair fits the isometry scale exactly, so its deviation is 0",
+}
+
 _TOP_KEYS = {"fixture", "tolerances", "depths", "sampling", "seed", "output", "stages", "dichotomy"}
 
 # fixtures that exist only at epsilon 0
@@ -245,6 +251,10 @@ def load_scenario(source) -> Scenario:
             else:
                 values[target] = coerced
 
+    for target, why in _AT_LEAST_TWO.items():
+        if values.get(target, 2) < 2:
+            problems.append(f"sampling.{target}: must be >= 2; {why}")
+
     seed = cfg.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         problems.append("seed: must be an integer >= 0")
@@ -324,6 +334,16 @@ def stage_key(stage: str, sc: Scenario) -> str:
     inputs = {f.name: getattr(sc, f.name) for f in fields(sc) if f.name not in ("out_dir", "stages")}
     blob = json.dumps([stage, inputs, np.__version__, source_digest()], default=repr)
     return sha256(blob.encode()).hexdigest()
+
+
+def _make_dir(path: Path, what: str) -> None:
+    """Create a directory the run writes into, or raise ConfigInvalid naming it."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except FileExistsError as exc:
+        raise ConfigInvalid([f"{what} {path} exists and is not a directory"]) from exc
+    except OSError as exc:
+        raise ConfigInvalid([f"{what} {path} cannot be created: {exc.strerror}"]) from exc
 
 
 def _cache_file(key: str) -> Path:
@@ -868,12 +888,15 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     Exit code 0: clean; 2: verdict-level findings (non-special, non-rigid,
     branch-dependent directions, failed certification, metric obstructions,
     disagreeing sweep verdicts); 1: infrastructure error (reported in the
-    summary, partial files kept).
+    summary, partial files kept). An output directory or stage cache
+    (`ANOSOVLAB_CACHE`) that cannot be a directory raises ConfigInvalid before
+    any stage runs.
     """
     started = time.time()
     run = RunContext(sc)
     out = Path(sc.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_dir(cache_root(), f"stage cache ({CACHE_ENV})")
+    _make_dir(out, "output directory")
     records: list[tuple[str, dict]] = []
     stage_log: list[tuple[str, str, float]] = []
     findings: list[str] = []

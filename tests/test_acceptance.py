@@ -22,7 +22,7 @@ from anosovlab.leafmetric import (
     holonomy_isometry_check,
     livschitz_solve,
     map_polyline,
-    trace_stable_leaves,
+    pull_back_leaves,
 )
 from anosovlab.linear import analyze_matrix, covering_radius_table
 from anosovlab.orbits import enumerate_orbits, rigidity_report
@@ -199,28 +199,28 @@ def test_07_cocycle_solver_suite(shear05, conjugated_psi):
 
 
 def test_08_affine_leaf_metric(conjugated05, conjugated_psi):
-    h = 1e-3
     starts = np.random.default_rng(11).random((25, 2))
-    leaves = trace_stable_leaves(conjugated05, starts, L=0.2, h=h)
+    leaves = pull_back_leaves(conjugated05, starts, L=0.2)
     k_bound = float(np.exp(conjugated_psi.sup_transfer))
-    offsets = [(-120, -40), (-40, 40), (40, 120), (-80, 80)]
+    offsets = [(-0.12, -0.04), (-0.04, 0.04), (0.04, 0.12), (-0.08, 0.08)]  # arclength
     worst_ratio = 0.0
     k_ok = True
     count = 0
     for leaf in leaves:
-        c = leaf.center_index
+        c = leaf.arclength[leaf.center_index]
         image = map_polyline(conjugated05, leaf)
         for da, db in offsets:
-            d_src = affine_distance(leaf, c + da, c + db, conjugated_psi)
-            d_img = affine_distance(image, c + da, c + db, conjugated_psi)
+            a, b = leaf.node_near_arc(c + da), leaf.node_near_arc(c + db)
+            d_src = affine_distance(leaf, a, b, conjugated_psi)
+            d_img = affine_distance(image, a, b, conjugated_psi)
             worst_ratio = max(worst_ratio, abs(d_img / (MU_S * d_src) - 1.0))
-            plain = affine_distance(leaf, c + da, c + db, None)
+            plain = affine_distance(leaf, a, b, None)
             k_ok = k_ok and plain / k_bound <= d_src <= plain * k_bound
             count += 1
     assert count == 100
 
     scan = integrability_verdict(conjugated05, samples=10, codes_per_point=4, depth=10)
-    hol = holonomy_isometry_check(conjugated05, scan, conjugated_psi, samples=8, seed=23, h=5e-3)
+    hol = holonomy_isometry_check(conjugated05, scan, conjugated_psi, samples=8, seed=23)
     ok = worst_ratio <= 1e-3 and k_ok and hol.max_relative_defect <= 1e-3
     _verdict(
         8, "affine leaf metric", ok,

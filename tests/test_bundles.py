@@ -118,6 +118,10 @@ class TestBranchDirections:
         assert rep.integrable
         assert rep.max_spread <= 1e-3
 
+    def test_one_code_per_point_refused(self, shear05):
+        with pytest.raises(ValueError, match="no branch pair"):
+            integrability_verdict(shear05, samples=3, codes_per_point=1)
+
     def test_csv_rows(self, shear05):
         rep = integrability_verdict(shear05, samples=3, codes_per_point=3, seed=3)
         rows = rep.csv_rows()

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import anosovlab
+from anosovlab import scenarios
 from anosovlab.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -89,6 +90,28 @@ class TestArgs:
         assert not any(work.iterdir())
         assert not (tmp_path / "run").exists()
 
+    def test_out_names_a_file(self, tmp_path, capsys):
+        cfg = _config(tmp_path, LINEAR_YAML)
+        taken = tmp_path / "taken.txt"
+        taken.write_text("keep me\n")
+        assert main(["analyze", "--config", cfg, "--out", str(taken)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: output directory {taken} exists and is not a directory\n"
+        assert taken.read_text() == "keep me\n"
+
+    def test_cache_names_a_file(self, tmp_path, monkeypatch, capsys):
+        cfg = _config(tmp_path, LINEAR_YAML)
+        cache = tmp_path / "cache.txt"
+        cache.write_text("")
+        monkeypatch.setenv("ANOSOVLAB_CACHE", str(cache))
+        calls = []
+        monkeypatch.setitem(scenarios._STAGE_FN, "analyze", lambda run: calls.append(run))
+        assert main(["analyze", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: stage cache (ANOSOVLAB_CACHE) {cache} exists and is not a directory\n"
+        assert calls == []  # refused before any stage ran
+        assert not (tmp_path / "run").exists()
+
 
 class TestConfigErrors:
     def test_each_problem_gets_a_stderr_line(self, tmp_path, capsys):
@@ -107,6 +130,14 @@ class TestConfigErrors:
         assert main(["analyze", "--config", "configs/typo.yaml"]) == 1
         err = capsys.readouterr().err
         assert err == "config error: config file configs/typo.yaml does not exist\n"
+
+    def test_one_branch_code_on_the_shear(self, tmp_path, capsys):
+        """One code per point would report the shear integrable with zero spread."""
+        cfg = _config(tmp_path, SWEEP_YAML.replace("codes_per_point: 4", "codes_per_point: 1"))
+        assert main(["branches", "--config", cfg]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: sampling.codes_per_point: must be >= 2")
+        assert not (tmp_path / "run").exists()
 
 
 class TestRunVerbs:

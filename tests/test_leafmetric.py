@@ -1,4 +1,4 @@
-"""Leaf traces, the cocycle solver, the affine leaf metric, and holonomies."""
+"""Pulled-back leaves, the cocycle solver, the affine leaf metric, and holonomies."""
 
 import functools
 
@@ -12,7 +12,6 @@ from anosovlab.errors import (
     NoIntersection,
     ObstructionNonzero,
     RefusedNonIntegrable,
-    StepRejected,
 )
 from anosovlab.leafmetric import (
     _segment_mean,
@@ -23,12 +22,10 @@ from anosovlab.leafmetric import (
     leaf_invariance_defect,
     livschitz_solve,
     map_polyline,
+    pull_back_leaves,
     stable_direction_stack,
     stable_log_norm_observable,
     tangency_residual,
-    trace_stable_leaf,
-    trace_stable_leaves,
-    trace_unstable_leaf,
     unstable_holonomy,
 )
 from anosovlab.orbits import enumerate_orbits
@@ -51,7 +48,7 @@ def _eig_dirs(a: np.ndarray):
 
 class TestTraces:
     def test_linear_leaf_is_straight(self, linear_map):
-        leaf = trace_stable_leaf(linear_map, [0.3, 0.4], L=0.3)
+        [leaf] = pull_back_leaves(linear_map, [0.3, 0.4], L=0.3)
         assert tangency_residual(linear_map, leaf) == 0.0
         v_s, _ = _eig_dirs(linear_map.model.array)
         rel = leaf.points - leaf.points[leaf.center_index]
@@ -62,29 +59,29 @@ class TestTraces:
         assert np.abs(chord - leaf.arclength).max() < 1e-9
 
     def test_linear_image_contracts_at_eigenrate(self, linear_map):
-        leaf = trace_stable_leaf(linear_map, [0.3, 0.4], L=0.3)
+        [leaf] = pull_back_leaves(linear_map, [0.3, 0.4], L=0.3)
         image = map_polyline(linear_map, leaf)
         assert image.arclength[-1] / leaf.arclength[-1] == pytest.approx(MU_S, abs=1e-12)
 
     def test_shear_leaf_tangent_and_invariant(self, shear05):
-        leaf = trace_stable_leaf(shear05, [0.3, 0.4], L=0.3)
+        [leaf] = pull_back_leaves(shear05, [0.3, 0.4], L=0.3)
         assert tangency_residual(shear05, leaf) < 1e-6
         assert leaf_invariance_defect(shear05, leaf) < 1e-6
 
     def test_conjugated_contraction_near_eigenrate(self, conjugated05):
-        leaf = trace_stable_leaf(conjugated05, [0.3, 0.4], L=0.3)
+        [leaf] = pull_back_leaves(conjugated05, [0.3, 0.4], L=0.3)
         ratio = map_polyline(conjugated05, leaf).arclength[-1] / leaf.arclength[-1]
         assert abs(ratio - MU_S) < 0.05
 
     def test_batched_traces_match_single(self, shear05):
         starts = np.array([[0.2, 0.6], [0.7, 0.1]])
-        batch = trace_stable_leaves(shear05, starts, L=0.1)
+        batch = pull_back_leaves(shear05, starts, L=0.1)
         for row, leaf in enumerate(batch):
-            single = trace_stable_leaf(shear05, starts[row], L=0.1)
+            [single] = pull_back_leaves(shear05, starts[row], L=0.1)
             assert np.array_equal(leaf.points, single.points)
 
     def test_linear_unstable_trace(self, linear_map):
-        leaf = trace_unstable_leaf(linear_map, [0.3, 0.4], L=0.2)
+        [leaf] = pull_back_leaves(linear_map, [0.3, 0.4], L=0.2, unstable=True)
         assert leaf.index == 0
         # arccos saturates around 1.5e-8 at machine-precision alignment
         assert tangency_residual(linear_map, leaf) < 1e-7
@@ -93,14 +90,25 @@ class TestTraces:
         cross = rel[:, 0] * v_u[1] - rel[:, 1] * v_u[0]
         assert np.abs(cross).max() < 1e-12
 
+    @pytest.mark.parametrize("depth", [12, 24])
+    @pytest.mark.parametrize("name", ["shear05", "conjugated05"])
+    def test_pull_back_pitfalls(self, name, depth, request):
+        """Unwrapped orbits collapse the nodes by depth 20; one segment length for
+        both sides leaves the side the metric shrinks short of L."""
+        f = request.getfixturevalue(name)
+        L = 0.3
+        for leaf in pull_back_leaves(f, np.random.default_rng(5).random((8, 2)), L=L, depth=depth):
+            assert np.isfinite(leaf.points).all()
+            assert (np.linalg.norm(np.diff(leaf.points, axis=0), axis=1) > 0).all()
+            center = leaf.arclength[leaf.center_index]
+            assert center >= L and leaf.arclength[-1] - center >= L
+            assert tangency_residual(f, leaf) < 1e-6
+            assert leaf_invariance_defect(f, leaf, depth=depth) < 1e-6
+
     def test_node_near_arc(self, linear_map):
-        leaf = trace_stable_leaf(linear_map, [0.3, 0.4], L=0.1)
+        [leaf] = pull_back_leaves(linear_map, [0.3, 0.4], L=0.1)
         assert leaf.node_near_arc(0.0) == 0
         assert leaf.node_near_arc(float(leaf.arclength[-1])) == len(leaf) - 1
-
-    def test_step_rejected_on_curved_field(self, conjugated05):
-        with pytest.raises(StepRejected):
-            trace_stable_leaf(conjugated05, [0.3, 0.4], L=0.3, h=0.05, max_turn=1e-12)
 
 
 class TestOrbitForm:
@@ -214,7 +222,7 @@ class TestCocycleSolver:
 
 class TestAffineDistance:
     def test_plain_arclength(self, linear_map):
-        leaf = trace_stable_leaf(linear_map, [0.3, 0.4], L=0.1)
+        [leaf] = pull_back_leaves(linear_map, [0.3, 0.4], L=0.1)
         total = affine_distance(leaf, 0, len(leaf) - 1, None)
         assert total == pytest.approx(float(leaf.arclength[-1]), abs=1e-12)
         # order does not matter, fractional endpoints interpolate
@@ -229,7 +237,7 @@ class TestAffineDistance:
             affine_distance(leaf, -1, 2, None)
 
     def test_weight_bounds(self, conjugated05, conjugated_psi):
-        leaf = trace_stable_leaf(conjugated05, [0.3, 0.4], L=0.1)
+        [leaf] = pull_back_leaves(conjugated05, [0.3, 0.4], L=0.1)
         plain = affine_distance(leaf, 0, len(leaf) - 1, None)
         weighted = affine_distance(leaf, 0, len(leaf) - 1, conjugated_psi)
         hi = float(np.exp(conjugated_psi.sup_transfer))
@@ -242,7 +250,7 @@ class TestHolonomy:
         x = np.array([0.3, 0.4])
         y = x + 0.06 * v_s
         xp = x + 0.07 * v_u
-        got = unstable_holonomy(linear_map, _quick_scan(linear_map), x, xp, y)
+        got = unstable_holonomy(linear_map, _quick_scan(linear_map), xp, y)
         assert np.abs(got - (x + 0.07 * v_u + 0.06 * v_s)).max() < 1e-9
 
     def test_no_intersection_when_target_too_short(self, linear_map):
@@ -250,26 +258,26 @@ class TestHolonomy:
         x = np.array([0.3, 0.4])
         y = x + 0.45 * v_s
         xp = x + 0.07 * v_u
-        short = trace_stable_leaf(linear_map, xp, L=0.1)
+        [short] = pull_back_leaves(linear_map, xp, L=0.1)
         with pytest.raises(NoIntersection):
-            unstable_holonomy(linear_map, _quick_scan(linear_map), x, xp, y, target_leaf=short)
+            unstable_holonomy(linear_map, _quick_scan(linear_map), xp, y, target_leaf=short)
 
     def test_refused_on_non_integrable(self, shear05):
         scan = _quick_scan(shear05)
         assert not scan.integrable
         x = np.array([0.3, 0.4])
         with pytest.raises(RefusedNonIntegrable):
-            unstable_holonomy(shear05, scan, x, x + 0.01, x + 0.02)
+            unstable_holonomy(shear05, scan, x + 0.01, x + 0.02)
         with pytest.raises(RefusedNonIntegrable):
             holonomy_isometry_check(shear05, scan, None, samples=2, seed=0)
 
     def test_plane_only(self, cubic):
         with pytest.raises(ValueError):
-            unstable_holonomy(cubic, _quick_scan(cubic), np.zeros(3), np.zeros(3), np.zeros(3))
+            unstable_holonomy(cubic, _quick_scan(cubic), np.zeros(3), np.zeros(3))
 
     def test_isometry_on_conjugated(self, conjugated05, conjugated_psi):
         rep = holonomy_isometry_check(
-            conjugated05, _quick_scan(conjugated05), conjugated_psi, samples=8, seed=23, h=5e-3
+            conjugated05, _quick_scan(conjugated05), conjugated_psi, samples=8, seed=23
         )
         assert rep.max_relative_defect < 1e-4
         assert rep.mean_relative_defect <= rep.max_relative_defect

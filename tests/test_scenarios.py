@@ -88,6 +88,14 @@ class TestLoadScenario:
             assert fragment in joined, fragment
         assert problems == sorted(problems)
 
+    @pytest.mark.parametrize("key, why", [("codes_per_point", "no pair of branches"), ("pairs", "deviation is 0")])
+    def test_sampling_counts_below_two_are_vacuous(self, key, why):
+        with pytest.raises(ConfigInvalid) as exc_info:
+            load_scenario({**MINIMAL, "sampling": {key: 1}})
+        [problem] = exc_info.value.problems
+        assert problem.startswith(f"sampling.{key}: must be >= 2") and why in problem
+        assert getattr(load_scenario({**MINIMAL, "sampling": {key: 2}}), key) == 2
+
     def test_rejects_bool_numbers(self):
         with pytest.raises(ConfigInvalid):
             load_scenario({"fixture": {"name": "linear_A0", "epsilon": True}})
