@@ -186,10 +186,10 @@ def stable_splitting_at(
 
 # -- branch-dependent unstable directions -------------------------------------
 
+_BRANCH_INVERT_TOL = 1e-11  # lift-inverse tolerance of each backward branch step
 
-def _branch_walk_directions(
-    f: TorusMap, pts: np.ndarray, codes: np.ndarray, tol: float = 1e-11
-) -> np.ndarray:
+
+def _branch_walk_directions(f: TorusMap, pts: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Unstable subspaces (n_pts, n_codes, d, d-k) pushed along coded branches.
 
     Walk j of point i steps backward through the preimage selected by
@@ -205,7 +205,7 @@ def _branch_walk_directions(
         target = t + np.broadcast_to(
             reps[codes[:, step]][None, :, :], (n_pts, n_codes, d)
         ).reshape(-1, d)
-        t = wrap(f.invert(target, tol=tol))
+        t = wrap(f.invert(target, tol=_BRANCH_INVERT_TOL))
         trail[step] = t
     basis = np.broadcast_to(
         f.model.unstable_subspace, (t.shape[0],) + f.model.unstable_subspace.shape

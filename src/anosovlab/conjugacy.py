@@ -30,9 +30,12 @@ from anosovlab.linear import LinearModel, minimal_deep_vector
 from anosovlab.maps import TorusMap
 from anosovlab.util import float_cell, grid_points, wrap
 
-# Anderson acceleration for H^{-1}: history window m and mixing beta
+# Anderson acceleration for H^{-1}: history window m, mixing beta, iteration cap
 _ANDERSON_WINDOW = 4
 _ANDERSON_MIXING = 1.0
+_ANDERSON_MAX_ITER = 250
+# deepest series the evaluator builds
+_MAX_SERIES_DEPTH = 400
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,9 +48,8 @@ class DisplacementField:
     grid_n: int
 
 
-def displacement_field(f: TorusMap, grid_n: int | None = None) -> DisplacementField:
-    if grid_n is None:
-        grid_n = 64 if f.dim == 2 else 24
+def displacement_field(f: TorusMap) -> DisplacementField:
+    grid_n = 64 if f.dim == 2 else 24
     pts = grid_points(f.dim, grid_n)
     grid_sup = float(np.linalg.norm(f.displacement(pts), axis=1).max())
     if f.perturbation is not None:
@@ -127,15 +129,16 @@ class ConjugacyEvaluator:
             return self.h_displacement(x)
         return self.h_displacement(np.repeat(x, 2, axis=0))[:1]
 
-    def apply_inverse(self, y, tol: float = 1e-10, max_iter: int = 250) -> np.ndarray:
-        """Solve H(x) = y by per-row Anderson acceleration with a root-finder fallback.
+    def apply_inverse(self, y, tol: float = 1e-10) -> np.ndarray:
+        """Solve H(x) = y by per-row Anderson acceleration.
 
         Anderson mixing (J. ACM 12, 1965; Walker and Ni, SIAM J. Numer. Anal.
         49, 2011) on x = y - u(x): with residual f = y - u(x) - x and the row's
         last m differences dX, dF of iterates and residuals, x <- x + beta f -
         (dX + beta dF) gamma for the min-norm gamma of min ||dF gamma - f||.
         Rows step together until ||x + u(x) - y|| <= tol, so one batched pinv
-        serves them all and no row depends on the rest of the batch.
+        serves them all and no row depends on the rest of the batch. A row
+        still above tol after _ANDERSON_MAX_ITER steps raises NoConvergence.
         """
         yb = np.asarray(y, dtype=float)
         single = yb.ndim == 1
@@ -146,10 +149,12 @@ class ConjugacyEvaluator:
         f = -self._u_rows(x)
         d_x = np.zeros(yb.shape + (_ANDERSON_WINDOW,))
         d_f = np.zeros_like(d_x)
-        for k in range(max_iter + 1):
-            # a non-finite residual stays active and ends in the fallback
+        for k in range(_ANDERSON_MAX_ITER + 1):
+            # a non-finite residual stays active and ends in NoConvergence
             active = np.flatnonzero(~(np.linalg.norm(f, axis=1) <= tol))
-            if not active.size or k == max_iter:
+            if not active.size:
+                return x[0] if single else x
+            if k == _ANDERSON_MAX_ITER:
                 break
             fa = f[active]
             step = _ANDERSON_MIXING * fa
@@ -164,27 +169,10 @@ class ConjugacyEvaluator:
             d_x[active, :, slot] = step
             d_f[active, :, slot] = f_new - fa
             x[active], f[active] = x_new, f_new
-        if active.size:
-            x = self._inverse_fallback(x, yb, active, tol)
-        return x[0] if single else x
-
-    def _inverse_fallback(self, x: np.ndarray, yb: np.ndarray, rows: np.ndarray, tol: float) -> np.ndarray:
-        from scipy import optimize
-
-        for r in rows:
-            target = yb[r]
-
-            def residual(z, target=target):
-                return z + self.h_displacement(z) - target
-
-            sol = optimize.root(residual, x[r], method="hybr", tol=tol * 1e-2)
-            resid = float(np.linalg.norm(residual(sol.x)))
-            if resid > tol:
-                raise NoConvergence(
-                    f"H^(-1) iteration and fallback both stalled at row {r}: residual {resid:.3e}"
-                )
-            x[r] = sol.x
-        return x
+        r = int(active[0])
+        raise NoConvergence(
+            f"H^(-1) iteration stalled at row {r}: residual {float(np.linalg.norm(f[r])):.3e}"
+        )
 
     def conjugation_residual(self, samples: int = 200, seed: int = 0) -> float:
         """Sampled sup of ||A H(x) - H(F x)||; bounded by a small multiple of the tail."""
@@ -226,19 +214,17 @@ def conjugacy_evaluator(
     f: TorusMap,
     residual_target: float = 1e-9,
     depth: int | None = None,
-    grid_n: int | None = None,
-    max_depth: int = 400,
 ) -> ConjugacyEvaluator:
     """Build an evaluator whose certified truncation tail meets residual_target.
 
     With an explicit depth the tail is computed for that depth instead.
     """
     model = f.model
-    disp = displacement_field(f, grid_n=grid_n)
+    disp = displacement_field(f)
     sigma = model.stable_norm
     nu = model.unstable_conorm
     rate = max(sigma, 1.0 / nu)
-    scan = max_depth + 60
+    scan = _MAX_SERIES_DEPTH + 60
     w_u, w_s, nu_norms, ns_norms = _weight_norms(model, scan)
 
     def closed_tail(n: int) -> float:
@@ -265,16 +251,17 @@ def conjugacy_evaluator(
         if disp.sup_norm == 0.0:
             depth = 1
         else:
-            for n in range(1, max_depth + 1):
+            for n in range(1, _MAX_SERIES_DEPTH + 1):
                 if tail_fn(n) <= residual_target:
                     depth = n
                     break
             else:
                 raise ResourceLimit(
-                    f"depth {max_depth} still has tail {tail_fn(max_depth):.3e} > {residual_target:.3e}"
+                    f"depth {_MAX_SERIES_DEPTH} still has tail {tail_fn(_MAX_SERIES_DEPTH):.3e} "
+                    f"> {residual_target:.3e}"
                 )
-    elif not 1 <= depth <= max_depth:
-        raise ValueError(f"depth must lie in [1, {max_depth}]")
+    elif not 1 <= depth <= _MAX_SERIES_DEPTH:
+        raise ValueError(f"depth must lie in [1, {_MAX_SERIES_DEPTH}]")
     return ConjugacyEvaluator(
         map=f,
         series_depth=depth,

@@ -39,6 +39,8 @@ from anosovlab.util import float_cell, grid_points, wrap
 
 # -- direction fields ----------------------------------------------------------
 
+_FIELD_DEPTH = 12  # backward chain length of the unstable direction field
+
 
 def stable_direction_stack(f: TorusMap, pts: np.ndarray, i: int, depth: int = 12) -> np.ndarray:
     """First i stable directions at each point, shape (n, d, i), unit columns.
@@ -66,14 +68,14 @@ def stable_direction_field(f: TorusMap, pts: np.ndarray, depth: int = 12) -> np.
     return stable_direction_stack(f, pts, 1, depth)[:, :, 0]
 
 
-def unstable_direction_field(f: TorusMap, pts: np.ndarray, depth: int = 12) -> np.ndarray:
+def unstable_direction_field(f: TorusMap, pts: np.ndarray) -> np.ndarray:
     """Unit unstable vectors along the canonical lift-inverse branch (needs d-k = 1)."""
     if f.dim - f.model.stable_dim != 1:
         raise ValueError("unstable field tracing needs a one-dimensional unstable bundle")
     if f.epsilon == 0.0:
         line = f.model.unstable_subspace[:, 0]
         return np.broadcast_to(line, pts.shape).copy()
-    q, _ = _descending_frame(_backward_jacobians(f, wrap(pts), depth))
+    q, _ = _descending_frame(_backward_jacobians(f, wrap(pts), _FIELD_DEPTH))
     return q[0, :, :, 0]
 
 
@@ -190,13 +192,13 @@ def map_polyline(f: TorusMap, leaf: LeafPolyline) -> LeafPolyline:
     return replace(leaf, points=pts, arclength=_cumulative_arclength(pts))
 
 
-def tangency_residual(f: TorusMap, leaf: LeafPolyline, depth: int = 12) -> float:
+def tangency_residual(f: TorusMap, leaf: LeafPolyline) -> float:
     """Max angle between polyline segments and the direction field at midpoints."""
     mids = 0.5 * (leaf.points[:-1] + leaf.points[1:])
     segs = np.diff(leaf.points, axis=0)
     segs /= np.linalg.norm(segs, axis=1, keepdims=True)
     field = unstable_direction_field if leaf.index == 0 else stable_direction_field
-    dirs = field(f, mids, depth)
+    dirs = field(f, mids)
     dots = np.clip(np.abs(np.sum(segs * dirs, axis=1)), 0.0, 1.0)
     return float(np.arccos(dots).max())
 
@@ -350,10 +352,11 @@ def livschitz_solve(
     The mean comes from _SEGMENTS orbit segments of _SEGMENT_LEN steps (exact
     up to 2 sup|psi|/len per segment when the decomposition exists); psi from
     least squares over Fourier modes |k|_inf <= fourier_order on a 64^2
-    (plane) or 20^3 grid, with the sup residual measured on a finer
-    off-lattice grid. The obstruction is the worst deviation of an average
-    over an orbit of `inventory` from the mean; when it exceeds
-    obstruction_tol the best fit is attached to ObstructionNonzero.
+    (plane) or 20^3 grid, with the sup residual measured through the fitted
+    transfer function on a finer off-lattice grid. The obstruction is the
+    worst deviation of an average over an orbit of `inventory` from the mean;
+    when it exceeds obstruction_tol the best fit is attached to
+    ObstructionNonzero.
     """
     d = f.dim
     grid_n = 64 if d == 2 else 20
@@ -383,8 +386,9 @@ def livschitz_solve(
         fine_n = 97 if d == 2 else 23
         fine_axes = [(np.arange(fine_n) + 0.37) / fine_n] * d
         fine = np.stack(np.meshgrid(*fine_axes, indexing="ij"), axis=-1).reshape(-1, d)
-        fine_design = _fourier_design(f.torus_step(fine), modes) - _fourier_design(fine, modes)
-        residual = float(np.abs(phi(fine) - mean - fine_design @ coeffs).max())
+        fit = CocycleSolution(mean, modes, cos_c, sin_c, fourier_order, 0.0, 0.0, orbit_mean)
+        coboundary = fit.transfer(f.torus_step(fine)) - fit.transfer(fine)
+        residual = float(np.abs(phi(fine) - mean - coboundary).max())
 
     obstruction = _periodic_obstruction(phi, mean, inventory)
     sol = CocycleSolution(

@@ -20,6 +20,8 @@ from anosovlab import intlinalg as il
 from anosovlab.errors import NotHyperbolic, ResourceLimit
 from anosovlab.util import canonical_sign, grid_points, wrap
 
+_HYPERBOLIC_TOL = 1e-9  # unit-circle margin and eigen-residual tolerance of analyze_matrix
+
 
 @dataclass(frozen=True)
 class IntMatrix:
@@ -119,15 +121,14 @@ def _spectral_projection(a: np.ndarray, k: int) -> np.ndarray:
     return z @ core @ z.T
 
 
-def analyze_matrix(matrix, tol: float = 1e-9) -> LinearModel:
+def analyze_matrix(matrix) -> LinearModel:
     """Full exact + spectral breakdown of an integer hyperbolic matrix.
 
     Args:
         matrix: IntMatrix or nested ints; square, nonsingular.
-        tol: unit-circle margin and eigen-residual tolerance.
 
     Raises:
-        NotHyperbolic: some eigenvalue modulus is within tol of 1.
+        NotHyperbolic: some eigenvalue modulus is within _HYPERBOLIC_TOL of 1.
         IrreducibilityUndecided: dim > 4 (exact factor search unavailable).
     """
     m = matrix if isinstance(matrix, IntMatrix) else IntMatrix(matrix)
@@ -140,6 +141,7 @@ def analyze_matrix(matrix, tol: float = 1e-9) -> LinearModel:
 
     eigvals = np.linalg.eigvals(a)
     moduli = np.abs(eigvals)
+    tol = _HYPERBOLIC_TOL
     if np.any(np.abs(moduli - 1.0) <= tol):
         mods = [round(float(x), 12) for x in sorted(moduli)]
         raise NotHyperbolic(f"eigenvalue moduli {mods} touch the unit circle at tol={tol}")
@@ -303,8 +305,7 @@ def preimage_covering_radius(matrix, k: int, grid_n: int | None = None,
     return float(dist.max())
 
 
-def covering_radius_table(matrix, k_max: int, grid_n: int | None = None,
-                          cap: int = 200_000) -> list[dict]:
+def covering_radius_table(matrix, k_max: int) -> list[dict]:
     """Covering radii for k = 0..k_max plus the fitted density-law constant.
 
     The law r_k <= C |det|^{-k/d} with C fitted at k = 1 (C = r_1 |det|^{1/d});
@@ -312,7 +313,7 @@ def covering_radius_table(matrix, k_max: int, grid_n: int | None = None,
     """
     m = matrix if isinstance(matrix, IntMatrix) else IntMatrix(matrix)
     degree = abs(m.det)
-    radii = [preimage_covering_radius(m, k, grid_n=grid_n, cap=cap) for k in range(k_max + 1)]
+    radii = [preimage_covering_radius(m, k) for k in range(k_max + 1)]
     c = radii[1] * degree ** (1.0 / m.dim) if k_max >= 1 else float("nan")
     rows = []
     for k, r in enumerate(radii):

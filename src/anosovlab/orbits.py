@@ -6,9 +6,12 @@ them per period. Perturbed fixtures inherit these points by Newton
 continuation in the perturbation scale; hyperbolicity keeps DF^n - I
 invertible along the way, so counts are preserved.
 
-Stable exponents along an orbit come from accumulated QR passes over the
-derivative cocycle, cross-checked against direct eigenvalues of the formed
-product for the short periods used here.
+Each period is then read from one batched walk: `orbit_points` walks every
+converged point once, and the cycles, minimal periods and 8-decimal dedup
+keys all come from that one (n, rows, d) array. The new orbits of the period
+share one lift walk for their translation classes and one QR chain over
+their derivative cocycles for the stable exponents, cross-checked against
+direct eigenvalues of the formed products for the short periods used here.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ from anosovlab.util import float_cell, qr_pos, torus_distance, wrap
 _DEDUP_DECIMALS = 8
 _NEWTON_TOL = 1e-12  # sup residual of F^n(x) - x - m at an accepted periodic point
 _CONTINUATION_STEP = 0.01  # epsilon step of the first continuation attempt
+_REFINE_MAX_ITER = 40  # Newton steps per continuation stage
 _MAX_QR_PASSES = 600
+_PERIOD_TOL = 1e-8  # torus distance at which a cycle point counts as back at its start
 
 
 @dataclass(frozen=True)
@@ -74,7 +79,7 @@ def _chain_with_jacobian(f: TorusMap, x: np.ndarray, n: int) -> tuple[np.ndarray
 
 
 def _refine_batch(
-    f: TorusMap, seeds: np.ndarray, n: int, tol: float, max_iter: int = 40
+    f: TorusMap, seeds: np.ndarray, n: int, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Newton on F^n(x) - x - m with m frozen from the seeds; returns (points, residuals, ok)."""
     x = seeds.copy()
@@ -82,7 +87,7 @@ def _refine_batch(
     m = np.round(y - x)
     eye = np.eye(f.dim)
     ok = np.ones(x.shape[0], dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(_REFINE_MAX_ITER):
         y, acc = _chain_with_jacobian(f, x, n)
         g = y - x - m
         res = np.abs(g).max(axis=1)
@@ -105,90 +110,64 @@ def _refine_batch(
     return x, res, res <= tol
 
 
-def _spectrum_points(f: TorusMap, points: np.ndarray) -> np.ndarray:
-    """Per-step log moduli of the cocycle eigenvalues along a cycle, ascending."""
-    n, d = points.shape
-    jacs = f.jacobian(points)
-    q = np.eye(d)
+def _stable_spectra(f: TorusMap, cycles: np.ndarray) -> np.ndarray:
+    """Stable exponents of k cycles of one period, cycles (k, n, d); shape (k, stable_dim).
+
+    One QR chain runs over the derivative cocycles of all k cycles at once.
+    Q carries a burn-in transient; once a full pass reproduces the previous
+    one the flag is invariant and that single pass holds the exact rates, so
+    each cycle keeps the first pass that repeats its predecessor.
+    """
+    k, n, d = cycles.shape
+    jacs = f.jacobian(cycles.reshape(-1, d)).reshape(k, n, d, d)
+    q = np.broadcast_to(np.eye(d), (k, d, d)).copy()
     prev = None
-    pass_log = np.zeros(d)
-    converged = False
-    # Q carries a burn-in transient; once a full pass reproduces the previous
-    # one the flag is invariant and that single pass holds the exact rates.
+    rates = np.empty((k, d))
+    open_rows = np.ones(k, dtype=bool)
     for _ in range(_MAX_QR_PASSES):
-        pass_log = np.zeros(d)
-        for k in range(n):
-            q, r = qr_pos(jacs[k] @ q)
-            pass_log += np.log(np.abs(np.diag(r)))
-        if prev is not None and np.abs(pass_log - prev).max() < 1e-13 * n:
-            converged = True
-            break
+        pass_log = np.zeros((k, d))
+        for step in range(n):
+            q, r = qr_pos(jacs[:, step] @ q)
+            pass_log += np.log(np.abs(np.diagonal(r, axis1=1, axis2=2)))
+        if prev is not None:
+            repeat = open_rows & (np.abs(pass_log - prev).max(axis=1) < 1e-13 * n)
+            rates[repeat] = pass_log[repeat]
+            open_rows &= ~repeat
+            if not open_rows.any():
+                break
         prev = pass_log
-    if not converged:
+    else:
         raise NoConvergence(f"QR exponent passes did not stabilize in {_MAX_QR_PASSES} rounds")
-    exponents = np.sort(pass_log / n)
+    exponents = np.sort(rates / n, axis=1)
     if n <= 8:
-        prod = np.eye(d)
-        for k in range(n):
-            prod = jacs[k] @ prod
-        direct = np.sort(np.log(np.abs(np.linalg.eigvals(prod))) / n)
-        if np.abs(direct - exponents).max() > 1e-10:
-            raise NoConvergence(
-                "QR and direct eigenvalue exponents disagree: "
-                f"{np.abs(direct - exponents).max():.3e}"
-            )
-    return exponents
+        prod = np.broadcast_to(np.eye(d), (k, d, d))
+        for step in range(n):
+            prod = jacs[:, step] @ prod
+        direct = np.sort(np.log(np.abs(np.linalg.eigvals(prod))) / n, axis=1)
+        gap = float(np.abs(direct - exponents).max())
+        if gap > 1e-10:
+            raise NoConvergence(f"QR and direct eigenvalue exponents disagree: {gap:.3e}")
+    stable = exponents[:, : f.model.stable_dim]
+    if stable.max() >= 0:
+        worst = exponents[int(stable.max(axis=1).argmax())]
+        raise NoConvergence(f"expected {stable.shape[1]} negative exponents, got {worst}")
+    return stable
 
 
 def stable_spectrum_of_orbit(f: TorusMap, orbit: PeriodicOrbit | np.ndarray) -> tuple[float, ...]:
     points = orbit.points if isinstance(orbit, PeriodicOrbit) else np.asarray(orbit, dtype=float)
-    exponents = _spectrum_points(f, points)
-    k = f.model.stable_dim
-    stable = exponents[:k]
-    if stable.max() >= 0:
-        raise NoConvergence(f"expected {k} negative exponents, got {exponents}")
-    return tuple(float(v) for v in stable)
+    return tuple(float(v) for v in _stable_spectra(f, points[None])[0])
 
 
-def _cycle_points(f: TorusMap, x0: np.ndarray, n: int) -> np.ndarray:
-    pts = np.empty((n, x0.shape[0]))
-    t = wrap(x0)
-    for k in range(n):
-        pts[k] = t
-        t = f.torus_step(t)
-    return pts
-
-
-def _minimal_period(cycle: np.ndarray, n: int, tol: float = 1e-8) -> int:
-    for j in range(1, n):
-        if n % j == 0 and torus_distance(cycle[j], cycle[0]) <= tol:
-            return j
-    return n
-
-
-def _dedup_key(cycle: np.ndarray) -> tuple:
-    rounded = np.round(cycle % 1.0, _DEDUP_DECIMALS) % 1.0
-    return min(tuple(row) for row in rounded)
-
-
-def _build_orbit(f: TorusMap, x0: np.ndarray, n: int, residual: float) -> PeriodicOrbit:
-    cycle = _cycle_points(f, x0, n)
-    key = _dedup_key(cycle)
-    keys = [tuple(row) for row in np.round(cycle % 1.0, _DEDUP_DECIMALS) % 1.0]
-    start = keys.index(min(keys))
-    cycle = np.roll(cycle, -start, axis=0)
-    lift_end = f.evaluate(cycle[0])
-    for _ in range(n - 1):
-        lift_end = f.evaluate(lift_end)
-    m = np.round(lift_end - cycle[0]).astype(int)
-    cycle.setflags(write=False)
-    return PeriodicOrbit(
-        points=cycle,
-        period=n,
-        translation_class=tuple(int(c) for c in m),
-        stable_exponents=stable_spectrum_of_orbit(f, cycle),
-        residual=residual,
-    )
+def _minimal_period(cycles: np.ndarray) -> np.ndarray:
+    """Minimal period of each row of cycles (n, rows, d): the least divisor j of n
+    with point j back within _PERIOD_TOL of point 0."""
+    n = cycles.shape[0]
+    periods = np.full(cycles.shape[1], n)
+    for j in reversed(range(1, n)):
+        if n % j == 0:
+            periods[torus_distance(cycles[j], cycles[0]) <= _PERIOD_TOL] = j
+    return periods
 
 
 @dataclass(frozen=True)
@@ -277,24 +256,42 @@ def enumerate_orbits(f: TorusMap, max_period: int) -> OrbitInventory:
             failures.append((n, tuple(float(c) for c in seeds[idx]), float(res[idx])))
         good = wrap(pts[~bad_rows])
         good_res = res[~bad_rows]
+        cycles = f.orbit_points(good, n)
+        keys = np.round(cycles % 1.0, _DEDUP_DECIMALS) % 1.0
+        periods = _minimal_period(cycles)
         seen = set()
         distinct = 0
-        for row_idx in range(good.shape[0]):
-            x0 = good[row_idx]
-            cycle = _cycle_points(f, x0, n)
-            point_key = tuple(np.round(x0, _DEDUP_DECIMALS) % 1.0)
-            if point_key in seen:
+        new = {}  # dedup key -> (row, index of the key's point in the row's cycle)
+        for row in range(good.shape[0]):
+            cycle_keys = [tuple(p) for p in keys[:, row]]
+            if cycle_keys[0] in seen:
                 continue
-            for row in np.round(cycle % 1.0, _DEDUP_DECIMALS) % 1.0:
-                seen.add(tuple(row))
-            min_period = _minimal_period(cycle, n)
-            distinct += min_period
-            if min_period != n:
+            seen.update(cycle_keys)
+            distinct += periods[row]
+            if periods[row] != n:
                 continue  # already collected at its minimal period
-            key = _dedup_key(cycle)
-            if key not in orbit_map:
-                orbit_map[key] = _build_orbit(f, x0, n, float(good_res[row_idx]))
-        found[n] = distinct
+            key = min(cycle_keys)
+            if key not in orbit_map and key not in new:
+                new[key] = (row, cycle_keys.index(key))
+        found[n] = int(distinct)
+        if new:
+            rows, shifts = np.array(list(new.values())).T
+            # each new orbit's cycle, rotated to start at its least key
+            points = cycles[(np.arange(n)[None, :] + shifts[:, None]) % n, rows[:, None]]
+            lift = points[:, 0]
+            for _ in range(n):
+                lift = f.evaluate(lift)
+            classes = np.round(lift - points[:, 0]).astype(int)
+            spectra = _stable_spectra(f, points)
+            points.setflags(write=False)
+            for j, (key, row) in enumerate(zip(new, rows)):
+                orbit_map[key] = PeriodicOrbit(
+                    points=points[j],
+                    period=n,
+                    translation_class=tuple(int(c) for c in classes[j]),
+                    stable_exponents=tuple(float(v) for v in spectra[j]),
+                    residual=float(good_res[row]),
+                )
     ordered = sorted(orbit_map.items(), key=lambda kv: (kv[1].period, kv[0]))
     orbits = tuple(
         dataclasses.replace(o, orbit_id=i) for i, (_, o) in enumerate(ordered)

@@ -46,10 +46,10 @@ def qr_pos(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
-def canonical_sign(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Flip sign so the first component exceeding tol is positive; batched."""
+def canonical_sign(v: np.ndarray) -> np.ndarray:
+    """Flip sign so the first component above 1e-12 in size is positive; batched."""
     v = np.asarray(v, dtype=float)
-    big = np.abs(v) > tol
+    big = np.abs(v) > 1e-12
     lead = np.take_along_axis(v, np.argmax(big, axis=-1)[..., None], axis=-1)
     return np.where(big.any(axis=-1, keepdims=True) & (lead < 0.0), -v, v)
 

@@ -76,12 +76,14 @@ class TestCycleStructure:
             for j in range(1, o.period):
                 assert torus_distance(o.points[j], o.points[0]) > 1e-6
 
-    def test_translation_class(self, shear05):
-        inv = enumerate_orbits(shear05, 2)
+    @pytest.mark.parametrize("name", ["shear05", "conjugated05", "product05"])
+    def test_translation_class(self, name, request):
+        f = request.getfixturevalue(name)
+        inv = enumerate_orbits(f, 3)
         for o in inv:
             y = o.points[0].copy()
             for _ in range(o.period):
-                y = shear05.evaluate(y)
+                y = f.evaluate(y)
             m = y - o.points[0]
             assert np.abs(m - np.round(m)).max() < 1e-9
             assert tuple(int(c) for c in np.round(m)) == o.translation_class
