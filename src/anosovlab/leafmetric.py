@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from anosovlab.bundles import (
     IntegrabilityReport,
@@ -227,6 +228,9 @@ def leaf_invariance_defect(f: TorusMap, leaf: LeafPolyline, depth: int = 12) -> 
 
 # -- cocycle solver ------------------------------------------------------------
 
+# grid rows per block of the normal equations: the design is never held whole
+_BLOCK_ROWS = 512
+
 
 def _half_space_modes(d: int, order: int) -> np.ndarray:
     """Integer modes with |k|_inf <= order, first nonzero component positive."""
@@ -240,9 +244,22 @@ def _half_space_modes(d: int, order: int) -> np.ndarray:
     return np.array(keep, dtype=int)
 
 
-def _fourier_design(pts: np.ndarray, modes: np.ndarray) -> np.ndarray:
-    theta = 2.0 * np.pi * (pts @ modes.T)
-    return np.concatenate([np.cos(theta), np.sin(theta)], axis=1)
+def _axis_tables(pts: np.ndarray, order: int) -> np.ndarray:
+    """exp(2 pi i x_j k) for k = -order..order, shape (d, n, 2 order + 1).
+
+    Only k >= 0 is evaluated; k < 0 is its complex conjugate.
+    """
+    half = np.exp(1j * (2.0 * np.pi * pts.T[:, :, None] * np.arange(order + 1)))
+    return np.concatenate([half[:, :, :0:-1].conj(), half], axis=2)
+
+
+def _mode_exponentials(pts: np.ndarray, modes: np.ndarray, order: int) -> np.ndarray:
+    """e^(2 pi i k.x) for each point and mode, shape (n, m): one gather per axis table."""
+    tables = _axis_tables(pts, order)
+    out = tables[0][:, modes[:, 0] + order]
+    for j in range(1, pts.shape[1]):
+        out *= tables[j][:, modes[:, j] + order]
+    return out
 
 
 @dataclass(frozen=True)
@@ -264,11 +281,25 @@ class CocycleSolution:
     orientation: str = "forward"
 
     def transfer(self, x: np.ndarray) -> np.ndarray:
+        """psi at each point, axis by axis over a dense cube of coefficients.
+
+        psi(x) = Re sum_k (a_k - i b_k) e^(2 pi i k.x): the cube holds a_k - i b_k
+        at k + order, the first axis table contracts with it in one product and
+        each further axis in one row-wise reduction.
+        """
         pts = np.atleast_2d(np.asarray(x, dtype=float))
         if self.modes.size == 0:
             return np.zeros(pts.shape[0])
-        theta = 2.0 * np.pi * (pts @ self.modes.T)
-        return np.cos(theta) @ self.cos_coeffs + np.sin(theta) @ self.sin_coeffs
+        n, d = pts.shape
+        order = self.fourier_order
+        side = 2 * order + 1
+        cube = np.zeros((side,) * d, dtype=complex)
+        cube[tuple((self.modes + order).T)] = self.cos_coeffs - 1j * self.sin_coeffs
+        tables = _axis_tables(pts, order)
+        acc = (tables[0] @ cube.reshape(side, -1)).reshape((n,) + (side,) * (d - 1))
+        for table in tables[1:]:
+            acc = np.einsum("nk...,nk->n...", acc, table)
+        return acc.real
 
     @property
     def sup_transfer(self) -> float:
@@ -353,7 +384,12 @@ def livschitz_solve(
     up to 2 sup|psi|/len per segment when the decomposition exists); psi from
     least squares over Fourier modes |k|_inf <= fourier_order on a 64^2
     (plane) or 20^3 grid, with the sup residual measured through the fitted
-    transfer function on a finer off-lattice grid. The obstruction is the
+    transfer function on a finer off-lattice grid. The least squares runs on
+    the normal equations by Cholesky: the design's condition number measured
+    4.0 to 10.6 on the shear, conjugated and product fixtures for epsilon up
+    to 0.3 and orders up to 24, and 53 on shear_A0(0.05) at order 31.
+    An order with 2 fourier_order >= grid size (d = 3 clamps it to 6) aliases
+    modes on the grid and raises ValueError. The obstruction is the
     worst deviation of an average over an orbit of `inventory` from the mean;
     when it exceeds obstruction_tol the best fit is attached to
     ObstructionNonzero.
@@ -362,6 +398,11 @@ def livschitz_solve(
     grid_n = 64 if d == 2 else 20
     if d > 2:
         fourier_order = min(fourier_order, 6)
+    if 2 * fourier_order >= grid_n:
+        raise ValueError(
+            f"fourier_order {fourier_order} aliases on the {grid_n}^{d} grid: "
+            f"modes k and k + {grid_n} e_j coincide there, so the order must be below {grid_n // 2}"
+        )
 
     probe = np.random.default_rng(seed + 1).random((64, d))
     probe_vals = phi(probe)
@@ -376,11 +417,20 @@ def livschitz_solve(
         mean = orbit_mean
 
         grid = grid_points(d, grid_n)
-        modes = _half_space_modes(d, fourier_order)
-        design = _fourier_design(f.torus_step(grid), modes) - _fourier_design(grid, modes)
+        image = f.torus_step(grid)
         rhs = phi(grid) - mean
-        coeffs, *_ = np.linalg.lstsq(design, rhs, rcond=None)
+        modes = _half_space_modes(d, fourier_order)
         m = modes.shape[0]
+        # normal equations D^T D c = D^T rhs, D = [Re, Im] of E(F x) - E(x), one row block at a time
+        gram, moment = np.zeros((2 * m, 2 * m)), np.zeros(2 * m)
+        for lo in range(0, grid.shape[0], _BLOCK_ROWS):
+            rows = slice(lo, lo + _BLOCK_ROWS)
+            delta = _mode_exponentials(image[rows], modes, fourier_order)
+            delta -= _mode_exponentials(grid[rows], modes, fourier_order)
+            block = np.concatenate([delta.real, delta.imag], axis=1)
+            gram += block.T @ block
+            moment += block.T @ rhs[rows]
+        coeffs = cho_solve(cho_factor(gram), moment)
         cos_c, sin_c = coeffs[:m], coeffs[m:]
 
         fine_n = 97 if d == 2 else 23

@@ -283,21 +283,17 @@ def preimage_points(matrix, k: int, cap: int = 200_000) -> np.ndarray:
     return wrap(np.linalg.solve(ak, pts.T).T)
 
 
-def preimage_covering_radius(matrix, k: int, grid_n: int | None = None,
-                             cap: int = 200_000) -> float:
+def preimage_covering_radius(matrix, k: int) -> float:
     """Measured covering radius of the k-th preimage lattice on the torus.
 
-    Maximum over a uniform grid of the torus distance to the nearest preimage
-    point. Distances use the 3^d tiling of the fundamental domain, which is
-    exact for the Euclidean torus metric. A grid maximum can only
-    underestimate the true covering radius.
+    Maximum over a uniform grid (64 points per axis in the plane, 32 above) of
+    the torus distance to the nearest preimage point. Distances use the 3^d
+    tiling of the fundamental domain, which is exact for the Euclidean torus
+    metric. A grid maximum can only underestimate the true covering radius.
     """
     m = matrix if isinstance(matrix, IntMatrix) else IntMatrix(matrix)
-    if grid_n is None:
-        grid_n = 64 if m.dim == 2 else 32
-    if grid_n < 32:
-        raise ValueError(f"grid_n must be >= 32 for a trustworthy scan, got {grid_n}")
-    pts = preimage_points(m, k, cap=cap)
+    grid_n = 64 if m.dim == 2 else 32
+    pts = preimage_points(m, k)
     offsets = grid_points(m.dim, 3) * 3.0 - 1.0
     tiled = (pts[None, :, :] + offsets[:, None, :]).reshape(-1, m.dim)
     tree = cKDTree(tiled)

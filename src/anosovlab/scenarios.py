@@ -28,7 +28,7 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from functools import cache, cached_property
 from hashlib import sha256
 from pathlib import Path
 
@@ -145,6 +145,9 @@ _AT_LEAST_TWO = {
     "pairs": "one pair fits the isometry scale exactly, so its deviation is 0",
 }
 
+# modes k and k + 64 e_j coincide on the 64^2 grid of the plane cocycle solve
+_MAX_FOURIER_ORDER = 31
+
 _TOP_KEYS = {"fixture", "tolerances", "depths", "sampling", "seed", "output", "stages", "dichotomy"}
 
 # fixtures that exist only at epsilon 0
@@ -255,6 +258,12 @@ def load_scenario(source) -> Scenario:
         if values.get(target, 2) < 2:
             problems.append(f"sampling.{target}: must be >= 2; {why}")
 
+    if values.get("fourier_order", 0) > _MAX_FOURIER_ORDER:
+        problems.append(
+            f"depths.fourier_order: must be <= {_MAX_FOURIER_ORDER}; higher modes alias on the "
+            "64^2 cocycle grid, where k and k + 64 e_j coincide"
+        )
+
     seed = cfg.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         problems.append("seed: must be an integer >= 0")
@@ -317,8 +326,12 @@ def cache_root() -> Path:
     return Path(env) if env else Path.home() / ".cache" / "anosovlab"
 
 
+@cache
 def source_digest() -> str:
-    """Digest of the package's own sources: any code change is a cache miss."""
+    """Digest of the package's own sources: any code change is a cache miss.
+
+    Computed once per process, since the modules it runs cannot change under it.
+    """
     h = sha256()
     for path in sorted(Path(__file__).parent.glob("*.py")):
         h.update(f"{path.name}\0{sha256(path.read_bytes()).hexdigest()}\n".encode())

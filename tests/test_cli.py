@@ -139,6 +139,14 @@ class TestConfigErrors:
         assert line.startswith("config error: sampling.codes_per_point: must be >= 2")
         assert not (tmp_path / "run").exists()
 
+    def test_fourier_order_that_aliases_on_the_grid(self, tmp_path, capsys):
+        cfg = _config(tmp_path, SWEEP_YAML.replace("max_period: 2", "max_period: 2\n  fourier_order: 32"))
+        assert main(["metric", "--config", cfg]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: depths.fourier_order: must be <= 31")
+        assert "64^2 cocycle grid" in line
+        assert not (tmp_path / "run").exists()
+
 
 class TestRunVerbs:
     def test_single_stage_clean(self, tmp_path, capsys):

@@ -14,6 +14,8 @@ from anosovlab.errors import (
     RefusedNonIntegrable,
 )
 from anosovlab.leafmetric import (
+    CocycleSolution,
+    _half_space_modes,
     _segment_mean,
     affine_distance,
     bundle_coboundary_psi,
@@ -29,6 +31,7 @@ from anosovlab.leafmetric import (
     unstable_holonomy,
 )
 from anosovlab.orbits import enumerate_orbits
+from anosovlab.util import grid_points
 
 MU_S = 2.0 - np.sqrt(2.0)
 
@@ -176,6 +179,64 @@ class TestCocycleSolver:
         assert sol.obstruction < 1e-4
         pts = rng.random((60, 2))
         assert np.abs(sol.transfer(pts) - psi_true(pts)).max() < 1e-4
+
+    def test_recovers_manufactured_coboundary_in_three_dimensions(self, product05, rng):
+        """The d = 3 design and transfer, with the order clamped to 6 on the 20^3 grid."""
+        def psi_true(p):
+            p = np.atleast_2d(p)
+            return 0.3 * np.cos(2 * np.pi * (p[:, 0] - 2 * p[:, 2])) + 0.2 * np.sin(
+                2 * np.pi * (p[:, 1] + 6 * p[:, 2])
+            )
+
+        def phi(p):
+            p = np.atleast_2d(p)
+            return -0.4 + psi_true(product05.torus_step(p)) - psi_true(p)
+
+        sol = livschitz_solve(product05, phi, enumerate_orbits(product05, 2), fourier_order=16)
+        assert sol.fourier_order == 6
+        assert abs(sol.mean + 0.4) < 1e-3
+        assert sol.residual < 1e-3
+        pts = rng.random((60, 3))
+        assert np.abs(sol.transfer(pts) - psi_true(pts)).max() < 1e-4
+
+    @pytest.mark.parametrize("d, order", [(2, 16), (3, 6)])
+    def test_transfer_matches_the_trig_sum(self, d, order, rng):
+        """The per-axis contraction against sum_k a_k cos(2 pi k.x) + b_k sin(2 pi k.x)."""
+        modes = _half_space_modes(d, order)
+        a, b = rng.standard_normal((2, modes.shape[0]))
+        sol = CocycleSolution(0.0, modes, a, b, order, 0.0, 0.0, 0.0)
+        pts = rng.random((500, d))
+        theta = 2 * np.pi * (pts @ modes.T)
+        want = np.cos(theta) @ a + np.sin(theta) @ b
+        assert np.abs(sol.transfer(pts) - want).max() <= 1e-12 * sol.sup_transfer
+
+    def test_normal_equations_match_lstsq(self, shear05):
+        """The blocked Cholesky solve against an SVD least squares on the whole cos/sin design."""
+        phi = stable_log_norm_observable(shear05, 1, depth=12)
+        with pytest.raises(ObstructionNonzero) as exc_info:
+            livschitz_solve(shear05, phi, enumerate_orbits(shear05, 3), fourier_order=8)
+        sol = exc_info.value.solution
+        grid = grid_points(2, 64)
+
+        def design(pts):
+            theta = 2 * np.pi * (pts @ sol.modes.T)
+            return np.concatenate([np.cos(theta), np.sin(theta)], axis=1)
+
+        want, *_ = np.linalg.lstsq(
+            design(shear05.torus_step(grid)) - design(grid), phi(grid) - sol.mean, rcond=None
+        )
+        got = np.concatenate([sol.cos_coeffs, sol.sin_coeffs])
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_order_that_aliases_on_the_grid_is_refused(self, shear05):
+        """Order 32 puts 4224 unknowns on 4096 points, where k and k + 64 e_j coincide."""
+        def phi(p):
+            return np.zeros(np.atleast_2d(p).shape[0])
+
+        inventory = enumerate_orbits(shear05, 1)
+        assert livschitz_solve(shear05, phi, inventory, fourier_order=31).fourier_order == 31
+        with pytest.raises(ValueError, match="aliases on the 64\\^2 grid"):
+            livschitz_solve(shear05, phi, inventory, fourier_order=32)
 
     def test_non_coboundary_raises_with_best_fit(self, shear05):
         def phi(p):

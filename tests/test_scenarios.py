@@ -96,6 +96,14 @@ class TestLoadScenario:
         assert problem.startswith(f"sampling.{key}: must be >= 2") and why in problem
         assert getattr(load_scenario({**MINIMAL, "sampling": {key: 2}}), key) == 2
 
+    def test_fourier_order_that_aliases_on_the_grid(self):
+        """Order 32 has more unknowns than the 64^2 grid has points."""
+        with pytest.raises(ConfigInvalid) as exc_info:
+            load_scenario({**MINIMAL, "depths": {"fourier_order": 32}})
+        [problem] = exc_info.value.problems
+        assert problem.startswith("depths.fourier_order: must be <= 31") and "64^2 cocycle grid" in problem
+        assert load_scenario({**MINIMAL, "depths": {"fourier_order": 31}}).fourier_order == 31
+
     def test_rejects_bool_numbers(self):
         with pytest.raises(ConfigInvalid):
             load_scenario({"fixture": {"name": "linear_A0", "epsilon": True}})
@@ -208,15 +216,18 @@ class TestCache:
         monkeypatch.undo()
         assert stage_key("orbits", base) == key
 
-    def test_source_digest_reads_every_module(self, tmp_path, monkeypatch):
+    def test_source_digest_reads_every_module(self, tmp_path, monkeypatch, request):
+        request.addfinalizer(scenarios.source_digest.cache_clear)
         package = Path(scenarios.__file__).parent
         for path in package.glob("*.py"):
             (tmp_path / path.name).write_bytes(path.read_bytes())
         digest = scenarios.source_digest()
         monkeypatch.setattr(scenarios, "__file__", str(tmp_path / "scenarios.py"))
+        scenarios.source_digest.cache_clear()
         assert scenarios.source_digest() == digest
         with open(tmp_path / "util.py", "a") as fh:
             fh.write("\n")
+        scenarios.source_digest.cache_clear()
         assert scenarios.source_digest() != digest
 
     def test_custom_yaml_fixture_has_a_key(self, tmp_path):
