@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from anosovlab.bundles import (
     IntegrabilityReport,
@@ -370,11 +369,30 @@ def _periodic_obstruction(phi, mean: float, inventory: OrbitInventory) -> float:
     return worst
 
 
+def fourier_order_problem(d: int, order: int) -> str | None:
+    """Why the cocycle solve in dimension d refuses `order`, or None when it takes it.
+
+    The plane solve runs on a 64^2 grid, where modes k and k + 64 e_j coincide
+    above order 31. The 20^d grid above the plane would alias only above 9, but
+    its normal equations grow as (2N + 1)^(2d): order 6 has 2196 unknowns, order
+    9 would have 6858 (a 376 MB Gram matrix in 3-D).
+    """
+    if d == 2:
+        if order > 31:
+            return "must be <= 31; higher modes alias on the 64^2 cocycle grid, where k and k + 64 e_j coincide"
+    elif order > 6:
+        return (
+            f"must be <= 6 in {d}-D; on the 20^{d} cocycle grid the normal equations "
+            f"grow as (2N + 1)^{2 * d}"
+        )
+    return None
+
+
 def livschitz_solve(
     f: TorusMap,
     phi,
     inventory: OrbitInventory,
-    fourier_order: int = 16,
+    fourier_order: int | None = None,
     obstruction_tol: float = 1e-4,
     seed: int = 0,
 ) -> CocycleSolution:
@@ -384,25 +402,23 @@ def livschitz_solve(
     up to 2 sup|psi|/len per segment when the decomposition exists); psi from
     least squares over Fourier modes |k|_inf <= fourier_order on a 64^2
     (plane) or 20^3 grid, with the sup residual measured through the fitted
-    transfer function on a finer off-lattice grid. The least squares runs on
-    the normal equations by Cholesky: the design's condition number measured
-    4.0 to 10.6 on the shear, conjugated and product fixtures for epsilon up
-    to 0.3 and orders up to 24, and 53 on shear_A0(0.05) at order 31.
-    An order with 2 fourier_order >= grid size (d = 3 clamps it to 6) aliases
-    modes on the grid and raises ValueError. The obstruction is the
+    transfer function on a finer off-lattice grid. fourier_order defaults to
+    16 in the plane and 6 above it; an order that fourier_order_problem
+    refuses raises ValueError. The least squares runs on the normal equations,
+    solved by LU: the design's condition number measured 4.0 to 10.6 on the
+    shear, conjugated and product fixtures for epsilon up to 0.3 and orders up
+    to 24, and 53 on shear_A0(0.05) at order 31. The obstruction is the
     worst deviation of an average over an orbit of `inventory` from the mean;
     when it exceeds obstruction_tol the best fit is attached to
     ObstructionNonzero.
     """
     d = f.dim
     grid_n = 64 if d == 2 else 20
-    if d > 2:
-        fourier_order = min(fourier_order, 6)
-    if 2 * fourier_order >= grid_n:
-        raise ValueError(
-            f"fourier_order {fourier_order} aliases on the {grid_n}^{d} grid: "
-            f"modes k and k + {grid_n} e_j coincide there, so the order must be below {grid_n // 2}"
-        )
+    if fourier_order is None:
+        fourier_order = 16 if d == 2 else 6
+    problem = fourier_order_problem(d, fourier_order)
+    if problem:
+        raise ValueError(f"fourier_order {fourier_order}: {problem}")
 
     probe = np.random.default_rng(seed + 1).random((64, d))
     probe_vals = phi(probe)
@@ -430,7 +446,7 @@ def livschitz_solve(
             block = np.concatenate([delta.real, delta.imag], axis=1)
             gram += block.T @ block
             moment += block.T @ rhs[rows]
-        coeffs = cho_solve(cho_factor(gram), moment)
+        coeffs = np.linalg.solve(gram, moment)
         cos_c, sin_c = coeffs[:m], coeffs[m:]
 
         fine_n = 97 if d == 2 else 23
@@ -524,7 +540,7 @@ def bundle_coboundary_psi(
     f: TorusMap,
     inventory: OrbitInventory,
     i: int = 1,
-    fourier_order: int = 16,
+    fourier_order: int | None = None,
     depth: int = 12,
 ) -> CocycleSolution:
     """Transfer function for the stable log-contraction cocycle on E^s_i.

@@ -4,23 +4,25 @@ The linear model behind every torus map here is an integer matrix that is
 hyperbolic (no eigenvalue on the unit circle) and usually irreducible over Q.
 This module computes its exact invariants (characteristic polynomial,
 degree, irreducibility), numerically safe spectral data (stable lines,
-spectral projections via real Schur blocks), transversals of Z^d / A Z^d,
+spectral projections via the matrix sign function), transversals of Z^d / A Z^d,
 the density of iterated preimage lattices, and deep sublattice vectors.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import schur, solve_sylvester
-from scipy.spatial import cKDTree
 
 from anosovlab import intlinalg as il
 from anosovlab.errors import NotHyperbolic, ResourceLimit
 from anosovlab.util import canonical_sign, grid_points, wrap
 
 _HYPERBOLIC_TOL = 1e-9  # unit-circle margin and eigen-residual tolerance of analyze_matrix
+_SIGN_TOL = 1e-15  # target relative change of the matrix sign iteration
+_SIGN_MAX_ITER = 100
+_LLL_DELTA = 0.99  # Lovasz condition factor of the lattice basis reduction
 
 
 @dataclass(frozen=True)
@@ -94,31 +96,42 @@ def _real_eigenvector(a: np.ndarray, mu: float) -> np.ndarray:
     return canonical_sign(vt[-1])
 
 
-def _ordered_schur_basis(a: np.ndarray, stable_first: bool) -> tuple[np.ndarray, np.ndarray, int]:
-    t, z, sdim = schur(a, output="real", sort="iuc" if stable_first else "ouc")
-    return t, z, int(sdim)
+def _matrix_sign(c: np.ndarray) -> np.ndarray:
+    """sign(C) by Newton's iteration X <- (X + X^-1)/2 (Higham, Functions of Matrices, ch. 5).
+
+    Stops by Higham's rule ||X_{j+1} - X_j|| <= (tol ||X_{j+1}|| / ||X_j^-1||)^(1/2), in the
+    entrywise 1-norm: the convergence is quadratic, so the step after one that small
+    changes X by about tol.
+    """
+    x = c
+    for _ in range(_SIGN_MAX_ITER):
+        inv = np.linalg.inv(x)
+        nxt = 0.5 * (x + inv)
+        step = np.abs(nxt - x).sum()
+        x = nxt
+        if step * step <= _SIGN_TOL * np.abs(x).sum() / np.abs(inv).sum():
+            return x
+    raise ArithmeticError(f"matrix sign iteration did not converge in {_SIGN_MAX_ITER} steps")
 
 
-def _spectral_projection(a: np.ndarray, k: int) -> np.ndarray:
+def _spectral_projection(a: np.ndarray) -> np.ndarray:
     """Oblique projection onto the stable invariant subspace along the unstable one.
 
-    With stable-first real Schur form T = [[T11, T12], [0, T22]], the projector
-    is Z [[I, X], [0, 0]] Z^T where T11 X - X T22 = T12.
+    The Cayley transform C = (A - I)^-1 (A + I) sends eigenvalues inside the
+    unit circle to the open left half-plane and those outside it to the right,
+    so P_s = (I - sign(C)) / 2.
     """
-    d = a.shape[0]
-    if k == 0:
-        return np.zeros((d, d))
-    if k == d:
-        return np.eye(d)
-    t, z, sdim = _ordered_schur_basis(a, stable_first=True)
-    if sdim != k:
-        raise ArithmeticError(f"Schur reordering kept {sdim} stable directions, expected {k}")
-    t11, t12, t22 = t[:k, :k], t[:k, k:], t[k:, k:]
-    x = solve_sylvester(t11, -t22, t12)
-    core = np.zeros((d, d))
-    core[:k, :k] = np.eye(k)
-    core[:k, k:] = x
-    return z @ core @ z.T
+    eye = np.eye(a.shape[0])
+    return 0.5 * (eye - _matrix_sign(np.linalg.solve(a - eye, a + eye)))
+
+
+def _invariant_bases(p_s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases (columns) of E^s = range(P_s) and E^u = ker(P_s) from one SVD
+    of P_s, each column canonically signed. A projector's nonzero singular values
+    are at least 1, so the split between the two is never close."""
+    u, _, vt = np.linalg.svd(p_s)
+    both = canonical_sign(np.concatenate([u[:, :k], vt[k:].T], axis=1).T).T
+    return both[:, :k], both[:, k:]
 
 
 def analyze_matrix(matrix) -> LinearModel:
@@ -166,16 +179,14 @@ def analyze_matrix(matrix) -> LinearModel:
         stable_eigs = ()
         lines = np.zeros((0, d))
 
-    p_s = _spectral_projection(a, k)
+    p_s = _spectral_projection(a)
     p_u = np.eye(d) - p_s
-    # Consistency: idempotent and commuting with A, up to roundoff.
-    if np.linalg.norm(p_s @ p_s - p_s) > 1e-8 or np.linalg.norm(a @ p_s - p_s @ a) > 1e-8 * scale:
+    # Consistency: rank k, idempotent and commuting with A, up to roundoff.
+    if (abs(np.trace(p_s) - k) > 1e-8 or np.linalg.norm(p_s @ p_s - p_s) > 1e-8
+            or np.linalg.norm(a @ p_s - p_s @ a) > 1e-8 * scale):
         raise ArithmeticError("spectral projection failed its own consistency check")
 
-    _, z_s, sdim_s = _ordered_schur_basis(a, stable_first=True)
-    _, z_u, sdim_u = _ordered_schur_basis(a, stable_first=False)
-    stable_basis = z_s[:, :k] if k else np.zeros((d, 0))
-    unstable_basis = z_u[:, : d - k]
+    stable_basis, unstable_basis = _invariant_bases(p_s, k)
 
     if k:
         m_s = stable_basis.T @ a @ stable_basis
@@ -283,22 +294,72 @@ def preimage_points(matrix, k: int, cap: int = 200_000) -> np.ndarray:
     return wrap(np.linalg.solve(ak, pts.T).T)
 
 
+def _lll_basis(columns: il.IMatrix) -> list[list[int]]:
+    """LLL-reduced basis of the integer lattice spanned by the matrix columns,
+    shortest vector first (Lenstra, Lenstra and Lovasz, Math. Ann. 261, 1982).
+
+    Column operations run on Python ints, so the lattice is kept exactly; the
+    Gram-Schmidt data that choose them come from a float QR. In the plane this
+    is Lagrange-Gauss reduction up to the factor _LLL_DELTA.
+    """
+    b = [list(col) for col in zip(*columns)]
+    j = 1
+    while j < len(b):
+        for i in reversed(range(j)):
+            r = np.linalg.qr(np.array(b, dtype=float).T)[1]
+            mu = round(r[i, j] / r[i, i])
+            if mu:
+                b[j] = [x - mu * y for x, y in zip(b[j], b[i])]
+        r = np.linalg.qr(np.array(b, dtype=float).T)[1]
+        if r[j, j] ** 2 >= (_LLL_DELTA - (r[j - 1, j] / r[j - 1, j - 1]) ** 2) * r[j - 1, j - 1] ** 2:
+            j += 1
+        else:
+            b[j - 1], b[j] = b[j], b[j - 1]
+            j = max(j - 1, 1)
+    return sorted(b, key=lambda v: sum(x * x for x in v))
+
+
 def preimage_covering_radius(matrix, k: int) -> float:
     """Measured covering radius of the k-th preimage lattice on the torus.
 
     Maximum over a uniform grid (64 points per axis in the plane, 32 above) of
-    the torus distance to the nearest preimage point. Distances use the 3^d
-    tiling of the fundamental domain, which is exact for the Euclidean torus
-    metric. A grid maximum can only underestimate the true covering radius.
+    the torus distance to the nearest preimage point. The preimage points form
+    the lattice L = A^-k Z^d, which contains Z^d, so that distance is the
+    Euclidean distance to L, found by an exact closest-vector search. The
+    basis (adj(A^k) / |det A^k|) is LLL-reduced in exact integers, ordered
+    shortest first and factored B = QR. Babai's nearest-plane rounding
+    (Combinatorica 6, 1986) bounds every grid point's distance by rho; coordinates
+    2..d of the closest vector then lie in the box |c_j - (R'^-1 y')_j| <=
+    rho |row j of R'^-1|, with R' the trailing block of R, and the box is
+    enumerated. Coordinate 1 enters only the first row of R, so rounding it is
+    exact. A grid maximum can only underestimate the true covering radius.
     """
     m = matrix if isinstance(matrix, IntMatrix) else IntMatrix(matrix)
-    grid_n = 64 if m.dim == 2 else 32
-    pts = preimage_points(m, k)
-    offsets = grid_points(m.dim, 3) * 3.0 - 1.0
-    tiled = (pts[None, :, :] + offsets[:, None, :]).reshape(-1, m.dim)
-    tree = cKDTree(tiled)
-    dist, _ = tree.query(grid_points(m.dim, grid_n), k=1)
-    return float(dist.max())
+    if k < 0:
+        raise ValueError(f"preimage depth must be >= 0, got {k}")
+    d = m.dim
+    ak = il.int_pow(m.entries, k)
+    basis = np.array(_lll_basis(il.int_adjugate(ak)), dtype=float).T / abs(il.int_det(ak))
+    q, r = np.linalg.qr(basis)
+    y = grid_points(d, 64 if d == 2 else 32) @ q
+    babai = np.zeros_like(y)
+    for i in reversed(range(d)):
+        babai[:, i] = np.round((y[:, i] - babai[:, i + 1:] @ r[i, i + 1:]) / r[i, i])
+    rho = float(np.linalg.norm(babai @ r.T - y, axis=1).max())
+
+    tail = y[:, 1:]
+    tail_inv = np.linalg.inv(r[1:, 1:])
+    # widened by a hair so that rounding in the centre cannot drop a box edge
+    reach = rho * np.linalg.norm(tail_inv, axis=1) * (1.0 + 1e-9) + 1e-12
+    low = np.ceil(tail @ tail_inv.T - reach)
+    best = np.full(y.shape[0], np.inf)
+    for offset in itertools.product(*(range(int(2.0 * w) + 1) for w in reach)):
+        c = low + np.array(offset, dtype=float)
+        rest = tail - c @ r[1:, 1:].T
+        head = y[:, 0] - c @ r[0, 1:]
+        head -= np.round(head / r[0, 0]) * r[0, 0]
+        best = np.minimum(best, head * head + np.einsum("ij,ij->i", rest, rest))
+    return float(np.sqrt(best.max()))
 
 
 def covering_radius_table(matrix, k_max: int) -> list[dict]:

@@ -199,21 +199,26 @@ class TorusMap:
                 jac = jac + self.epsilon * self.perturbation.jacobian(xb)
         return jac[0] if single else jac
 
-    def step_with_jacobian(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(wrap(F(t)), DF(t)) sharing one inner inverse solve or trig pass; batched."""
-        tb = np.asarray(t, dtype=float)
+    def evaluate_with_jacobian(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(F(x), DF(x)) on the lift sharing one inner inverse solve or trig pass; batched."""
+        xb, single = _as_batch(x)
         a = self.model.array
         if self.conjugator is not None:
-            y = self._g_inverse(tb)
+            y = self._g_inverse(xb)
             w = y @ a.T
-            return wrap(self._g(w)), self._conjugated_jacobian(y, w)
-        if self.is_linear:
-            return wrap(self.evaluate(tb)), self.jacobian(tb)
-        xb, single = _as_batch(tb)
-        val, dval = self.perturbation.evaluate_and_jacobian(xb)
-        out = wrap(xb @ a.T + self.epsilon * val)
-        jac = np.broadcast_to(a, xb.shape + (self.dim,)) + self.epsilon * dval
+            out, jac = self._g(w), self._conjugated_jacobian(y, w)
+        elif self.is_linear:
+            out, jac = self.evaluate(xb), self.jacobian(xb)
+        else:
+            val, dval = self.perturbation.evaluate_and_jacobian(xb)
+            out = xb @ a.T + self.epsilon * val
+            jac = np.broadcast_to(a, xb.shape + (self.dim,)) + self.epsilon * dval
         return (out[0], jac[0]) if single else (out, jac)
+
+    def step_with_jacobian(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(wrap(F(t)), DF(t)) sharing one inner inverse solve or trig pass; batched."""
+        out, jac = self.evaluate_with_jacobian(t)
+        return wrap(out), jac
 
     def invert_with_jacobian(self, y) -> tuple[np.ndarray, np.ndarray]:
         """(x, DF(x)) with F(x) = y; the conjugated form reuses the inner point."""
@@ -277,11 +282,12 @@ class TorusMap:
         if self.conjugator is not None:
             z = np.linalg.solve(a, self._g_inverse(yb).T).T
             x = self._g(z)
+            res = self.evaluate(x) - yb  # round trip through the forward map
         else:
             x = np.linalg.solve(a, yb.T).T
+            res = self.evaluate(x) - yb
             if self.perturbation is not None and self.epsilon != 0.0:
                 for _ in range(_NEWTON_MAX_ITER):
-                    res = self.evaluate(x) - yb
                     bad = np.abs(res).max(axis=1) > tol * scale
                     if not bad.any():
                         break
@@ -293,10 +299,11 @@ class TorusMap:
                             f"Jacobian determinant {det[idx]:.3e} near x = {x[bad][idx]}"
                         )
                     x[bad] -= solve_batched(jac, res[bad])
+                    res = self.evaluate(x) - yb
                 else:
-                    worst = float(np.abs(self.evaluate(x) - yb).max())
+                    worst = float(np.abs(res).max())
                     raise NoConvergence(f"lift inversion stalled at residual {worst:.3e}")
-        res = float(np.abs(self.evaluate(x) - yb).max() / scale.max())
+        res = float(np.abs(res).max() / scale.max())
         if res > 100.0 * tol:
             raise NoConvergence(f"lift inversion verified residual {res:.3e} exceeds tolerance")
         return x[0] if single else x
@@ -511,6 +518,14 @@ _A0 = ((3, 1), (1, 1))
 _A1 = ((2, 1, 0), (1, 1, 0), (0, 0, 2))
 _CUBIC = ((0, 0, -2), (1, 0, 1), (0, 1, 6))
 
+_FIXTURE_MATRICES = {
+    "linear_A0": _A0,
+    "shear_A0": _A0,
+    "conjugated_A0": _A0,
+    "product_T3": _A1,
+    "cubic_companion": _CUBIC,
+}
+
 FIXTURE_NAMES = ("linear_A0", "shear_A0", "conjugated_A0", "product_T3", "cubic_companion", "custom")
 
 
@@ -558,6 +573,15 @@ def fixture_catalog(name: str, epsilon: float = 0.0, custom: dict | None = None)
         return TorusMap(model=model, epsilon=epsilon, perturbation=pert,
                         conjugator=conj, label=label)
     raise UnknownFixture(f"no fixture named {name!r}; known: {', '.join(FIXTURE_NAMES)}")
+
+
+def fixture_dim(name: str, custom: dict | None = None) -> int | None:
+    """Torus dimension of a named fixture, read off its matrix without analysing it;
+    None for a custom fixture without a matrix list."""
+    if name != "custom":
+        return len(_FIXTURE_MATRICES[name])
+    matrix = (custom or {}).get("matrix")
+    return len(matrix) if isinstance(matrix, (list, tuple)) else None
 
 
 def _parse_terms(terms) -> dict[int, list[tuple]]:

@@ -53,6 +53,7 @@ from anosovlab.errors import (
 from anosovlab.leafmetric import (
     ConjugacyIsometryReport,
     conjugacy_leaf_isometry_check,
+    fourier_order_problem,
     holonomy_isometry_check,
     livschitz_solve,
     stable_log_norm_observable,
@@ -63,6 +64,7 @@ from anosovlab.maps import (
     TorusMap,
     anosov_certificate,
     fixture_catalog,
+    fixture_dim,
     local_diffeo_margin,
 )
 from anosovlab.orbits import (
@@ -100,7 +102,7 @@ class Scenario:
     series_depth: int | None = None
     branch_depth: int = 12
     max_period: int = 3
-    fourier_order: int = 16
+    fourier_order: int | None = None  # None: livschitz_solve's default for the dimension
     # sampling counts
     points: int = 50
     codes_per_point: int = 8
@@ -144,9 +146,6 @@ _AT_LEAST_TWO = {
     "codes_per_point": "one branch code per point leaves no pair of branches to compare",
     "pairs": "one pair fits the isometry scale exactly, so its deviation is 0",
 }
-
-# modes k and k + 64 e_j coincide on the 64^2 grid of the plane cocycle solve
-_MAX_FOURIER_ORDER = 31
 
 _TOP_KEYS = {"fixture", "tolerances", "depths", "sampling", "seed", "output", "stages", "dichotomy"}
 
@@ -258,11 +257,11 @@ def load_scenario(source) -> Scenario:
         if values.get(target, 2) < 2:
             problems.append(f"sampling.{target}: must be >= 2; {why}")
 
-    if values.get("fourier_order", 0) > _MAX_FOURIER_ORDER:
-        problems.append(
-            f"depths.fourier_order: must be <= {_MAX_FOURIER_ORDER}; higher modes alias on the "
-            "64^2 cocycle grid, where k and k + 64 e_j coincide"
-        )
+    dim = fixture_dim(values["fixture"], values.get("custom")) if "fixture" in values else None
+    if dim is not None and values.get("fourier_order") is not None:
+        problem = fourier_order_problem(dim, values["fourier_order"])
+        if problem:
+            problems.append(f"depths.fourier_order: {problem}")
 
     seed = cfg.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:

@@ -1,7 +1,12 @@
 """Shared fixtures. Expensive objects are session-scoped and read-only."""
 
+import sys
+
 import numpy as np
 import pytest
+
+# anosovlab depends on numpy and PyYAML only: a code path that imports scipy fails here
+sys.modules["scipy"] = None
 
 from anosovlab.maps import fixture_catalog
 

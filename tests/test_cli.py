@@ -282,6 +282,19 @@ def test_python_m_package(tmp_path):
     _check_exit_codes(tmp_path, run)
 
 
+def test_no_scipy_module_is_loaded(tmp_path):
+    """A fresh process that imports the command and builds a map loads no scipy module."""
+    config = Path(__file__).resolve().parents[1] / "configs" / "shear.yaml"
+    probe = (
+        "import sys; import anosovlab.cli; from anosovlab.scenarios import load_scenario; "
+        "load_scenario(sys.argv[1]).build_map(); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe, str(config)], **_fresh_process_opts(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def _fresh_process_opts(tmp_path):
     """subprocess.run options for a fresh interpreter that imports this package."""
     env = dict(os.environ)  # carries the test's own ANOSOVLAB_CACHE

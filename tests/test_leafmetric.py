@@ -192,7 +192,7 @@ class TestCocycleSolver:
             p = np.atleast_2d(p)
             return -0.4 + psi_true(product05.torus_step(p)) - psi_true(p)
 
-        sol = livschitz_solve(product05, phi, enumerate_orbits(product05, 2), fourier_order=16)
+        sol = livschitz_solve(product05, phi, enumerate_orbits(product05, 2))
         assert sol.fourier_order == 6
         assert abs(sol.mean + 0.4) < 1e-3
         assert sol.residual < 1e-3
@@ -235,8 +235,18 @@ class TestCocycleSolver:
 
         inventory = enumerate_orbits(shear05, 1)
         assert livschitz_solve(shear05, phi, inventory, fourier_order=31).fourier_order == 31
-        with pytest.raises(ValueError, match="aliases on the 64\\^2 grid"):
+        with pytest.raises(ValueError, match="alias on the 64\\^2 cocycle grid"):
             livschitz_solve(shear05, phi, inventory, fourier_order=32)
+
+    def test_order_above_six_in_three_dimensions_is_refused(self, product05):
+        """The 20^3 grid takes orders up to 6; a higher order is an error, not a silent clamp."""
+        def phi(p):
+            return np.zeros(np.atleast_2d(p).shape[0])
+
+        inventory = enumerate_orbits(product05, 1)
+        assert livschitz_solve(product05, phi, inventory, fourier_order=6).fourier_order == 6
+        with pytest.raises(ValueError, match="fourier_order 16: must be <= 6 in 3-D; on the 20\\^3 cocycle grid"):
+            livschitz_solve(product05, phi, inventory, fourier_order=16)
 
     def test_non_coboundary_raises_with_best_fit(self, shear05):
         def phi(p):

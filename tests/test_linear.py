@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from anosovlab.errors import NotHyperbolic
 from anosovlab.linear import (
     IntMatrix,
+    _matrix_sign,
     analyze_matrix,
     coset_representatives,
     covering_radius_table,
@@ -16,7 +17,7 @@ from anosovlab.linear import (
     preimage_covering_radius,
     preimage_points,
 )
-from anosovlab.util import torus_delta, torus_distance, wrap
+from anosovlab.util import grid_points, torus_delta, torus_distance, wrap
 
 A0 = ((3, 1), (1, 1))
 MU_S = 2.0 - np.sqrt(2.0)
@@ -108,7 +109,76 @@ class TestLattice:
             assert np.linalg.norm(v) <= 10.0 + 1e-9
 
 
+# (matrix, stable dimension): the plane model, the reducible product, the
+# irreducible cubic, a 4x4 companion matrix and an expanding matrix
+SPECTRAL_CASES = [
+    (A0, 1),
+    (((2, 1, 0), (1, 1, 0), (0, 0, 2)), 1),
+    (((0, 0, -2), (1, 0, 1), (0, 1, 6)), 2),
+    (((0, 0, 0, -3), (1, 0, 0, 1), (0, 1, 0, -5), (0, 0, 1, 4)), 2),
+    (((2, 1), (1, 3)), 0),
+]
+
+
+@pytest.mark.parametrize("rows, k", SPECTRAL_CASES)
+class TestSpectralProjection:
+    def test_projector_identities(self, rows, k):
+        model = analyze_matrix(rows)
+        a, p = model.array, model.stable_projection
+        assert model.stable_dim == k
+        assert np.abs(p @ p - p).max() <= 1e-13
+        assert np.abs(a @ p - p @ a).max() <= 1e-12
+        assert abs(np.trace(p) - k) <= 1e-13
+
+    def test_matches_the_eigenvector_projector(self, rows, k):
+        model = analyze_matrix(rows)
+        vals, vecs = np.linalg.eig(model.array)
+        keep = np.diag((np.abs(vals) < 1.0).astype(float))
+        want = (vecs @ keep @ np.linalg.inv(vecs)).real
+        assert np.abs(model.stable_projection - want).max() <= 1e-12
+
+    def test_bases_are_orthonormal_ranges(self, rows, k):
+        model = analyze_matrix(rows)
+        d = model.dim
+        for basis, proj, dim in (
+            (model.stable_basis, model.stable_projection, k),
+            (model.unstable_subspace, model.unstable_projection, d - k),
+        ):
+            assert basis.shape == (d, dim)
+            assert np.abs(basis.T @ basis - np.eye(dim)).max(initial=0.0) <= 1e-13
+            assert np.abs(proj @ basis - basis).max(initial=0.0) <= 1e-12
+
+
+def test_matrix_sign_iteration_cap_raises():
+    """Eigenvalues on the imaginary axis have no sign; Newton's iteration never settles."""
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        _matrix_sign(np.array([[0.0, 2.0], [-2.0, 0.0]]))
+
+
+def _brute_force_radius(rows, k):
+    """Grid maximum of the distance to the nearest of the 3^d-tiled preimage points."""
+    d = len(rows)
+    pts = preimage_points(rows, k)
+    offsets = np.stack(np.meshgrid(*[[-1.0, 0.0, 1.0]] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    tiled = (pts[None, :, :] + offsets[:, None, :]).reshape(-1, d)
+    grid = grid_points(d, 64 if d == 2 else 32)
+    nearest = np.empty(grid.shape[0])
+    for lo in range(0, grid.shape[0], 4096):
+        diff = grid[lo : lo + 4096, None, :] - tiled[None, :, :]
+        nearest[lo : lo + 4096] = np.sqrt(np.einsum("gpd,gpd->gp", diff, diff).min(axis=1))
+    return float(nearest.max())
+
+
 class TestCoveringRadius:
+    @pytest.mark.parametrize(
+        "rows, k_max",
+        [(A0, 5), (((2, 1, 0), (1, 1, 0), (0, 0, 2)), 3), (((0, 0, -2), (1, 0, 1), (0, 1, 6)), 3)],
+    )
+    def test_closest_vector_search_matches_brute_force(self, rows, k_max):
+        for k in range(k_max + 1):
+            want = _brute_force_radius(rows, k)
+            assert preimage_covering_radius(rows, k) == pytest.approx(want, rel=1e-10, abs=0.0)
+
     def test_k0_is_half_diagonal(self):
         # the only preimage at k=0 is the origin itself
         r0 = preimage_covering_radius(A0, 0)

@@ -104,6 +104,19 @@ class TestLoadScenario:
         assert problem.startswith("depths.fourier_order: must be <= 31") and "64^2 cocycle grid" in problem
         assert load_scenario({**MINIMAL, "depths": {"fourier_order": 31}}).fourier_order == 31
 
+    @pytest.mark.parametrize("fixture", [
+        {"name": "product_T3", "epsilon": 0.05},
+        {"name": "custom", "custom": {"matrix": [[0, 0, -2], [1, 0, 1], [0, 1, 6]]}},
+    ])
+    def test_fourier_order_above_six_in_three_dimensions(self, fixture):
+        """The 20^3 cocycle grid takes orders up to 6; a 3-D config that omits the key loads."""
+        with pytest.raises(ConfigInvalid) as exc_info:
+            load_scenario({"fixture": fixture, "depths": {"fourier_order": 7}})
+        [problem] = exc_info.value.problems
+        assert problem.startswith("depths.fourier_order: must be <= 6 in 3-D") and "20^3 cocycle grid" in problem
+        assert load_scenario({"fixture": fixture, "depths": {"fourier_order": 6}}).fourier_order == 6
+        assert load_scenario({"fixture": fixture}).fourier_order is None
+
     def test_rejects_bool_numbers(self):
         with pytest.raises(ConfigInvalid):
             load_scenario({"fixture": {"name": "linear_A0", "epsilon": True}})
