@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from anosovlab import scenarios
 from anosovlab.conjugacy import ConjugacyEvaluator
@@ -351,12 +352,24 @@ class TestCache:
 
 @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
 def test_shipped_config_builds_its_map(config):
+    text = config.read_text()
+    # libyaml's parse: same values, types and key order as the pure-Python loader's
+    assert repr(scenarios._parse_yaml(text)) == repr(yaml.safe_load(text))
     sc = load_scenario(config)
     f = sc.build_map()
     assert f.evaluate(np.zeros((1, f.dim))).shape == (1, f.dim)
     if sc.dichotomy_family is not None:
         for eps in sc.dichotomy_epsilons:
             assert fixture_catalog(sc.dichotomy_family, eps).dim >= 2
+
+
+def test_invalid_yaml_reports_the_pure_python_message():
+    text = "fixture:\n  name: [linear_A0,\n"
+    with pytest.raises(yaml.YAMLError) as pure:
+        yaml.safe_load(text)
+    with pytest.raises(ConfigInvalid) as exc_info:
+        load_scenario(text)
+    assert exc_info.value.problems == [f"not valid YAML: {pure.value}"]
 
 
 def _small_scenario(tmp_path: Path, **kw) -> Scenario:
