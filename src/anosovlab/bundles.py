@@ -1,13 +1,15 @@
 """Invariant bundles: finest stable splitting and branch-dependent unstable data.
 
-The stable directions at a point are branch-free and come from two QR-chain
-flags. Running QR on the transposed, reversed forward cocycle orders the
-orthogonal factor so that its trailing columns span the most-contracted
+The stable directions at a point are branch-free. The most-contracted one
+(i = 1) is M^-1 w, normalized, for M = DF^N along the forward orbit: one
+chain of 2x2 or 3x3 adjugates walked from the far end of the window, which
+also yields the singular rates that check its gap. Deeper ones come from two
+QR-chain flags. Running QR on the transposed, reversed forward cocycle orders
+the orthogonal factor so that its trailing columns span the most-contracted
 subspaces (the ascending flag V_1 c V_2 c ...). Running QR forward along the
 canonical backward lift orbit orders the leading columns by realized growth
 (the descending flag D_1 c D_2 c ...). The i-th one-dimensional stable
-direction is the intersection V_i cap D_{d-i+1}; for i = 1 the ascending flag
-alone suffices.
+direction is the intersection V_i cap D_{d-i+1}.
 
 Unstable directions live on backward branches: each step of a branch walk
 picks one preimage coset, and the pushed-forward subspace depends on those
@@ -21,9 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from anosovlab.errors import GapTooSmall
-from anosovlab.linear import coset_representatives
+from anosovlab.linear import LinearModel, coset_representatives
 from anosovlab.maps import TorusMap
 from anosovlab.util import (
+    adjugate,
     canonical_sign,
     float_cell,
     largest_principal_angle,
@@ -118,29 +121,84 @@ def _check_rates(rates: np.ndarray, k: int, min_gap: float) -> None:
         )
 
 
+def _stable_seed(model: LinearModel) -> np.ndarray:
+    """Unit normal to the linear bundles other than E^s_1; for k = 1, to E^u.
+
+    In the plane it is the quarter turn R u of the unstable line, exactly.
+    """
+    h = np.concatenate([model.unstable_subspace, model.stable_lines[1:].T], axis=1)
+    if model.dim == 2:
+        return np.array([-h[1, 0], h[0, 0]])
+    n = np.cross(h[:, 0], h[:, 1])
+    return n / np.linalg.norm(n)
+
+
+def _entries(mats: np.ndarray) -> np.ndarray:
+    """A (..., d, d) stack entry by entry, (d, d, ...), each entry contiguous."""
+    return np.ascontiguousarray(np.moveaxis(mats, (-2, -1), (0, 1)))
+
+
+def _unit_walk(m: np.ndarray, seed: np.ndarray, depth: int, growth: bool = False):
+    """w <- m_j w / |w| from the far end of every depth-window, j = depth - 1 .. 0.
+
+    m (d, d, T + depth - 1, n) holds the factors entry by entry, and window t
+    applies m[:, :, t + depth - 1] first. Each product is an unrolled sum over
+    the components, started at component 0. Returns the d unit components,
+    (T, n) each, and with `growth` the chain's log growth, the summed log
+    norms of the products (T, n); otherwise None.
+    """
+    d = m.shape[0]
+    windows = m.shape[2] - depth + 1
+    w = [float(c) for c in seed]
+    logs = np.zeros((windows,) + m.shape[3:]) if growth else None
+    for j in range(depth - 1, -1, -1):
+        rows = slice(j, j + windows)
+        prod = []
+        for i in range(d):
+            acc = m[i, 0, rows] * w[0]
+            for c in range(1, d):
+                acc += m[i, c, rows] * w[c]
+            prod.append(acc)
+        norm = prod[0] * prod[0]
+        for c in range(1, d):
+            norm += prod[c] * prod[c]
+        norm = np.sqrt(norm)
+        if growth:
+            logs += np.log(norm)
+        w = [c / norm for c in prod]
+    return w, logs
+
+
 def first_stable_direction(
     f: TorusMap, jacs: np.ndarray, depth: int, min_gap: float = 0.02
 ) -> np.ndarray:
-    """Most-contracted direction at the first T steps of n forward orbits.
+    """Most-contracted direction at the first T steps of n forward orbits, d <= 3.
 
     jacs (T + depth - 1, n, d, d) holds DF along the orbits; the direction at
     step t comes from the window jacs[t : t + depth]. Returns unit vectors
-    (T, n, d). For one stable direction in the plane it is the rotation of
-    the most-expanded right-singular direction, which a plain transpose-matvec
-    recursion finds without any QR factorizations; otherwise it is the last
-    column of the ascending frame, with the rate gaps checked.
+    (T, n, d), sign not normalized. With M the window's product DF^depth,
+    the direction is M^-1 w normalized, found by walking the adjugates
+    adj J = det(J) J^-1 from the window's far end, seeded with the unit
+    normal to the linear E^u (`_stable_seed`). In the plane adj J = R J^T R^T
+    for the quarter turn R, so this is the transpose recursion on the most
+    expanded right-singular direction, rotated. In 3-D the three singular
+    rates are checked for gaps: the smallest from the adjugate chain's log
+    growth less the window's sum of log|det J|, the largest from a J^T chain
+    and the middle one as their sum's remainder.
     """
     d, k = f.dim, f.model.stable_dim
     windows = jacs.shape[0] - depth + 1
-    if d == 2 and k == 1:
-        v = np.broadcast_to(f.model.unstable_subspace[:, 0], (windows,) + jacs.shape[1:-1]).copy()
-        for j in range(depth - 1, -1, -1):
-            v = np.einsum("tnji,tnj->tni", jacs[j : j + windows], v)
-            v /= np.linalg.norm(v, axis=-1, keepdims=True)
-        return np.stack([-v[..., 1], v[..., 0]], axis=-1)
-    q, rates = _ascending_frame(jacs, depth)
-    _check_rates(rates, k, min_gap)
-    return canonical_sign(q[..., d - 1])
+    adj, det = adjugate(jacs)
+    w, shrink = _unit_walk(_entries(adj), _stable_seed(f.model), depth, growth=d == 3)
+    if d == 3:
+        logdet = np.cumsum(np.log(np.abs(det)), axis=0)
+        logdet = np.concatenate([np.zeros((1,) + logdet.shape[1:]), logdet])
+        total = logdet[depth : depth + windows] - logdet[:windows]
+        transposed = _entries(np.swapaxes(jacs, -1, -2))
+        _, stretch = _unit_walk(transposed, _generic_frame(d)[:, 0], depth, growth=True)
+        rates = np.stack([stretch, shrink - stretch, total - shrink], axis=-1) / depth
+        _check_rates(rates, k, min_gap)
+    return np.stack(w, axis=-1)
 
 
 def _stable_field(

@@ -94,9 +94,9 @@ class ConjugacyEvaluator:
         t = wrap(x)
         acc = np.zeros_like(t)
         for n in range(self.series_depth):
-            acc += self.map.displacement(t) @ self.weights_unstable[n].T
-            if n + 1 < self.series_depth:
-                t = self.map.torus_step(t)
+            image, disp = self.map.evaluate_with_displacement(t)
+            acc += disp @ self.weights_unstable[n].T
+            t = wrap(image)
         return acc
 
     def _series_stable(self, x: np.ndarray) -> np.ndarray:
@@ -104,8 +104,8 @@ class ConjugacyEvaluator:
         y = np.array(x, dtype=float)
         acc = np.zeros_like(y)
         for n in range(self.series_depth):
-            y = self.map.invert(y)
-            acc -= self.map.displacement(y) @ self.weights_stable[n].T
+            y, disp, _ = self.map.invert_with_displacement(y)
+            acc -= disp @ self.weights_stable[n].T
         return acc
 
     def h_displacement(self, x) -> np.ndarray:

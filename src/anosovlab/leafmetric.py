@@ -56,9 +56,9 @@ def stable_direction_stack(f: TorusMap, pts: np.ndarray, i: int, depth: int = 12
         stack = f.model.stable_lines[:i].T
         return np.broadcast_to(stack, (pts.shape[0],) + stack.shape).copy()
     if i == 1:
-        # plane chains start at the lift point itself, QR chains at its torus cell
-        jacs = _forward_jacobians(f, pts if f.dim == 2 else wrap(pts), depth)
-        return first_stable_direction(f, jacs, depth)[0][:, :, None]
+        # the chain starts at the lift point itself; its torus cell would round
+        # the first Jacobian differently
+        return first_stable_direction(f, _forward_jacobians(f, pts, depth), depth)[0][:, :, None]
     stable, _, _ = _stable_field(f, wrap(pts), depth)
     return stable[:, :, :i]
 

@@ -227,19 +227,26 @@ class TorusMap:
             z = np.linalg.solve(self.model.array, self._g_inverse(yb).T).T
             x = self._g(z)
             return x, self._conjugated_jacobian(z, z @ self.model.array.T)
-        x = self.invert(yb)
-        return x, self.jacobian(x)
+        x, _, jac = self.invert_with_displacement(yb)
+        return x, jac
+
+    def evaluate_with_displacement(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(F(x), phi(x)) from one inner inverse solve or trig pass; batched."""
+        xb, single = _as_batch(x)
+        linear = xb @ self.model.array.T
+        if self.conjugator is not None:
+            out = self.evaluate(xb)
+            disp = out - linear
+        elif self.perturbation is not None and self.epsilon != 0.0:
+            disp = self.epsilon * self.perturbation.evaluate(xb)
+            out = linear + disp
+        else:
+            out, disp = linear, np.zeros_like(xb)
+        return (out[0], disp[0]) if single else (out, disp)
 
     def displacement(self, x) -> np.ndarray:
         """phi(x) = F(x) - A x, Z^d-periodic."""
-        xb, single = _as_batch(x)
-        if self.conjugator is not None:
-            out = self.evaluate(xb) - xb @ self.model.array.T
-        elif self.perturbation is not None and self.epsilon != 0.0:
-            out = self.epsilon * self.perturbation.evaluate(xb)
-        else:
-            out = np.zeros_like(xb)
-        return out[0] if single else out
+        return self.evaluate_with_displacement(x)[1]
 
     def torus_step(self, t: np.ndarray) -> np.ndarray:
         """One forward step of the induced torus map."""
@@ -271,42 +278,61 @@ class TorusMap:
     # -- lift inversion ------------------------------------------------------
 
     def invert(self, y, tol: float = 1e-12) -> np.ndarray:
-        """Solve F(x) = y on the lift; unique since the lift is a diffeo.
+        """Solve F(x) = y on the lift; unique since the lift is a diffeo."""
+        return self.invert_with_displacement(y, tol)[0]
 
-        Conjugated maps invert exactly by composition; trig maps run a batched
-        Newton from the seed A^{-1} y. Residuals are always verified.
+    def invert_with_displacement(
+        self, y, tol: float = 1e-12
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """(x, phi(x), DF(x)) with F(x) = y on the lift; batched.
+
+        Conjugated maps invert exactly by composition, and the round trip
+        through the forward map that verifies the residual also gives phi(x);
+        their DF is None, as no pass computes it. Trig maps run a batched
+        Newton from the seed A^{-1} y with one trig pass per step for F and DF
+        on the whole batch, at most _NEWTON_MAX_ITER updates; the last pass
+        gives phi(x) and DF(x). Residuals are always verified.
         """
         yb, single = _as_batch(y)
         a = self.model.array
         scale = np.maximum(1.0, np.abs(yb).max(axis=1))
+        jac = None
         if self.conjugator is not None:
             z = np.linalg.solve(a, self._g_inverse(yb).T).T
             x = self._g(z)
-            res = self.evaluate(x) - yb  # round trip through the forward map
+            fx = self.evaluate(x)
+            disp, res = fx - x @ a.T, fx - yb
+        elif self.perturbation is None or self.epsilon == 0.0:
+            x = np.linalg.solve(a, yb.T).T
+            res = x @ a.T - yb
+            disp, jac = np.zeros_like(x), np.broadcast_to(a, x.shape + (self.dim,)).copy()
         else:
             x = np.linalg.solve(a, yb.T).T
-            res = self.evaluate(x) - yb
-            if self.perturbation is not None and self.epsilon != 0.0:
-                for _ in range(_NEWTON_MAX_ITER):
-                    bad = np.abs(res).max(axis=1) > tol * scale
-                    if not bad.any():
-                        break
-                    jac = self.jacobian(x[bad])
-                    det = np.linalg.det(jac)
-                    if np.any(np.abs(det) < 1e-14):
-                        idx = int(np.argmin(np.abs(det)))
-                        raise NotLocalDiffeo(
-                            f"Jacobian determinant {det[idx]:.3e} near x = {x[bad][idx]}"
-                        )
-                    x[bad] -= solve_batched(jac, res[bad])
-                    res = self.evaluate(x) - yb
-                else:
+            for step in range(_NEWTON_MAX_ITER + 1):
+                val, dval = self.perturbation.evaluate_and_jacobian(x)
+                disp = self.epsilon * val
+                res = x @ a.T + disp - yb
+                bad = np.abs(res).max(axis=1) > tol * scale
+                if not bad.any():
+                    break
+                if step == _NEWTON_MAX_ITER:
                     worst = float(np.abs(res).max())
                     raise NoConvergence(f"lift inversion stalled at residual {worst:.3e}")
-        res = float(np.abs(res).max() / scale.max())
-        if res > 100.0 * tol:
-            raise NoConvergence(f"lift inversion verified residual {res:.3e} exceeds tolerance")
-        return x[0] if single else x
+                jb = a + self.epsilon * dval[bad]
+                det = np.linalg.det(jb)
+                if np.any(np.abs(det) < 1e-14):
+                    idx = int(np.argmin(np.abs(det)))
+                    raise NotLocalDiffeo(
+                        f"Jacobian determinant {det[idx]:.3e} near x = {x[bad][idx]}"
+                    )
+                x[bad] -= solve_batched(jb, res[bad])
+            jac = a + self.epsilon * dval
+        worst = float(np.abs(res).max() / scale.max())
+        if worst > 100.0 * tol:
+            raise NoConvergence(f"lift inversion verified residual {worst:.3e} exceeds tolerance")
+        if single:
+            return x[0], disp[0], None if jac is None else jac[0]
+        return x, disp, jac
 
     def preimages(self, t: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         """All degree-many torus preimages of each point; shape (n, degree, d).

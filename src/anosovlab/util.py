@@ -65,11 +65,17 @@ def pairwise_principal_angles(bases: np.ndarray) -> np.ndarray:
 
     bases (..., m, d, k) holds spanning sets of equal-dimension subspaces.
     Returns (..., m(m-1)/2), pairs (i, j) with i < j in np.triu_indices order.
+    The angle is atan2 of its sine ||(I - Q_i Q_i^T) Q_j||_2 and its cosine
+    sigma_min(Q_i^T Q_j): the cosine alone cannot resolve angles below about
+    1.5e-8, where it rounds to 1.
     """
     q, _ = qr_pos(np.asarray(bases, dtype=float))
     a, b = np.triu_indices(q.shape[-3], 1)
-    sigma = np.linalg.svd(np.swapaxes(q[..., a, :, :], -1, -2) @ q[..., b, :, :], compute_uv=False)
-    return np.arccos(np.clip(sigma.min(axis=-1), -1.0, 1.0))
+    qa, qb = q[..., a, :, :], q[..., b, :, :]
+    overlap = np.swapaxes(qa, -1, -2) @ qb
+    cos = np.linalg.svd(overlap, compute_uv=False).min(axis=-1)
+    sin = np.linalg.svd(qb - qa @ overlap, compute_uv=False).max(axis=-1)
+    return np.arctan2(sin, cos)
 
 
 def largest_principal_angle(b1: np.ndarray, b2: np.ndarray) -> float:
@@ -113,35 +119,35 @@ def solve_batched(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(mats, vecs[..., None])[..., 0]
 
 
-def inv_batched(mats: np.ndarray) -> np.ndarray:
-    """Inverses of stacked small matrices; closed form for d <= 3."""
+def adjugate(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Adjugates and determinants of stacked 2x2 or 3x3 matrices, closed form."""
     d = mats.shape[-1]
+    adj = np.empty_like(mats)
     if d == 2:
         a, b = mats[..., 0, 0], mats[..., 0, 1]
         c, e = mats[..., 1, 0], mats[..., 1, 1]
-        det = a * e - b * c
-        out = np.empty_like(mats)
-        out[..., 0, 0] = e
-        out[..., 0, 1] = -b
-        out[..., 1, 0] = -c
-        out[..., 1, 1] = a
-        return out / det[..., None, None]
-    if d == 3:
-        cof = np.empty_like(mats)
-        for i in range(3):
-            for j in range(3):
-                r = [(i + 1) % 3, (i + 2) % 3]
-                c = [(j + 1) % 3, (j + 2) % 3]
-                cof[..., j, i] = (
-                    mats[..., r[0], c[0]] * mats[..., r[1], c[1]]
-                    - mats[..., r[0], c[1]] * mats[..., r[1], c[0]]
-                )
-        det = (
-            mats[..., 0, 0] * cof[..., 0, 0]
-            + mats[..., 0, 1] * cof[..., 1, 0]
-            + mats[..., 0, 2] * cof[..., 2, 0]
-        )
-        return cof / det[..., None, None]
+        adj[..., 0, 0] = e
+        adj[..., 0, 1] = -b
+        adj[..., 1, 0] = -c
+        adj[..., 1, 1] = a
+        return adj, a * e - b * c
+    if d != 3:
+        raise ValueError(f"closed-form adjugate is for 2x2 and 3x3 matrices, got {d}x{d}")
+    m = [[mats[..., i, j] for j in range(3)] for i in range(3)]
+    for i in range(3):
+        i1, i2 = (i + 1) % 3, (i + 2) % 3
+        for j in range(3):
+            j1, j2 = (j + 1) % 3, (j + 2) % 3
+            adj[..., j, i] = m[i1][j1] * m[i2][j2] - m[i1][j2] * m[i2][j1]
+    det = m[0][0] * adj[..., 0, 0] + m[0][1] * adj[..., 1, 0] + m[0][2] * adj[..., 2, 0]
+    return adj, det
+
+
+def inv_batched(mats: np.ndarray) -> np.ndarray:
+    """Inverses of stacked small matrices; adjugate over determinant for d <= 3."""
+    if mats.shape[-1] in (2, 3):
+        adj, det = adjugate(mats)
+        return adj / det[..., None, None]
     return np.linalg.inv(mats)
 
 

@@ -26,9 +26,12 @@ def _angle(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def _pair_angle(b1: np.ndarray, b2: np.ndarray) -> float:
-    """One pair at a time: two QR factorizations and one SVD."""
-    sigma = np.linalg.svd(orthonormal_columns(b1).T @ orthonormal_columns(b2), compute_uv=False)
-    return float(np.arccos(np.clip(sigma.min(), -1.0, 1.0)))
+    """One pair at a time: two QR factorizations, two SVDs and atan2(sin, cos)."""
+    q1, q2 = orthonormal_columns(b1), orthonormal_columns(b2)
+    overlap = q1.T @ q2
+    cos = np.linalg.svd(overlap, compute_uv=False).min()
+    sin = np.linalg.svd(q2 - q1 @ overlap, compute_uv=False).max()
+    return float(np.arctan2(sin, cos))
 
 
 class TestStableSplitting:
@@ -167,5 +170,15 @@ class TestBatchedAngles:
 
     def test_vectors_and_dimension_check(self):
         assert largest_principal_angle([1.0, 0.0], [1.0, 1.0]) == pytest.approx(np.pi / 4)
+        assert largest_principal_angle([1.0, 0.0], [0.0, 2.0]) == pytest.approx(np.pi / 2)
         with pytest.raises(ValueError, match="dimensions differ"):
             largest_principal_angle(np.eye(3)[:, :2], np.eye(3)[:, :1])
+
+    @pytest.mark.parametrize("slope", [1e-10, 3e-13])
+    def test_resolves_tiny_angles(self, slope):
+        """The arccos of the cosine reads 0 below about 1.5e-8; the sine form does not."""
+        want = pytest.approx(np.arctan(slope), rel=1e-6)
+        assert largest_principal_angle([1.0, 0.0], [1.0, slope]) == want
+        plane = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        tilted = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, slope]])
+        assert largest_principal_angle(plane, tilted) == want

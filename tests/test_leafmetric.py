@@ -5,7 +5,7 @@ import functools
 import numpy as np
 import pytest
 
-from anosovlab.bundles import first_stable_direction, integrability_verdict
+from anosovlab.bundles import _ascending_frame, first_stable_direction, integrability_verdict
 from anosovlab.conjugacy import conjugacy_evaluator
 from anosovlab.errors import (
     GapTooSmall,
@@ -30,6 +30,7 @@ from anosovlab.leafmetric import (
     tangency_residual,
     unstable_holonomy,
 )
+from anosovlab.maps import fixture_catalog
 from anosovlab.orbits import enumerate_orbits
 from anosovlab.util import grid_points
 
@@ -112,6 +113,58 @@ class TestTraces:
         [leaf] = pull_back_leaves(linear_map, [0.3, 0.4], L=0.1)
         assert leaf.node_near_arc(0.0) == 0
         assert leaf.node_near_arc(float(leaf.arclength[-1])) == len(leaf) - 1
+
+
+def _transpose_recursion(f, jacs, depth):
+    """The plane kernel before the adjugate chain, kept as the reference: J^T
+    walked on the unstable line from each window's far end, then turned a
+    quarter."""
+    windows = jacs.shape[0] - depth + 1
+    v = np.broadcast_to(f.model.unstable_subspace[:, 0], (windows,) + jacs.shape[1:-1]).copy()
+    for j in range(depth - 1, -1, -1):
+        v = np.einsum("tnji,tnj->tni", jacs[j : j + windows], v)
+        v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    return np.stack([-v[..., 1], v[..., 0]], axis=-1)
+
+
+def _orbit_jacobians(f, rng, n, length):
+    orbit = f.orbit_points(rng.random((n, f.dim)), length)
+    return f.jacobian(orbit.reshape(-1, f.dim)).reshape(orbit.shape + (f.dim,))
+
+
+class TestStableKernel:
+    @pytest.mark.parametrize("name", ["shear05", "conjugated05"])
+    def test_plane_equals_transpose_recursion(self, name, request, rng):
+        f = request.getfixturevalue(name)
+        jacs = _orbit_jacobians(f, rng, 40, 140)
+        assert np.array_equal(first_stable_direction(f, jacs, 12), _transpose_recursion(f, jacs, 12))
+
+    def test_three_dimensions_against_a_deep_chain(self, product05, rng):
+        """Depth 12 against the QR chain at depth 40, whose error is at rounding level."""
+        jacs = _orbit_jacobians(product05, rng, 7, 60)
+        reference = _ascending_frame(jacs, 40)[0][..., 2]
+        windows = reference.shape[0]
+
+        def error(v):
+            return np.linalg.norm(np.cross(v[:windows], reference), axis=-1).max()
+
+        kernel = first_stable_direction(product05, jacs, 12)
+        assert np.allclose(np.linalg.norm(kernel, axis=-1), 1.0)
+        assert error(kernel) < 1e-10
+        assert error(kernel) < error(_ascending_frame(jacs, 12)[0][..., 2])
+
+    def test_gap_reads_the_linear_spectrum(self, product05, rng):
+        """The middle and smallest rates sit near log 2 and log((3 - 5^0.5) / 2), 1.66 apart."""
+        jacs = _orbit_jacobians(product05, rng, 5, 30)
+        first_stable_direction(product05, jacs, 12, min_gap=1.4)
+        with pytest.raises(GapTooSmall):
+            first_stable_direction(product05, jacs, 12, min_gap=2.0)
+
+    def test_four_dimensions_refused(self):
+        matrix = ((2, 1, 0, 0), (1, 1, 0, 0), (0, 0, 2, 1), (0, 0, 1, 1))
+        f = fixture_catalog("custom", custom={"matrix": matrix})
+        with pytest.raises(ValueError, match="2x2 and 3x3"):
+            first_stable_direction(f, np.zeros((12, 1, 4, 4)), 12)
 
 
 class TestOrbitForm:

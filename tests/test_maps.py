@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from anosovlab.errors import CertificationFailed, UnknownFixture
+from anosovlab.errors import CertificationFailed, NoConvergence, NotLocalDiffeo, UnknownFixture
 from anosovlab.maps import TrigField, anosov_certificate, fixture_catalog, local_diffeo_margin
 from anosovlab.util import torus_distance, wrap
 
@@ -89,6 +89,52 @@ class TestLiftStructure:
             for step in range(8):
                 assert np.max(torus_distance(orbit[step], t)) < 1e-10
                 t = f.torus_step(t)
+
+
+class TestInverseWithData:
+    """invert_with_displacement hands back phi and DF from its last pass."""
+
+    @pytest.mark.parametrize("name", ["shear05", "product05", "conjugated05"])
+    def test_matches_separate_calls(self, name, request, rng):
+        f = request.getfixturevalue(name)
+        y = rng.random((33, f.dim)) * 4 - 2
+        x, disp, jac = f.invert_with_displacement(y)
+        assert np.array_equal(x, f.invert(y))
+        assert np.array_equal(disp, f.displacement(x))
+        if f.conjugator is None:
+            assert np.array_equal(jac, f.jacobian(x))
+        else:
+            assert jac is None
+        x1, disp1, _ = f.invert_with_displacement(y[3])
+        assert np.array_equal(x1, f.invert(y[3])) and np.array_equal(disp1, f.displacement(x1))
+        image, disp = f.evaluate_with_displacement(x)
+        assert np.array_equal(image, f.evaluate(x)) and np.array_equal(disp, f.displacement(x))
+
+    @pytest.mark.parametrize("name", ["shear05", "product05"])
+    def test_trig_invert_with_jacobian_reads_the_last_pass(self, name, request, rng, monkeypatch):
+        f = request.getfixturevalue(name)
+        y = rng.random((9, f.dim)) * 4 - 2
+        want = (f.invert(y), f.jacobian(f.invert(y)))
+        with monkeypatch.context() as m:
+            for attr in ("evaluate", "jacobian"):
+                m.setattr(TrigField, attr, lambda self, x: pytest.fail("extra trig pass"))
+            got = f.invert_with_jacobian(y)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_singular_jacobian_refused(self):
+        """DF(x) = ((3, 1), (1 + 2 cos 2 pi x_1, 1)) is singular at x_1 = 0, where
+        the constant term leaves a residual, so the first Newton step is refused."""
+        terms = {1: [((1, 0), 0.0, 1.0), ((0, 0), 1.0, 0.0)]}
+        f = fixture_catalog("custom", epsilon=1.0 / np.pi, custom={"matrix": ((3, 1), (1, 1)), "terms": terms})
+        with pytest.raises(NotLocalDiffeo, match="determinant"):
+            f.invert(f.model.array @ np.array([0.0, 0.5]))
+
+    def test_no_convergence(self, shear05, conjugated05, rng):
+        y = rng.random((4, 2)) * 4 - 2
+        with pytest.raises(NoConvergence, match="stalled"):
+            shear05.invert(y, tol=1e-30)
+        with pytest.raises(NoConvergence, match="verified residual"):
+            conjugated05.invert(y, tol=1e-30)
 
 
 class TestPreimages:
