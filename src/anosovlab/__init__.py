@@ -7,7 +7,8 @@ dichotomy experiment:
     maps        torus map fixtures, lifts, preimages, cone certificates
     conjugacy   constructive conjugacy to the linear model, specialness
     orbits      periodic orbit continuation and stable spectra
-    bundles     branch-dependent unstable directions, stable splittings
+    bundles     branch-dependent unstable directions, the most-contracted
+                stable direction
     leafmetric  cocycle solvers, affine leaf metrics, holonomies
     scenarios   config-driven experiment runner used by the CLI
 """

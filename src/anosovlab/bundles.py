@@ -1,15 +1,9 @@
-"""Invariant bundles: finest stable splitting and branch-dependent unstable data.
+"""Invariant bundles: the most-contracted stable direction and branch-dependent unstable data.
 
-The stable directions at a point are branch-free. The most-contracted one
-(i = 1) is M^-1 w, normalized, for M = DF^N along the forward orbit: one
-chain of 2x2 or 3x3 adjugates walked from the far end of the window, which
-also yields the singular rates that check its gap. Deeper ones come from two
-QR-chain flags. Running QR on the transposed, reversed forward cocycle orders
-the orthogonal factor so that its trailing columns span the most-contracted
-subspaces (the ascending flag V_1 c V_2 c ...). Running QR forward along the
-canonical backward lift orbit orders the leading columns by realized growth
-(the descending flag D_1 c D_2 c ...). The i-th one-dimensional stable
-direction is the intersection V_i cap D_{d-i+1}.
+The most-contracted stable direction at a point is branch-free: M^-1 w,
+normalized, for M = DF^N along the forward orbit. It comes from one chain of
+2x2 or 3x3 adjugates walked from the far end of the window, which also yields
+the singular rates that check its gap.
 
 Unstable directions live on backward branches: each step of a branch walk
 picks one preimage coset, and the pushed-forward subspace depends on those
@@ -25,28 +19,7 @@ import numpy as np
 from anosovlab.errors import GapTooSmall
 from anosovlab.linear import LinearModel, coset_representatives
 from anosovlab.maps import TorusMap
-from anosovlab.util import (
-    adjugate,
-    canonical_sign,
-    float_cell,
-    largest_principal_angle,
-    pairwise_principal_angles,
-    qr_pos,
-    subspace_intersection,
-    wrap,
-)
-
-
-@dataclass(frozen=True)
-class SplittingSample:
-    """Stable directions and one branch's unstable subspace at a point."""
-
-    point: np.ndarray
-    stable_directions: np.ndarray  # (d, k): unit column per index i
-    unstable_subspace: np.ndarray  # (d, d-k): along the lift-inverse branch
-    depth: int
-    convergence_gap: float
-    rates: tuple[float, ...]  # per-step log singular rates, descending
+from anosovlab.util import adjugate, float_cell, pairwise_principal_angles, qr_pos, wrap
 
 
 def _forward_jacobians(f: TorusMap, pts: np.ndarray, depth: int) -> np.ndarray:
@@ -94,18 +67,6 @@ def _descending_frame(jacs: np.ndarray, depth: int | None = None) -> tuple[np.nd
         q, r = qr_pos(jacs[j : j + windows] @ q)
         logs += np.log(np.abs(r[..., np.arange(d), np.arange(d)]))
     return q, logs / depth
-
-
-def _ascending_frame(jacs: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Frames of the transposed cocycle over each depth-window of forward Jacobians.
-
-    Run from the far end of the window, the transposed chain's QR flag orders
-    directions by decreasing growth, so the last i columns span the i
-    most-contracted ones. Returns frames (T, n, d, d) and descending rates
-    (T, n, d) for the windows starting at jacs[t].
-    """
-    q, logs = _descending_frame(np.swapaxes(jacs[::-1], -1, -2), depth)
-    return q[::-1], -np.sort(-logs[::-1], axis=-1)
 
 
 def _check_rates(rates: np.ndarray, k: int, min_gap: float) -> None:
@@ -199,47 +160,6 @@ def first_stable_direction(
         rates = np.stack([stretch, shrink - stretch, total - shrink], axis=-1) / depth
         _check_rates(rates, k, min_gap)
     return np.stack(w, axis=-1)
-
-
-def _stable_field(
-    f: TorusMap, pts: np.ndarray, depth: int, min_gap: float = 0.02
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched stable directions (n, d, k), unstable subspace (n, d, d-k), rates."""
-    d, k = f.dim, f.model.stable_dim
-    q_asc, rates = _ascending_frame(_forward_jacobians(f, pts, depth), depth)
-    q_asc, rates = q_asc[0], rates[0]
-    _check_rates(rates, k, min_gap)
-    q_desc, _ = _descending_frame(_backward_jacobians(f, pts, depth))
-    unstable = q_desc[0, :, :, : d - k]
-    stable = np.empty((pts.shape[0], d, k))
-    stable[:, :, 0] = canonical_sign(q_asc[:, :, d - 1])
-    for i in range(2, k + 1):
-        asc_i = q_asc[:, :, d - i:]
-        desc_i = q_desc[0, :, :, : d - i + 1]
-        for row in range(pts.shape[0]):
-            stable[row, :, i - 1] = subspace_intersection(asc_i[row], desc_i[row])
-    return stable, unstable, rates
-
-
-def stable_splitting_at(
-    f: TorusMap, x, depth: int = 14, min_gap: float = 0.02
-) -> SplittingSample:
-    """Finest stable splitting at a torus point; gap measured against depth 2N."""
-    pt = wrap(np.asarray(x, dtype=float))[None, :]
-    s1, u1, _ = _stable_field(f, pt, depth, min_gap)
-    s2, u2, rates = _stable_field(f, pt, 2 * depth, min_gap)
-    gap = 0.0
-    for i in range(s1.shape[2]):
-        gap = max(gap, float(np.arccos(np.clip(abs(s1[0, :, i] @ s2[0, :, i]), 0.0, 1.0))))
-    gap = max(gap, largest_principal_angle(u1[0], u2[0]))
-    return SplittingSample(
-        point=pt[0],
-        stable_directions=s2[0],
-        unstable_subspace=u2[0],
-        depth=2 * depth,
-        convergence_gap=gap,
-        rates=tuple(float(v) for v in rates[0]),
-    )
 
 
 # -- branch-dependent unstable directions -------------------------------------

@@ -4,11 +4,13 @@ Leaves are polylines built by the graph transform: a straight segment along
 the linear stable line at the end of a wrapped forward orbit, pulled back
 through the lift (unstable leaves push a linear unstable segment forward the
 same way). The direction fields stay as the independent check of those
-leaves. The cocycle solver finds the mean and transfer function of an
-observable over the dynamics by Fourier least squares on a grid, with the
-periodic-orbit obstruction as the honesty check. The affine metric integrates
-e^(transfer) along the leaves, which turns the map into a strict affine
-contraction leafwise.
+leaves; the stable one, E^s_1 from the adjugate chain of
+`bundles.first_stable_direction`, also gives the log-contraction observable
+of the stable cocycle. The cocycle solver finds the mean and transfer
+function of an observable over the dynamics by Fourier least squares on a
+grid, with the periodic-orbit obstruction as the honesty check. The affine
+metric integrates e^(transfer) along the leaves, which turns the map into a
+strict affine contraction leafwise.
 """
 
 from __future__ import annotations
@@ -22,19 +24,13 @@ from anosovlab.bundles import (
     _backward_jacobians,
     _descending_frame,
     _forward_jacobians,
-    _stable_field,
     first_stable_direction,
 )
 from anosovlab.conjugacy import ConjugacyEvaluator
-from anosovlab.errors import (
-    NoConvergence,
-    NoIntersection,
-    ObstructionNonzero,
-    RefusedNonIntegrable,
-)
+from anosovlab.errors import NoIntersection, ObstructionNonzero, RefusedNonIntegrable
 from anosovlab.maps import TorusMap
 from anosovlab.orbits import OrbitInventory
-from anosovlab.util import float_cell, grid_points, wrap
+from anosovlab.util import float_cell, grid_points, pairwise_principal_angles, wrap
 
 
 # -- direction fields ----------------------------------------------------------
@@ -42,30 +38,17 @@ from anosovlab.util import float_cell, grid_points, wrap
 _FIELD_DEPTH = 12  # backward chain length of the unstable direction field
 
 
-def stable_direction_stack(f: TorusMap, pts: np.ndarray, i: int, depth: int = 12) -> np.ndarray:
-    """First i stable directions at each point, shape (n, d, i), unit columns.
-
-    The first direction reads a depth-long forward Jacobian chain from each
-    point (see `first_stable_direction`); deeper ones intersect it with the
-    backward flag.
-    """
-    k = f.model.stable_dim
-    if not 1 <= i <= k:
-        raise ValueError(f"stable index {i} out of range 1..{k}")
-    if f.epsilon == 0.0:
-        stack = f.model.stable_lines[:i].T
-        return np.broadcast_to(stack, (pts.shape[0],) + stack.shape).copy()
-    if i == 1:
-        # the chain starts at the lift point itself; its torus cell would round
-        # the first Jacobian differently
-        return first_stable_direction(f, _forward_jacobians(f, pts, depth), depth)[0][:, :, None]
-    stable, _, _ = _stable_field(f, wrap(pts), depth)
-    return stable[:, :, :i]
-
-
 def stable_direction_field(f: TorusMap, pts: np.ndarray, depth: int = 12) -> np.ndarray:
-    """Unit vectors along the most-contracted stable direction; sign not normalized."""
-    return stable_direction_stack(f, pts, 1, depth)[:, :, 0]
+    """Unit vectors (n, d) along the most-contracted stable direction; sign not normalized.
+
+    Each reads a depth-long forward Jacobian chain from its point (see
+    `first_stable_direction`); a linear map's is its linear E^s_1.
+    """
+    if f.epsilon == 0.0:
+        return np.broadcast_to(f.model.stable_lines[0], pts.shape).copy()
+    # the chain starts at the lift point itself; its torus cell would round
+    # the first Jacobian differently
+    return first_stable_direction(f, _forward_jacobians(f, pts, depth), depth)[0]
 
 
 def unstable_direction_field(f: TorusMap, pts: np.ndarray) -> np.ndarray:
@@ -193,14 +176,15 @@ def map_polyline(f: TorusMap, leaf: LeafPolyline) -> LeafPolyline:
 
 
 def tangency_residual(f: TorusMap, leaf: LeafPolyline) -> float:
-    """Max angle between polyline segments and the direction field at midpoints."""
+    """Max angle between polyline segments and the direction field at midpoints.
+
+    The angle is `pairwise_principal_angles`' sine form, which resolves
+    angles down to rounding where an arccos of the cosine stops near 1.5e-8.
+    """
     mids = 0.5 * (leaf.points[:-1] + leaf.points[1:])
-    segs = np.diff(leaf.points, axis=0)
-    segs /= np.linalg.norm(segs, axis=1, keepdims=True)
     field = unstable_direction_field if leaf.index == 0 else stable_direction_field
-    dirs = field(f, mids)
-    dots = np.clip(np.abs(np.sum(segs * dirs, axis=1)), 0.0, 1.0)
-    return float(np.arccos(dots).max())
+    pairs = np.stack([np.diff(leaf.points, axis=0), field(f, mids)], axis=1)
+    return float(pairwise_principal_angles(pairs[..., None]).max())
 
 
 def _nearest_on_polyline(points: np.ndarray, leaf: LeafPolyline) -> tuple[np.ndarray, np.ndarray]:
@@ -474,93 +458,42 @@ def livschitz_solve(
     return sol
 
 
-def stable_log_norm_observable(f: TorusMap, i: int = 1, depth: int = 12):
-    """phi(x) = log of the contraction factor of DF on E^s_i at x.
+def stable_log_norm_observable(f: TorusMap, depth: int = 12):
+    """phi(x) = log of the contraction factor of DF on E^s_1 at x.
 
-    For i >= 2 the factor is the quotient norm on E^s_(1..i)/E^s_(1..i-1),
-    computed as the component of DF e_i(x) along the direction of E^s_(1..i)
-    orthogonal to E^s_(1..i-1) at the image point.
-
-    For i = 1 on a perturbed map phi also has an orbit form,
-    `phi.along_orbit`, which evaluates it along forward orbit segments from
-    one Jacobian per orbit point; `phi.along_orbit.lookahead` is the number
-    of points it reads past the last value.
+    On a perturbed map phi also has an orbit form, `phi.along_orbit`, which
+    evaluates it along forward orbit segments from one Jacobian per orbit
+    point; `phi.along_orbit.lookahead` is the number of points it reads past
+    the last value.
     """
-    if i == 1:
-        def log_contraction(jacs, v):
-            w = np.einsum("nij,nj->ni", jacs, v)
-            return np.log(np.linalg.norm(w, axis=1))
-
-        def phi(pts):
-            pts = np.atleast_2d(pts)
-            return log_contraction(f.jacobian(pts), stable_direction_field(f, pts, depth))
-
-        if f.epsilon == 0.0:
-            return phi
-
-        def along_orbit(orbit):
-            """phi at orbit[t] for t < len(orbit) - depth + 1, shape (T, n).
-
-            orbit (T + depth - 1, n, d) holds n forward orbits; each point's
-            Jacobian serves as DF in phi and in the direction windows of the
-            depth - 1 points before it.
-            """
-            d = f.dim
-            jacs = f.jacobian(orbit.reshape(-1, d)).reshape(orbit.shape + (d,))
-            v = first_stable_direction(f, jacs, depth)
-            vals = log_contraction(jacs[: v.shape[0]].reshape(-1, d, d), v.reshape(-1, d))
-            return vals.reshape(v.shape[:2])
-
-        # function attributes, so wrappers that copy __dict__ keep the orbit form
-        along_orbit.lookahead = depth - 1
-        phi.along_orbit = along_orbit
-        return phi
-
-    def _normal_unit(stack):
-        # component of the i-th direction orthogonal to the first i-1, unit
-        lead, last = stack[:, :, :-1], stack[:, :, -1]
-        q, _ = np.linalg.qr(lead)
-        proj = np.einsum("ndi,ni->nd", q, np.einsum("ndi,nd->ni", q, last))
-        n = last - proj
-        return n / np.linalg.norm(n, axis=1, keepdims=True)
+    def log_contraction(jacs, v):
+        w = np.einsum("nij,nj->ni", jacs, v)
+        return np.log(np.linalg.norm(w, axis=1))
 
     def phi(pts):
         pts = np.atleast_2d(pts)
-        stack_x = stable_direction_stack(f, pts, i, depth)
-        stack_fx = stable_direction_stack(f, f.torus_step(pts), i, depth)
-        n_x = _normal_unit(stack_x)
-        n_fx = _normal_unit(stack_fx)
-        w = np.einsum("nij,nj->ni", f.jacobian(pts), n_x)
-        return np.log(np.abs(np.sum(n_fx * w, axis=1)))
+        return log_contraction(f.jacobian(pts), stable_direction_field(f, pts, depth))
 
+    if f.epsilon == 0.0:
+        return phi
+
+    def along_orbit(orbit):
+        """phi at orbit[t] for t < len(orbit) - depth + 1, shape (T, n).
+
+        orbit (T + depth - 1, n, d) holds n forward orbits; each point's
+        Jacobian serves as DF in phi and in the direction windows of the
+        depth - 1 points before it.
+        """
+        d = f.dim
+        jacs = f.jacobian(orbit.reshape(-1, d)).reshape(orbit.shape + (d,))
+        v = first_stable_direction(f, jacs, depth)
+        vals = log_contraction(jacs[: v.shape[0]].reshape(-1, d, d), v.reshape(-1, d))
+        return vals.reshape(v.shape[:2])
+
+    # function attributes, so wrappers that copy __dict__ keep the orbit form
+    along_orbit.lookahead = depth - 1
+    phi.along_orbit = along_orbit
     return phi
-
-
-def bundle_coboundary_psi(
-    f: TorusMap,
-    inventory: OrbitInventory,
-    i: int = 1,
-    fourier_order: int | None = None,
-    depth: int = 12,
-) -> CocycleSolution:
-    """Transfer function for the stable log-contraction cocycle on E^s_i.
-
-    Returns the solution in "transfer" orientation: phi - mean = psi - psi(Fx),
-    so the affine metric weight is exp(psi). A periodic obstruction above
-    tolerance propagates as ObstructionNonzero and is the non-rigidity signal,
-    not a failure of the solver. A mean more than 1e-4 from the linear
-    exponent raises NoConvergence.
-    """
-    lambda_tol = 1e-4
-    phi = stable_log_norm_observable(f, i, depth)
-    sol = livschitz_solve(f, phi, inventory, fourier_order)
-    target = f.model.stable_exponents[i - 1]
-    if abs(sol.mean - target) > lambda_tol:
-        raise NoConvergence(
-            f"stable cocycle mean {sol.mean:.8f} vs linear exponent {target:.8f} "
-            f"differs by more than {lambda_tol}"
-        )
-    return sol.negated()
 
 
 # -- affine leaf metric ---------------------------------------------------------

@@ -15,7 +15,7 @@ reduced mod 1, which happens inside the field evaluation.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,14 +93,6 @@ class TrigField:
             for c, s in zip(self.cos_coeffs, self.sin_coeffs)
         ]
         return float(np.linalg.norm(per_coord))
-
-    def scaled(self, factor: float) -> "TrigField":
-        return TrigField(
-            self.freqs,
-            tuple(factor * c for c in self.cos_coeffs),
-            tuple(factor * s for s in self.sin_coeffs),
-            self.dim,
-        )
 
 
 def _as_batch(x) -> tuple[np.ndarray, bool]:

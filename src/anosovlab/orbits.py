@@ -157,11 +157,6 @@ def _stable_spectra(f: TorusMap, cycles: np.ndarray) -> np.ndarray:
     return stable
 
 
-def stable_spectrum_of_orbit(f: TorusMap, orbit: PeriodicOrbit | np.ndarray) -> tuple[float, ...]:
-    points = orbit.points if isinstance(orbit, PeriodicOrbit) else np.asarray(orbit, dtype=float)
-    return tuple(float(v) for v in _stable_spectra(f, points[None])[0])
-
-
 def _minimal_period(cycles: np.ndarray) -> np.ndarray:
     """Minimal period of each row of cycles (n, rows, d): the least divisor j of n
     with point j back within _PERIOD_TOL of point 0."""

@@ -644,7 +644,7 @@ def _stage_branches(run: RunContext) -> StageOutcome:
 def _stage_metric(run: RunContext) -> StageOutcome:
     f, sc = run.f, run.sc
     findings: list = []
-    phi = stable_log_norm_observable(f, i=1, depth=sc.branch_depth)
+    phi = stable_log_norm_observable(f, depth=sc.branch_depth)
     lam = f.model.stable_exponents[0]
     psi = None
     try:

@@ -54,12 +54,6 @@ def canonical_sign(v: np.ndarray) -> np.ndarray:
     return np.where(big.any(axis=-1, keepdims=True) & (lead < 0.0), -v, v)
 
 
-def orthonormal_columns(m: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the column span (thin QR)."""
-    q, _ = qr_pos(np.asarray(m, dtype=float))
-    return q
-
-
 def pairwise_principal_angles(bases: np.ndarray) -> np.ndarray:
     """Largest principal angle (radians) between every pair of m subspaces.
 
@@ -76,35 +70,6 @@ def pairwise_principal_angles(bases: np.ndarray) -> np.ndarray:
     cos = np.linalg.svd(overlap, compute_uv=False).min(axis=-1)
     sin = np.linalg.svd(qb - qa @ overlap, compute_uv=False).max(axis=-1)
     return np.arctan2(sin, cos)
-
-
-def largest_principal_angle(b1: np.ndarray, b2: np.ndarray) -> float:
-    """Largest principal angle (radians) between equal-dimension subspaces.
-
-    Inputs are matrices whose columns span the subspaces (or single
-    vectors); orthonormalized here, so callers may pass raw spanning sets.
-    """
-    m1 = np.atleast_2d(np.asarray(b1, dtype=float).T).T
-    m2 = np.atleast_2d(np.asarray(b2, dtype=float).T).T
-    if m1.shape != m2.shape:
-        raise ValueError(f"subspace dimensions differ: {m1.shape[1]} vs {m2.shape[1]}")
-    return float(pairwise_principal_angles(np.stack([m1, m2]))[0])
-
-
-def subspace_intersection(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
-    """Unit vector spanning the (assumed 1-D) intersection of two subspaces.
-
-    Minimizes the summed squared distance to both subspaces: the smallest
-    eigenvector of (I - P1) + (I - P2). The smallest eigenvalue doubles as a
-    residual; callers check it when the intersection is supposed to exist.
-    """
-    q1 = orthonormal_columns(b1)
-    q2 = orthonormal_columns(b2)
-    d = q1.shape[0]
-    m = 2.0 * np.eye(d) - q1 @ q1.T - q2 @ q2.T
-    w, v = np.linalg.eigh(m)
-    vec = v[:, 0]
-    return canonical_sign(vec / np.linalg.norm(vec))
 
 
 def solve_batched(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:

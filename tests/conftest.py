@@ -50,10 +50,11 @@ def cubic():
 @pytest.fixture(scope="session")
 def conjugated_psi(conjugated05):
     """Transfer function for the stable log-norm cocycle; ~5s, reused widely."""
-    from anosovlab.leafmetric import bundle_coboundary_psi
+    from anosovlab.leafmetric import livschitz_solve, stable_log_norm_observable
     from anosovlab.orbits import enumerate_orbits
 
-    return bundle_coboundary_psi(conjugated05, enumerate_orbits(conjugated05, 3), 1)
+    phi = stable_log_norm_observable(conjugated05)
+    return livschitz_solve(conjugated05, phi, enumerate_orbits(conjugated05, 3)).negated()
 
 
 @pytest.fixture()

@@ -1,16 +1,17 @@
-"""Invariant splittings and branch-dependent unstable directions."""
+"""The most-contracted stable direction and branch-dependent unstable directions."""
 
 import numpy as np
 import pytest
 
 from anosovlab.bundles import (
     _branch_walk_directions,
+    _forward_jacobians,
     _sample_codes,
+    first_stable_direction,
     integrability_verdict,
-    stable_splitting_at,
 )
-from anosovlab.errors import GapTooSmall
-from anosovlab.util import largest_principal_angle, orthonormal_columns, pairwise_principal_angles
+from anosovlab.leafmetric import stable_direction_field, unstable_direction_field
+from anosovlab.util import pairwise_principal_angles, qr_pos
 
 
 def _unit_eigvec(a: np.ndarray, which: int) -> np.ndarray:
@@ -21,13 +22,14 @@ def _unit_eigvec(a: np.ndarray, which: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _angle(u: np.ndarray, v: np.ndarray) -> float:
-    return float(np.arccos(min(1.0, abs(float(u @ v)))))
+def _line_angles(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Angle between the lines of each row pair of u and v, (n, d) each."""
+    return pairwise_principal_angles(np.stack([u, v], axis=1)[..., None])[:, 0]
 
 
 def _pair_angle(b1: np.ndarray, b2: np.ndarray) -> float:
     """One pair at a time: two QR factorizations, two SVDs and atan2(sin, cos)."""
-    q1, q2 = orthonormal_columns(b1), orthonormal_columns(b2)
+    q1, q2 = qr_pos(b1)[0], qr_pos(b2)[0]
     overlap = q1.T @ q2
     cos = np.linalg.svd(overlap, compute_uv=False).min()
     sin = np.linalg.svd(q2 - q1 @ overlap, compute_uv=False).max()
@@ -35,56 +37,41 @@ def _pair_angle(b1: np.ndarray, b2: np.ndarray) -> float:
 
 
 class TestStableSplitting:
-    def test_linear_directions_exact(self, linear_map):
-        s = stable_splitting_at(linear_map, [0.3, 0.7])
-        a = linear_map.model.array
-        assert _angle(s.stable_directions[:, 0], _unit_eigvec(a, 0)) < 1e-12
-        assert _angle(s.unstable_subspace[:, 0], _unit_eigvec(a, 1)) < 1e-12
-        assert s.convergence_gap < 1e-10
-        assert s.rates[0] > 0 > s.rates[1]
-        # QR preserves determinants, so per-step rates sum to log|det A|
-        assert sum(s.rates) == pytest.approx(np.log(2.0), abs=1e-9)
+    """The most-contracted stable direction and the unstable field along one branch."""
 
-    def test_cubic_two_stable_directions(self, cubic):
-        s = stable_splitting_at(cubic, [0.2, 0.5, 0.8], depth=32)
-        a = cubic.model.array
-        assert s.stable_directions.shape == (3, 2)
-        assert _angle(s.stable_directions[:, 0], _unit_eigvec(a, 0)) < 1e-4
-        assert _angle(s.stable_directions[:, 1], _unit_eigvec(a, 1)) < 1e-4
-        assert list(s.rates) == sorted(s.rates, reverse=True)
-        assert sum(r < 0 for r in s.rates) == 2
+    def test_linear_directions_exact(self, linear_map):
+        a = linear_map.model.array
+        pt = np.array([[0.3, 0.7]])
+        assert _line_angles(stable_direction_field(linear_map, pt), _unit_eigvec(a, 0)[None])[0] < 1e-12
+        assert _line_angles(unstable_direction_field(linear_map, pt), _unit_eigvec(a, 1)[None])[0] < 1e-12
 
     def test_shear_field_is_invariant(self, shear05, rng):
         """Df(x) e_s(x) must line up with e_s(f x)."""
-        for x in rng.random((6, 2)):
-            here = stable_splitting_at(shear05, x)
-            there = stable_splitting_at(shear05, shear05.torus_step(x))
-            v = shear05.jacobian(x) @ here.stable_directions[:, 0]
-            v /= np.linalg.norm(v)
-            assert _angle(v, there.stable_directions[:, 0]) < 1e-6
+        x = rng.random((6, 2))
+        v = np.einsum("nij,nj->ni", shear05.jacobian(x), stable_direction_field(shear05, x))
+        there = stable_direction_field(shear05, shear05.torus_step(x))
+        assert _line_angles(v, there).max() < 1e-6
 
     def test_product_stable_avoids_circle_factor(self, product05):
         """The third coordinate is a doubling factor; the stable direction
         lives entirely in the invertible block."""
-        s = stable_splitting_at(product05, [0.3, 0.6, 0.1])
-        assert abs(s.stable_directions[2, 0]) < 1e-9
-        assert s.stable_directions.shape == (3, 1)
-        assert sum(r < 0 for r in s.rates) == 1
+        v = stable_direction_field(product05, np.array([[0.3, 0.6, 0.1]]))
+        assert abs(v[0, 2]) < 1e-9
 
     def test_convergence_gap_decays_at_spectral_ratio(self, conjugated05):
-        # compare only depths 3..7: past that the angles saturate near
-        # machine epsilon and the fit flattens
+        """The depth-n direction against the depth-2n one, from the same orbit."""
+        depths = np.arange(2, 12)
+        jacs = _forward_jacobians(conjugated05, np.array([[0.37, 0.21]]), 2 * depths[-1])
         gaps = [
-            stable_splitting_at(conjugated05, [0.37, 0.21], depth=n).convergence_gap
-            for n in range(3, 8)
+            _line_angles(
+                first_stable_direction(conjugated05, jacs[:n], n)[0],
+                first_stable_direction(conjugated05, jacs[: 2 * n], 2 * n)[0],
+            )[0]
+            for n in depths
         ]
-        slope = np.polyfit(np.arange(3, 8), np.log(gaps), 1)[0]
+        slope = np.polyfit(depths, np.log(gaps), 1)[0]
         target = np.log((2.0 - np.sqrt(2.0)) / (2.0 + np.sqrt(2.0)))
         assert abs(slope - target) / abs(target) < 0.05
-
-    def test_gap_threshold_enforced(self, linear_map):
-        with pytest.raises(GapTooSmall):
-            stable_splitting_at(linear_map, [0.3, 0.7], min_gap=10.0)
 
 
 class TestBranchDirections:
@@ -92,8 +79,8 @@ class TestBranchDirections:
         a = linear_map.model.array
         vu = _unit_eigvec(a, 1)
         codes = np.array([[0] * 10, [1, 0] * 5])
-        for u in _branch_walk_directions(linear_map, np.array([[0.2, 0.9]]), codes)[0]:
-            assert _angle(u[:, 0], vu) < 1e-12
+        bases = _branch_walk_directions(linear_map, np.array([[0.2, 0.9]]), codes)[0]
+        assert _line_angles(bases[..., 0], np.broadcast_to(vu, (2, 2))).max() < 1e-12
         codes = np.array([[0] * 10, [1] * 10, [0, 1] * 5])
         bases = _branch_walk_directions(linear_map, np.array([[0.4, 0.9]]), codes)
         assert pairwise_principal_angles(bases).max() < 1e-12
@@ -148,7 +135,6 @@ class TestBatchedAngles:
             for j in range(i + 1, 6)
         ]
         assert pairwise_principal_angles(bases).ravel().tolist() == loop
-        assert largest_principal_angle(bases[0, 1], bases[0, 4]) == _pair_angle(bases[0, 1], bases[0, 4])
 
     def test_verdict_rows_and_witness_match_pair_loop(self, shear05):
         rep = integrability_verdict(shear05, samples=6, codes_per_point=5, seed=3)
@@ -168,17 +154,15 @@ class TestBatchedAngles:
         assert rep.witness["angle"] == loop[first_max]
         assert rep.witness["point"] == rep.rows[first_max][0]
 
-    def test_vectors_and_dimension_check(self):
-        assert largest_principal_angle([1.0, 0.0], [1.0, 1.0]) == pytest.approx(np.pi / 4)
-        assert largest_principal_angle([1.0, 0.0], [0.0, 2.0]) == pytest.approx(np.pi / 2)
-        with pytest.raises(ValueError, match="dimensions differ"):
-            largest_principal_angle(np.eye(3)[:, :2], np.eye(3)[:, :1])
+    def test_quarter_and_right_angles(self):
+        assert _line_angles(np.array([[1.0, 0.0]]), np.array([[1.0, 1.0]]))[0] == pytest.approx(np.pi / 4)
+        assert _line_angles(np.array([[1.0, 0.0]]), np.array([[0.0, 2.0]]))[0] == pytest.approx(np.pi / 2)
 
     @pytest.mark.parametrize("slope", [1e-10, 3e-13])
     def test_resolves_tiny_angles(self, slope):
         """The arccos of the cosine reads 0 below about 1.5e-8; the sine form does not."""
         want = pytest.approx(np.arctan(slope), rel=1e-6)
-        assert largest_principal_angle([1.0, 0.0], [1.0, slope]) == want
+        assert _line_angles(np.array([[1.0, 0.0]]), np.array([[1.0, slope]]))[0] == want
         plane = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         tilted = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, slope]])
-        assert largest_principal_angle(plane, tilted) == want
+        assert pairwise_principal_angles(np.stack([plane, tilted]))[0] == want

@@ -5,7 +5,7 @@ import functools
 import numpy as np
 import pytest
 
-from anosovlab.bundles import _ascending_frame, first_stable_direction, integrability_verdict
+from anosovlab.bundles import _descending_frame, first_stable_direction, integrability_verdict
 from anosovlab.conjugacy import conjugacy_evaluator
 from anosovlab.errors import (
     GapTooSmall,
@@ -18,14 +18,13 @@ from anosovlab.leafmetric import (
     _half_space_modes,
     _segment_mean,
     affine_distance,
-    bundle_coboundary_psi,
     conjugacy_leaf_isometry_check,
     holonomy_isometry_check,
     leaf_invariance_defect,
     livschitz_solve,
     map_polyline,
     pull_back_leaves,
-    stable_direction_stack,
+    stable_direction_field,
     stable_log_norm_observable,
     tangency_residual,
     unstable_holonomy,
@@ -35,6 +34,11 @@ from anosovlab.orbits import enumerate_orbits
 from anosovlab.util import grid_points
 
 MU_S = 2.0 - np.sqrt(2.0)
+
+
+def _stable_psi(f):
+    """Transfer function of the stable log-contraction cocycle, as the metric stage solves it."""
+    return livschitz_solve(f, stable_log_norm_observable(f), enumerate_orbits(f, 3)).negated()
 
 
 def _quick_scan(f):
@@ -53,7 +57,7 @@ def _eig_dirs(a: np.ndarray):
 class TestTraces:
     def test_linear_leaf_is_straight(self, linear_map):
         [leaf] = pull_back_leaves(linear_map, [0.3, 0.4], L=0.3)
-        assert tangency_residual(linear_map, leaf) == 0.0
+        assert tangency_residual(linear_map, leaf) < 1e-14
         v_s, _ = _eig_dirs(linear_map.model.array)
         rel = leaf.points - leaf.points[leaf.center_index]
         cross = rel[:, 0] * v_s[1] - rel[:, 1] * v_s[0]
@@ -87,8 +91,7 @@ class TestTraces:
     def test_linear_unstable_trace(self, linear_map):
         [leaf] = pull_back_leaves(linear_map, [0.3, 0.4], L=0.2, unstable=True)
         assert leaf.index == 0
-        # arccos saturates around 1.5e-8 at machine-precision alignment
-        assert tangency_residual(linear_map, leaf) < 1e-7
+        assert tangency_residual(linear_map, leaf) < 1e-12
         _, v_u = _eig_dirs(linear_map.model.array)
         rel = leaf.points - leaf.points[leaf.center_index]
         cross = rel[:, 0] * v_u[1] - rel[:, 1] * v_u[0]
@@ -127,6 +130,14 @@ def _transpose_recursion(f, jacs, depth):
     return np.stack([-v[..., 1], v[..., 0]], axis=-1)
 
 
+def _ascending_frame(jacs, depth):
+    """The d = 3 reference before the adjugate chain: QR frames of the
+    transposed cocycle over each depth-window, run from the window's far end,
+    so that the last column spans the most-contracted direction."""
+    q, _ = _descending_frame(np.swapaxes(jacs[::-1], -1, -2), depth)
+    return q[::-1]
+
+
 def _orbit_jacobians(f, rng, n, length):
     orbit = f.orbit_points(rng.random((n, f.dim)), length)
     return f.jacobian(orbit.reshape(-1, f.dim)).reshape(orbit.shape + (f.dim,))
@@ -142,7 +153,7 @@ class TestStableKernel:
     def test_three_dimensions_against_a_deep_chain(self, product05, rng):
         """Depth 12 against the QR chain at depth 40, whose error is at rounding level."""
         jacs = _orbit_jacobians(product05, rng, 7, 60)
-        reference = _ascending_frame(jacs, 40)[0][..., 2]
+        reference = _ascending_frame(jacs, 40)[..., 2]
         windows = reference.shape[0]
 
         def error(v):
@@ -151,7 +162,7 @@ class TestStableKernel:
         kernel = first_stable_direction(product05, jacs, 12)
         assert np.allclose(np.linalg.norm(kernel, axis=-1), 1.0)
         assert error(kernel) < 1e-10
-        assert error(kernel) < error(_ascending_frame(jacs, 12)[0][..., 2])
+        assert error(kernel) < error(_ascending_frame(jacs, 12)[..., 2])
 
     def test_gap_reads_the_linear_spectrum(self, product05, rng):
         """The middle and smallest rates sit near log 2 and log((3 - 5^0.5) / 2), 1.66 apart."""
@@ -173,7 +184,7 @@ class TestOrbitForm:
     @pytest.mark.parametrize("name", ["shear05", "product05"])
     def test_matches_pointwise_phi(self, name, request, rng):
         f = request.getfixturevalue(name)
-        phi = stable_log_norm_observable(f, 1, depth=12)
+        phi = stable_log_norm_observable(f, depth=12)
         assert phi.along_orbit.lookahead == 11
         orbit = f.orbit_points(rng.random((7, f.dim)), 40)
         vals = phi.along_orbit(orbit)
@@ -187,7 +198,7 @@ class TestOrbitForm:
         windows = first_stable_direction(shear05, jacs, 12)
         assert windows.shape == (9, 5, 2)
         for t in range(9):
-            assert np.array_equal(windows[t], stable_direction_stack(shear05, orbit[t], 1, 12)[:, :, 0])
+            assert np.array_equal(windows[t], stable_direction_field(shear05, orbit[t], 12))
 
     def test_gap_still_checked(self, product05, rng):
         orbit = product05.orbit_points(rng.random((3, 3)), 16)
@@ -197,13 +208,13 @@ class TestOrbitForm:
 
     def test_linear_map_has_no_orbit_form(self, linear_map):
         """Its phi is constant; the solver never walks orbits for it."""
-        assert not hasattr(stable_log_norm_observable(linear_map, 1), "along_orbit")
+        assert not hasattr(stable_log_norm_observable(linear_map), "along_orbit")
 
     @pytest.mark.parametrize("name, segments, length", [("shear05", 128, 1200), ("product05", 16, 200)])
     def test_segment_mean_same_float(self, name, segments, length, request):
         """128 segments make 512-step blocks, so 1200 steps cross two block ends."""
         f = request.getfixturevalue(name)
-        phi = stable_log_norm_observable(f, 1, depth=12)
+        phi = stable_log_norm_observable(f, depth=12)
         traced = functools.wraps(phi)(lambda pts: phi(pts))
         assert traced.along_orbit is phi.along_orbit
 
@@ -265,7 +276,7 @@ class TestCocycleSolver:
 
     def test_normal_equations_match_lstsq(self, shear05):
         """The blocked Cholesky solve against an SVD least squares on the whole cos/sin design."""
-        phi = stable_log_norm_observable(shear05, 1, depth=12)
+        phi = stable_log_norm_observable(shear05, depth=12)
         with pytest.raises(ObstructionNonzero) as exc_info:
             livschitz_solve(shear05, phi, enumerate_orbits(shear05, 3), fourier_order=8)
         sol = exc_info.value.solution
@@ -312,18 +323,16 @@ class TestCocycleSolver:
         assert sol.obstruction > 0.5
 
     def test_linear_cocycle_is_constant(self, linear_map):
-        psi = bundle_coboundary_psi(linear_map, enumerate_orbits(linear_map, 3), 1)
+        psi = _stable_psi(linear_map)
         assert psi.mean == pytest.approx(np.log(MU_S), abs=1e-12)
         assert psi.sup_transfer == 0.0
         assert psi.obstruction < 1e-12
         assert psi.orientation == "transfer"
 
-    def test_cubic_constant_for_both_indices(self, cubic):
-        inventory = enumerate_orbits(cubic, 3)
-        for i in (1, 2):
-            psi = bundle_coboundary_psi(cubic, inventory, i)
-            assert psi.mean == pytest.approx(cubic.model.stable_exponents[i - 1], abs=1e-12)
-            assert psi.sup_transfer == 0.0
+    def test_cubic_constant(self, cubic):
+        psi = _stable_psi(cubic)
+        assert psi.mean == pytest.approx(cubic.model.stable_exponents[0], abs=1e-12)
+        assert psi.sup_transfer == 0.0
 
     def test_conjugated_psi(self, conjugated05, conjugated_psi):
         psi = conjugated_psi
@@ -411,7 +420,7 @@ class TestHolonomy:
 
 class TestConjugacyIsometry:
     def test_linear_exact(self, linear_map):
-        psi = bundle_coboundary_psi(linear_map, enumerate_orbits(linear_map, 3), 1)
+        psi = _stable_psi(linear_map)
         ce = conjugacy_evaluator(linear_map)
         rep = conjugacy_leaf_isometry_check(linear_map, ce, psi, samples=20, seed=19)
         assert rep.status == "ok"

@@ -212,11 +212,6 @@ class TestTrigField:
         with pytest.raises(ValueError):
             TrigField.from_terms(2, {0: [((0.5, 1), 1.0, 0.0)]})
 
-    def test_scaled(self, rng):
-        field = TrigField.from_terms(2, {0: [((1, 0), 0.2, 0.3)]})
-        x = rng.random((10, 2))
-        assert np.allclose(field.scaled(2.0).evaluate(x), 2.0 * field.evaluate(x))
-
 
 class TestCertificates:
     def test_linear_certified(self, linear_map):

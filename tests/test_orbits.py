@@ -9,7 +9,6 @@ from anosovlab.orbits import (
     enumerate_orbits,
     linear_periodic_points,
     rigidity_report,
-    stable_spectrum_of_orbit,
 )
 from anosovlab.util import torus_distance, wrap
 
@@ -120,9 +119,8 @@ class TestRigidity:
         inv = enumerate_orbits(conjugated05, 2)
         lam = np.log(2.0 - np.sqrt(2.0))
         for o in inv:
-            spec = stable_spectrum_of_orbit(conjugated05, o)
-            assert len(spec) == 1
-            assert spec[0] == pytest.approx(lam, abs=1e-10)
+            assert len(o.stable_exponents) == 1
+            assert o.stable_exponents[0] == pytest.approx(lam, abs=1e-10)
 
     def test_product_counts_and_verdict(self, product05):
         rep = rigidity_report(product05, enumerate_orbits(product05, 3))

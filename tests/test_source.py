@@ -1,0 +1,36 @@
+"""Source hygiene: a module uses every name it takes with `from ... import`.
+
+No linter is a dependency, so the check parses each module with `ast`.
+`__init__.py` re-exports its imports and `from __future__ import annotations`
+changes how the module compiles, so neither counts.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+_PACKAGE = Path(__file__).resolve().parents[1] / "src" / "anosovlab"
+_MODULES = sorted(p for p in _PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_from_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = [
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    ]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_finds_an_unused_name():
+    source = "from dataclasses import dataclass, field\n\n@dataclass\nclass A:\n    x: int\n"
+    assert _unused_from_imports(source) == ["field"]
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_no_unused_from_imports(path):
+    assert _unused_from_imports(path.read_text()) == []
