@@ -19,7 +19,7 @@ import numpy as np
 from anosovlab.errors import GapTooSmall
 from anosovlab.linear import LinearModel, coset_representatives
 from anosovlab.maps import TorusMap
-from anosovlab.util import adjugate, float_cell, pairwise_principal_angles, qr_pos, wrap
+from anosovlab.util import adjugate, float_cell, pairwise_principal_angles, qr_pos
 
 
 def _forward_jacobians(f: TorusMap, pts: np.ndarray, depth: int) -> np.ndarray:
@@ -177,19 +177,15 @@ def _branch_walk_directions(f: TorusMap, pts: np.ndarray, codes: np.ndarray) -> 
     reps = np.array(coset_representatives(f.model.matrix).representatives, dtype=float)
     n_pts, d = pts.shape
     n_codes, depth = codes.shape
-    t = np.broadcast_to(pts[:, None, :], (n_pts, n_codes, d)).reshape(-1, d).copy()
-    trail = np.empty((depth, t.shape[0], d))
-    for step in range(depth):
-        target = t + np.broadcast_to(
-            reps[codes[:, step]][None, :, :], (n_pts, n_codes, d)
-        ).reshape(-1, d)
-        t = wrap(f.invert(target, tol=_BRANCH_INVERT_TOL))
-        trail[step] = t
+    starts = np.broadcast_to(pts[:, None, :], (n_pts, n_codes, d)).reshape(-1, d).copy()
+    # shifts[step] holds each walk's coset representative, (depth, n_pts * n_codes, d)
+    shifts = np.broadcast_to(reps[codes.T][:, None], (depth, n_pts, n_codes, d)).reshape(depth, -1, d)
+    jacs = f.branch_jacobians(starts, shifts, _BRANCH_INVERT_TOL)
     basis = np.broadcast_to(
-        f.model.unstable_subspace, (t.shape[0],) + f.model.unstable_subspace.shape
+        f.model.unstable_subspace, (starts.shape[0],) + f.model.unstable_subspace.shape
     ).copy()
     for step in range(depth - 1, -1, -1):
-        basis, _ = qr_pos(f.jacobian(trail[step]) @ basis)
+        basis, _ = qr_pos(jacs[step] @ basis)
     return basis.reshape(n_pts, n_codes, d, -1)
 
 

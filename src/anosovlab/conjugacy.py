@@ -28,7 +28,7 @@ import numpy as np
 from anosovlab.errors import NoConvergence, ResourceLimit
 from anosovlab.linear import LinearModel, minimal_deep_vector
 from anosovlab.maps import TorusMap
-from anosovlab.util import float_cell, grid_points, wrap
+from anosovlab.util import float_cell, grid_points
 
 # Anderson acceleration for H^{-1}: history window m, mixing beta, iteration cap
 _ANDERSON_WINDOW = 4
@@ -91,21 +91,18 @@ class ConjugacyEvaluator:
 
     def _series_unstable(self, x: np.ndarray) -> np.ndarray:
         """Forward-orbit part; periodic in x, so the orbit runs on the torus."""
-        t = wrap(x)
-        acc = np.zeros_like(t)
+        disp = self.map.orbit_displacements(x, self.series_depth)
+        acc = np.zeros(x.shape)
         for n in range(self.series_depth):
-            image, disp = self.map.evaluate_with_displacement(t)
-            acc += disp @ self.weights_unstable[n].T
-            t = wrap(image)
+            acc += disp[n] @ self.weights_unstable[n].T
         return acc
 
     def _series_stable(self, x: np.ndarray) -> np.ndarray:
         """Backward-orbit part; must follow the true lift orbit of x."""
-        y = np.array(x, dtype=float)
-        acc = np.zeros_like(y)
+        disp = self.map.preimage_displacements(x, self.series_depth)
+        acc = np.zeros(x.shape)
         for n in range(self.series_depth):
-            y, disp, _ = self.map.invert_with_displacement(y)
-            acc -= disp @ self.weights_stable[n].T
+            acc -= disp[n] @ self.weights_stable[n].T
         return acc
 
     def h_displacement(self, x) -> np.ndarray:
@@ -183,14 +180,15 @@ class ConjugacyEvaluator:
         return float(np.linalg.norm(lhs - rhs, axis=1).max())
 
 
-def _weight_norms(model: LinearModel, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _series_weights(model: LinearModel, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Series weights A^{-(n+1)} P_u and A^n P_s for n < count.
 
     Naively iterating w <- A w (or A^{-1} w) is unstable: rounding noise along
     the complementary spectral subspace grows geometrically and swamps the
     true decay after ~20 steps. Iterating inside each invariant block instead
     keeps every eigenvalue of the iteration matrix strictly inside the unit
-    circle, so the computed norms decay cleanly to underflow.
+    circle, so the computed norms decay cleanly to underflow. Weight n does
+    not depend on count.
     """
     a = model.array
     b_s, b_u = model.stable_basis, model.unstable_subspace
@@ -207,30 +205,17 @@ def _weight_norms(model: LinearModel, count: int) -> tuple[np.ndarray, np.ndarra
         w_u[n] = b_u @ u_pow @ k_u
         s_pow = m_s @ s_pow
         u_pow = np.linalg.solve(m_u, u_pow)
-    return w_u, w_s, np.linalg.norm(w_u, ord=2, axis=(1, 2)), np.linalg.norm(w_s, ord=2, axis=(1, 2))
+    return w_u, w_s
 
 
-def conjugacy_evaluator(
-    f: TorusMap,
-    residual_target: float = 1e-9,
-    depth: int | None = None,
-) -> ConjugacyEvaluator:
-    """Build an evaluator whose certified truncation tail meets residual_target.
+def _power_tail(model: LinearModel, sup_norm: float):
+    """(tail, (w_u, w_s)): the tail bound sup_norm * (sum of the weight norms from
+    n on) over a scan of _MAX_SERIES_DEPTH + 60 weights, plus a geometric
+    remainder past the scan, and the scanned weights."""
+    w_u, w_s = _series_weights(model, _MAX_SERIES_DEPTH + 60)
+    nu_norms = np.linalg.norm(w_u, ord=2, axis=(1, 2))
+    ns_norms = np.linalg.norm(w_s, ord=2, axis=(1, 2))
 
-    With an explicit depth the tail is computed for that depth instead.
-    """
-    model = f.model
-    disp = displacement_field(f)
-    sigma = model.stable_norm
-    nu = model.unstable_conorm
-    rate = max(sigma, 1.0 / nu)
-    scan = _MAX_SERIES_DEPTH + 60
-    w_u, w_s, nu_norms, ns_norms = _weight_norms(model, scan)
-
-    def closed_tail(n: int) -> float:
-        return disp.sup_norm * rate**n / (1.0 - rate)
-
-    # suffix sums of weight norms with a geometric remainder past the scan window;
     # a sequence that underflows to exact zero has no remainder left to bound
     def _end_ratio(norms: np.ndarray) -> float:
         return float(norms[-1] / norms[-2]) if norms[-2] > 0.0 else 0.0
@@ -243,10 +228,37 @@ def conjugacy_evaluator(
     remainder = (nu_norms[-1] + ns_norms[-1]) * tail_ratio / (1.0 - tail_ratio)
     suffix = np.cumsum((nu_norms + ns_norms)[::-1])[::-1]
 
-    def power_tail(n: int) -> float:
-        return disp.sup_norm * (float(suffix[n]) + remainder)
+    def tail(n: int) -> float:
+        return sup_norm * (float(suffix[n]) + remainder)
 
-    tail_fn, method = (closed_tail, "closed_form") if rate < 1.0 else (power_tail, "power_norms")
+    return tail, (w_u, w_s)
+
+
+def conjugacy_evaluator(
+    f: TorusMap,
+    residual_target: float = 1e-9,
+    depth: int | None = None,
+) -> ConjugacyEvaluator:
+    """Build an evaluator whose certified truncation tail meets residual_target.
+
+    With an explicit depth the tail is computed for that depth instead. The
+    tail is the closed geometric form when rate = max(||A|L^s||, 1/m(A|L^u))
+    is below 1; otherwise it sums the norms of a long scan of the weights.
+    """
+    model = f.model
+    disp = displacement_field(f)
+    sigma = model.stable_norm
+    nu = model.unstable_conorm
+    rate = max(sigma, 1.0 / nu)
+    weights = None
+    if rate < 1.0:
+        method = "closed_form"
+
+        def tail_fn(n: int) -> float:
+            return disp.sup_norm * rate**n / (1.0 - rate)
+    else:
+        method = "power_norms"
+        tail_fn, weights = _power_tail(model, disp.sup_norm)
     if depth is None:
         if disp.sup_norm == 0.0:
             depth = 1
@@ -262,6 +274,7 @@ def conjugacy_evaluator(
                 )
     elif not 1 <= depth <= _MAX_SERIES_DEPTH:
         raise ValueError(f"depth must lie in [1, {_MAX_SERIES_DEPTH}]")
+    w_u, w_s = weights or _series_weights(model, depth)
     return ConjugacyEvaluator(
         map=f,
         series_depth=depth,
@@ -335,7 +348,12 @@ def specialness_defect(
 
 @dataclass(frozen=True)
 class DecayTable:
-    """Translation defects along lattice vectors n_m of depth m (n_m in A^m Z^d)."""
+    """Translation defects along lattice vectors n_m of depth m (n_m in A^m Z^d).
+
+    D_m_inverse is read through H^-1, which apply_inverse solves to a residual
+    of 1e-10: that is the column's floor, and a value near or below it is
+    solver error, not a translation defect.
+    """
 
     rows: tuple  # (m, n_m, D_m, D_m_inverse)
     fitted_rate: float
@@ -361,7 +379,10 @@ def deep_translation_decay(
 
     n_m is a minimal-norm nonzero member of A^m Z^d. Deeper vectors admit more
     factors of A^{-1} inside the lattice, so D_m decays like the stable norm
-    to the m-th power; the fitted log-linear slope is reported.
+    to the m-th power; the fitted log-linear slope is reported. D_m_inverse,
+    the same defect of H^-1, cannot resolve below the 1e-10 residual to which
+    apply_inverse solves: on product_T3 every row m >= 1 reads one solver
+    error of about 1.3e-10.
     """
     d = ce.map.dim
     rng = np.random.default_rng(seed)

@@ -126,21 +126,15 @@ def pull_back_leaves(
     if unstable:
         if d - model.stable_dim != 1:
             raise ValueError("unstable leaves need a one-dimensional unstable bundle")
-        walk, back = f.invert, f.evaluate
         line, rate = model.unstable_subspace[:, 0], 1.0 / model.unstable_moduli[0]
     else:
-        walk, back = f.evaluate, f.invert
         line, rate = model.stable_lines[0], abs(model.stable_eigenvalues[0])
     steps = 0 if f.is_linear else min(depth, int(np.log(_MAX_STRETCH) / -np.log(rate)))
     # one ray per side of each leaf, rays n.. on the negative side; each ray walks
     # its own copy of the orbit, so no kernel sees a one-row batch
     origin = np.concatenate([pts, pts])
     sign = np.repeat([1.0, -1.0], n)
-    ends, offsets = origin, []
-    for _ in range(steps):
-        y = walk(ends)
-        offsets.append(np.floor(y))
-        ends = y - offsets[-1]
+    ends, offsets = f.wrapped_walk(origin, steps, inverse=unstable)
 
     m = max(1, int(np.ceil(L / _NODE_SPACING)))
     spacing = np.full(2 * n, _NODE_SPACING * rate**steps)
@@ -151,8 +145,7 @@ def pull_back_leaves(
         seg[:, 0] = ends[todo]
         seg[:, 1:] = (sign[todo] * spacing[todo])[:, None, None] * line
         q = np.cumsum(seg, axis=1)[:, 1:]
-        for k in reversed(offsets):
-            q = back((q + k[todo, None]).reshape(-1, d)).reshape(q.shape)
+        q = f.shifted_walk(q, offsets[::-1, todo, None], inverse=not unstable)
         sides[todo] = q
         if not steps:  # the segment is the leaf, m * _NODE_SPACING >= L long
             break

@@ -160,11 +160,24 @@ class TorusMap:
             z -= np.where(active[:, None], solve_batched(eye + self.epsilon * jac, res), 0.0)
         raise NoConvergence(f"inner diffeo inversion stalled at residual {float(np.abs(res).max()):.3e}")
 
+    def _inner_step(self, z: np.ndarray, inverse: bool) -> np.ndarray:
+        """A z, or A^{-1} z with `inverse`, on a stack of inner points (..., d)."""
+        a = self.model.array
+        if inverse:
+            return np.linalg.solve(a, z.reshape(-1, self.dim).T).T.reshape(z.shape)
+        return z @ a.T
+
+    def _inner_displacement(self, q_z: np.ndarray, q_az: np.ndarray) -> np.ndarray:
+        """phi(G(z)) = G(A z) - A G(z) = eps (q(A z) - A q(z)), from q at z and at A z."""
+        return self.epsilon * (q_az - q_z @ self.model.array.T)
+
     # -- evaluation ----------------------------------------------------------
 
-    def _conjugated_jacobian(self, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """DF at x = G(y) given the inner point y = G^{-1}(x) and w = A y."""
-        return (self._g_jacobian(w) @ self.model.array) @ inv_batched(self._g_jacobian(y))
+    def _conjugated_jacobian(self, y: np.ndarray, w: np.ndarray, power: np.ndarray | None = None) -> np.ndarray:
+        """DF^n at x = G(y) given the inner point y = G^{-1}(x), w = A^n y and
+        power = A^n (default A)."""
+        power = self.model.array if power is None else power
+        return (self._g_jacobian(w) @ power) @ inv_batched(self._g_jacobian(y))
 
     def evaluate(self, x) -> np.ndarray:
         """Lift value F(x); batched."""
@@ -244,28 +257,142 @@ class TorusMap:
         """One forward step of the induced torus map."""
         return wrap(self.evaluate(t))
 
-    def orbit_points(self, starts: np.ndarray, length: int) -> np.ndarray:
-        """Torus orbit segments, shape (length, n, d); orbit_points[0] = starts.
+    # -- orbit walks ---------------------------------------------------------
+    #
+    # A conjugated map F = G o A o G^{-1} is walked in the chart G. Since
+    # G(z) + k = G(z + k), every lift or torus orbit of F is G of an orbit of A,
+    # and integer shifts and wraps pass through G unchanged: each walk solves
+    # G^{-1} once, steps with A or A^{-1}, and maps all its points out in one
+    # batched pass. Every other map runs its per-step loop.
 
-        The conjugated form iterates in inner coordinates (one linear step per
-        iteration) and maps the whole orbit out in a single batched pass.
-        """
+    def _inner_torus_orbit(self, starts: np.ndarray, length: int) -> np.ndarray:
+        """Wrapped inner orbit z_t = A^t G^{-1}(starts) mod 1, shape (length, n, d)."""
+        a = self.model.array
+        z = self._g_inverse(starts)
+        inner = np.empty((length,) + starts.shape)
+        for t in range(length):
+            inner[t] = z
+            z = wrap(z @ a.T)
+        return inner
+
+    def _map_out(self, inner: np.ndarray, fn) -> np.ndarray:
+        """fn applied to a stack of inner points (..., d) as one batch."""
+        out = fn(inner.reshape(-1, self.dim))
+        return out.reshape(inner.shape[:-1] + out.shape[1:])
+
+    def orbit_points(self, starts: np.ndarray, length: int) -> np.ndarray:
+        """Torus orbit segments, shape (length, n, d); orbit_points[0] = starts."""
         starts = np.atleast_2d(np.asarray(starts, dtype=float))
-        out = np.empty((length, starts.shape[0], self.dim))
         if self.conjugator is not None:
-            a = self.model.array
-            z = self._g_inverse(starts)
-            inner = np.empty_like(out)
-            for t in range(length):
-                inner[t] = z
-                z = wrap(z @ a.T)
-            out[:] = wrap(self._g(inner.reshape(-1, self.dim))).reshape(out.shape)
-            return out
+            return wrap(self._map_out(self._inner_torus_orbit(starts, length), self._g))
+        out = np.empty((length, starts.shape[0], self.dim))
         x = wrap(starts)
         for t in range(length):
             out[t] = x
             x = self.torus_step(x)
         return out
+
+    def orbit_displacements(self, starts: np.ndarray, length: int) -> np.ndarray:
+        """phi along torus orbits, shape (length, n, d): phi(t_j) for t_0 = wrap(starts)
+        and t_{j+1} = wrap(F(t_j))."""
+        t = wrap(np.atleast_2d(np.asarray(starts, dtype=float)))
+        if self.conjugator is not None:
+            q = self._map_out(self._inner_torus_orbit(t, length + 1), self.conjugator.evaluate)
+            return self._inner_displacement(q[:-1], q[1:])
+        out = np.empty((length,) + t.shape)
+        for j in range(length):
+            image, out[j] = self.evaluate_with_displacement(t)
+            t = wrap(image)
+        return out
+
+    def preimage_displacements(self, y: np.ndarray, length: int) -> np.ndarray:
+        """phi along lift backward orbits, shape (length, n, d): phi(x_j) for
+        x_0 = y and x_j = F^{-1}(x_{j-1}), j = 1 .. length."""
+        yb = np.atleast_2d(np.asarray(y, dtype=float))
+        if self.conjugator is not None:
+            inner = np.empty((length + 1,) + yb.shape)
+            inner[0] = self._g_inverse(yb)
+            for j in range(length):
+                inner[j + 1] = self._inner_step(inner[j], inverse=True)
+            q = self._map_out(inner, self.conjugator.evaluate)
+            return self._inner_displacement(q[1:], q[:-1])
+        out = np.empty((length,) + yb.shape)
+        for j in range(length):
+            yb, out[j], _ = self.invert_with_displacement(yb)
+        return out
+
+    def iterate_with_jacobian(self, x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(F^n(x), DF^n(x)) on the lift, batched."""
+        xb = np.asarray(x, dtype=float)
+        if self.conjugator is not None:
+            z = self._g_inverse(xb)
+            w = z
+            for _ in range(n):
+                w = self._inner_step(w, inverse=False)
+            power = np.linalg.matrix_power(self.model.array, n)
+            return self._g(w), self._conjugated_jacobian(z, w, power)
+        acc = np.broadcast_to(np.eye(self.dim), xb.shape + (self.dim,)).copy()
+        for _ in range(n):
+            xb, jac = self.evaluate_with_jacobian(xb)
+            acc = jac @ acc
+        return xb, acc
+
+    def branch_jacobians(self, starts: np.ndarray, shifts: np.ndarray, tol: float) -> np.ndarray:
+        """DF along coded preimage walks, shape (depth, n, d, d).
+
+        Step j goes from t_j (t_0 = starts) to t_{j+1} = wrap(F^{-1}(t_j + shifts[j]))
+        and row j holds DF(t_{j+1}); shifts (depth, n, d) are integer vectors.
+        A trig map inverts each step to `tol`.
+        """
+        if self.conjugator is not None:
+            z = self._g_inverse(starts)
+            inner = np.empty(shifts.shape)
+            for j, shift in enumerate(shifts):
+                inner[j] = z = wrap(self._inner_step(z + shift, inverse=True))
+            return self._map_out(inner, lambda p: self._conjugated_jacobian(p, p @ self.model.array.T))
+        t, trail = starts, np.empty(shifts.shape)
+        for j, shift in enumerate(shifts):
+            trail[j] = t = wrap(self.invert(t + shift, tol=tol))
+        return np.stack([self.jacobian(p) for p in trail])
+
+    def wrapped_walk(self, starts: np.ndarray, steps: int, inverse: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Walk y = F(x) (F^{-1} with `inverse`) `steps` times, wrapping each step.
+
+        Returns the end points in [0, 1)^d and the integer offsets, (steps, n, d):
+        offsets[j] = floor(y_j), and the next step starts from y_j - offsets[j].
+        """
+        ends = np.asarray(starts, dtype=float)
+        offsets = np.empty((steps,) + ends.shape)
+        if self.conjugator is not None:
+            z = self._g_inverse(ends)
+            for j in range(steps):
+                z = self._inner_step(z, inverse)
+                y = self._g(z)
+                offsets[j] = np.floor(y)
+                ends, z = y - offsets[j], z - offsets[j]
+            return ends, offsets
+        step = self.invert if inverse else self.evaluate
+        for j in range(steps):
+            y = step(ends)
+            offsets[j] = np.floor(y)
+            ends = y - offsets[j]
+        return ends, offsets
+
+    def shifted_walk(self, x: np.ndarray, shifts, inverse: bool) -> np.ndarray:
+        """x <- F(x + k) (F^{-1} with `inverse`) for each k in shifts, in order.
+
+        x (..., d) is any stack of lift points; each k broadcasts against it.
+        """
+        d = self.dim
+        if self.conjugator is not None:
+            z = self._map_out(x, self._g_inverse)
+            for k in shifts:
+                z = self._inner_step(z + k, inverse)
+            return self._map_out(z, self._g)
+        step = self.invert if inverse else self.evaluate
+        for k in shifts:
+            x = step((x + k).reshape(-1, d)).reshape(x.shape)
+        return x
 
     # -- lift inversion ------------------------------------------------------
 
@@ -319,7 +446,8 @@ class TorusMap:
                     )
                 x[bad] -= solve_batched(jb, res[bad])
             jac = a + self.epsilon * dval
-        worst = float(np.abs(res).max() / scale.max())
+        # each row against its own scale, so a row's verdict does not depend on its batch
+        worst = float((np.abs(res).max(axis=1) / scale).max())
         if worst > 100.0 * tol:
             raise NoConvergence(f"lift inversion verified residual {worst:.3e} exceeds tolerance")
         if single:

@@ -67,18 +67,6 @@ def linear_periodic_points(model: LinearModel, n: int, cap: int = 200_000) -> np
     return wrap(np.linalg.solve(b.array, reps.T).T)
 
 
-def _chain_with_jacobian(f: TorusMap, x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """F^n(x) on the lift and the accumulated DF^n(x), batched; one shared inner
-    solve or trig pass per step."""
-    d = f.dim
-    y = x.copy()
-    acc = np.broadcast_to(np.eye(d), (x.shape[0], d, d)).copy()
-    for _ in range(n):
-        y, jac = f.evaluate_with_jacobian(y)
-        acc = jac @ acc
-    return y, acc
-
-
 def _refine_batch(
     f: TorusMap, seeds: np.ndarray, n: int, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -87,7 +75,7 @@ def _refine_batch(
     One chain per position of x: the chain that fixes m serves the first pass,
     and the last one computed serves the final residual."""
     x = seeds.copy()
-    y, acc = _chain_with_jacobian(f, x, n)
+    y, acc = f.iterate_with_jacobian(x, n)
     m = np.round(y - x)
     eye = np.eye(f.dim)
     ok = np.ones(x.shape[0], dtype=bool)
@@ -108,7 +96,7 @@ def _refine_batch(
         norms = np.linalg.norm(step, axis=1, keepdims=True)
         step = np.where(norms > 0.25, step * (0.25 / norms), step)
         x[active] -= step
-        y, acc = _chain_with_jacobian(f, x, n)
+        y, acc = f.iterate_with_jacobian(x, n)
     res = np.abs(y - x - m).max(axis=1)
     return x, res, res <= tol
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from anosovlab.conjugacy import (
+    _MAX_SERIES_DEPTH,
     ConjugacyEvaluator,
+    _series_weights,
     conjugacy_evaluator,
     deep_translation_decay,
     displacement_field,
@@ -56,6 +58,12 @@ class TestEvaluator:
         x = rng.random((15, 2)) * 2 - 0.5
         assert np.abs(ce.h_displacement(x) - _series_oracle(shear05, x, 14)).max() < 1e-12
 
+    def test_conjugated_matches_direct_series(self, conjugated05, rng):
+        """The series walked in the chart G against the per-step oracle."""
+        ce = conjugacy_evaluator(conjugated05, depth=14)
+        x = rng.random((15, 2)) * 2 - 0.5
+        assert np.abs(ce.h_displacement(x) - _series_oracle(conjugated05, x, 14)).max() < 1e-12
+
     def test_conjugated_H_equals_inner_inverse(self, conjugated05, rng):
         """For F = G A G^{-1} the bounded conjugacy is H = G^{-1}; solve for it
         directly by fixed-point iteration on z + eps*q(z) = y."""
@@ -101,7 +109,8 @@ class TestEvaluator:
             assert np.array_equal(row, ce.apply_inverse(target))
 
     def test_conjugated_rows_do_not_depend_on_their_batch(self, conjugated05):
-        """G^-1, F and u give a row the same bits in any sub-batch of two or more rows."""
+        """G^-1, F, u and the orbit walks give a row the same bits in any sub-batch
+        of two or more rows."""
         ce = conjugacy_evaluator(conjugated05)
         rng = np.random.default_rng(2)
         x = rng.random((96, 2))
@@ -111,6 +120,27 @@ class TestEvaluator:
             idx = rng.choice(96, int(rng.integers(2, 96)), replace=False)
             for fn, whole in zip(calls, full):
                 assert np.array_equal(fn(x[idx]), whole[idx]), fn.__name__
+        # the orbit walks, each output with its rows on axis 0
+        f = conjugated05
+        shifts = np.random.default_rng(3).integers(0, 2, (6, 96, 2)).astype(float)
+        offsets = f.wrapped_walk(x, 4, inverse=False)[1]
+        walks = {
+            "orbit_displacements": lambda i: [np.swapaxes(f.orbit_displacements(x[i], 6), 0, 1)],
+            "preimage_displacements": lambda i: [np.swapaxes(f.preimage_displacements(x[i], 6), 0, 1)],
+            "iterate_with_jacobian": lambda i: list(f.iterate_with_jacobian(x[i], 3)),
+            "branch_jacobians": lambda i: [np.swapaxes(f.branch_jacobians(x[i], shifts[:, i], 1e-11), 0, 1)],
+            "wrapped_walk": lambda i: [w if w.ndim == 2 else np.swapaxes(w, 0, 1)
+                                       for inverse in (False, True)
+                                       for w in f.wrapped_walk(x[i], 4, inverse)],
+            "shifted_walk": lambda i: [f.shifted_walk(x[i], offsets[::-1, i], inverse=True)],
+        }
+        everything = np.arange(96)
+        full = {name: walk(everything) for name, walk in walks.items()}
+        for _ in range(10):
+            idx = rng.choice(96, int(rng.integers(2, 96)), replace=False)
+            for name, walk in walks.items():
+                for got, whole in zip(walk(idx), full[name]):
+                    assert np.array_equal(got, whole[idx]), name
 
     @pytest.mark.parametrize("fixture", ["shear05", "product05", "conjugated05"])
     def test_stage_roundtrip_needs_no_fallback(self, fixture, request):
@@ -131,6 +161,38 @@ class TestEvaluator:
         ce = conjugacy_evaluator(shear05)
         x = rng.random((200, 2))
         assert np.linalg.norm(ce.h_displacement(x), axis=1).max() <= ce.sup_bound
+
+    @pytest.mark.parametrize("name", ["shear05", "cubic_shear"])
+    def test_weights_on_demand_match_the_full_scan(self, name, request):
+        """Only a power-norm tail scans _MAX_SERIES_DEPTH + 60 weights; a closed-form
+        tail builds `depth` of them by the same recursion. Weights, depth and tail
+        equal those the full scan gives, bit for bit."""
+        if name == "cubic_shear":
+            cubic = {"matrix": ((0, 0, -2), (1, 0, 1), (0, 1, 6)), "terms": {2: [((1, 0, 0), 0.0, 1.0)]}}
+            f = fixture_catalog("custom", 0.02, custom=cubic)
+        else:
+            f = request.getfixturevalue(name)
+        ce = conjugacy_evaluator(f)
+        w_u, w_s = _series_weights(f.model, _MAX_SERIES_DEPTH + 60)
+        depth = ce.series_depth
+        assert np.array_equal(ce.weights_unstable, w_u[:depth])
+        assert np.array_equal(ce.weights_stable, w_s[:depth])
+        sup = displacement_field(f).sup_norm
+        rate = max(f.model.stable_norm, 1.0 / f.model.unstable_conorm)
+        if name == "cubic_shear":
+            assert rate >= 1.0 and ce.tail_method == "power_norms"
+            n_u = np.linalg.norm(w_u, ord=2, axis=(1, 2))
+            n_s = np.linalg.norm(w_s, ord=2, axis=(1, 2))
+            # a norm sequence that underflows to zero has no remainder
+            ratio = max(v[-1] / v[-2] if v[-2] > 0.0 else 0.0 for v in (n_s, n_u))
+            remainder = (n_u[-1] + n_s[-1]) * ratio / (1.0 - ratio)
+            suffix = np.cumsum((n_u + n_s)[::-1])[::-1]
+            tails = [sup * (float(suffix[n]) + remainder) for n in range(_MAX_SERIES_DEPTH + 1)]
+        else:
+            assert ce.tail_method == "closed_form"
+            tails = [sup * rate**n / (1.0 - rate) for n in range(_MAX_SERIES_DEPTH + 1)]
+        assert depth == next(n for n in range(1, _MAX_SERIES_DEPTH + 1) if tails[n] <= 1e-9)
+        assert ce.tail_bound == tails[depth]
 
     def test_depth_selection(self, shear05):
         loose = conjugacy_evaluator(shear05, residual_target=1e-6)

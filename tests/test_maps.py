@@ -5,7 +5,7 @@ import pytest
 
 from anosovlab.errors import CertificationFailed, NoConvergence, NotLocalDiffeo, UnknownFixture
 from anosovlab.maps import TrigField, anosov_certificate, fixture_catalog, local_diffeo_margin
-from anosovlab.util import torus_distance, wrap
+from anosovlab.util import pairwise_principal_angles, qr_pos, torus_distance, wrap
 
 
 def _fd_jacobian(f, x, eps=1e-6):
@@ -121,6 +121,23 @@ class TestInverseWithData:
             got = f.invert_with_jacobian(y)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
+    def test_residual_verified_row_by_row(self, conjugated05, monkeypatch):
+        """A row off its own tolerance fails whatever rows share its batch: next to
+        a row of size 5e7 its residual is far below the batch's largest scale."""
+        g_inverse = type(conjugated05)._g_inverse
+
+        def spoiled(self, y):
+            z = g_inverse(self, y)
+            z[0] += 1e-9
+            return z
+
+        monkeypatch.setattr(type(conjugated05), "_g_inverse", spoiled)
+        y = np.array([[0.3, 0.4], [0.6, 0.2]])
+        for rest in ([], [[5e7, -3e7]], [[0.1, 0.9]] * 5 + [[-2e7, 4e7]]):
+            batch = np.concatenate([y, np.reshape(rest, (-1, 2))])
+            with pytest.raises(NoConvergence, match="verified residual"):
+                conjugated05.invert(batch)
+
     def test_singular_jacobian_refused(self):
         """DF(x) = ((3, 1), (1 + 2 cos 2 pi x_1, 1)) is singular at x_1 = 0, where
         the constant term leaves a residual, so the first Newton step is refused."""
@@ -135,6 +152,119 @@ class TestInverseWithData:
             shear05.invert(y, tol=1e-30)
         with pytest.raises(NoConvergence, match="verified residual"):
             conjugated05.invert(y, tol=1e-30)
+
+
+def _stepwise_orbit_displacements(f, starts, length):
+    t, out = wrap(starts), []
+    for _ in range(length):
+        image, disp = f.evaluate_with_displacement(t)
+        out.append(disp)
+        t = wrap(image)
+    return np.stack(out)
+
+
+def _stepwise_preimage_displacements(f, y, length):
+    out = []
+    for _ in range(length):
+        y, disp, _ = f.invert_with_displacement(y)
+        out.append(disp)
+    return np.stack(out)
+
+
+def _stepwise_iterate_with_jacobian(f, x, n):
+    acc = np.broadcast_to(np.eye(f.dim), x.shape + (f.dim,)).copy()
+    for _ in range(n):
+        x, jac = f.evaluate_with_jacobian(x)
+        acc = jac @ acc
+    return x, acc
+
+
+def _stepwise_branch_jacobians(f, starts, shifts, tol):
+    t, out = starts, []
+    for shift in shifts:
+        t = wrap(f.invert(t + shift, tol=tol))
+        out.append(f.jacobian(t))
+    return np.stack(out)
+
+
+def _stepwise_wrapped_walk(f, starts, steps, inverse):
+    ends, offsets = starts, []
+    for _ in range(steps):
+        y = (f.invert if inverse else f.evaluate)(ends)
+        offsets.append(np.floor(y))
+        ends = y - offsets[-1]
+    return ends, np.array(offsets)
+
+
+def _stepwise_shifted_walk(f, x, shifts, inverse):
+    for k in shifts:
+        x = (f.invert if inverse else f.evaluate)((x + k).reshape(-1, f.dim)).reshape(x.shape)
+    return x
+
+
+def _pushed_unstable(f, jacs):
+    """The linear unstable subspace pushed forward along jacs, deepest first."""
+    basis = np.broadcast_to(f.model.unstable_subspace, jacs.shape[1:-1] + (f.dim - f.model.stable_dim,))
+    for jac in jacs[::-1]:
+        basis, _ = qr_pos(jac @ basis)
+    return basis
+
+
+class TestOrbitWalks:
+    """Each orbit walk against its per-step loop: a trig map runs that loop, bit
+    for bit; a conjugated map walks in the chart G, and rounding that the
+    hyperbolic steps amplify keeps the comparison to a few steps."""
+
+    @staticmethod
+    def _agree(f, got, want, tol=1e-12):
+        if f.conjugator is None:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= tol
+
+    @pytest.mark.parametrize("name", ["shear05", "product05", "conjugated05"])
+    def test_displacements(self, name, request, rng):
+        f = request.getfixturevalue(name)
+        x = rng.random((9, f.dim)) * 4 - 2
+        self._agree(f, f.orbit_displacements(x, 5), _stepwise_orbit_displacements(f, x, 5))
+        y = rng.random((9, f.dim))
+        self._agree(f, f.preimage_displacements(y, 3), _stepwise_preimage_displacements(f, y, 3))
+
+    @pytest.mark.parametrize("name", ["shear05", "product05", "conjugated05"])
+    def test_iterate_with_jacobian(self, name, request, rng):
+        f = request.getfixturevalue(name)
+        x = rng.random((9, f.dim))
+        got, want = f.iterate_with_jacobian(x, 2), _stepwise_iterate_with_jacobian(f, x, 2)
+        self._agree(f, got[0], want[0])
+        self._agree(f, got[1], want[1])
+
+    @pytest.mark.parametrize("name", ["shear05", "product05", "conjugated05"])
+    def test_branch_jacobians(self, name, request, rng):
+        f = request.getfixturevalue(name)
+        starts = rng.random((10, f.dim))
+        shifts = rng.integers(0, 2, (12, 10, f.dim)).astype(float)
+        got = f.branch_jacobians(starts, shifts, 1e-11)
+        want = _stepwise_branch_jacobians(f, starts, shifts, 1e-11)
+        if f.conjugator is None:
+            assert np.array_equal(got, want)
+        else:
+            pair = np.stack([_pushed_unstable(f, got), _pushed_unstable(f, want)], axis=1)
+            assert pairwise_principal_angles(pair).max() <= 1e-10
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("name", ["shear05", "product05", "conjugated05"])
+    def test_wrapped_and_shifted_walks(self, name, inverse, request, rng):
+        f = request.getfixturevalue(name)
+        starts = rng.random((6, f.dim))
+        ends, offsets = f.wrapped_walk(starts, 3, inverse)
+        want_ends, want_offsets = _stepwise_wrapped_walk(f, starts, 3, inverse)
+        self._agree(f, ends, want_ends)
+        assert np.array_equal(offsets, want_offsets)
+        segment = want_ends[:, None, :] + np.linspace(0.0, 0.02, 5)[:, None] * f.model.stable_lines[0]
+        # back along the walk, as a leaf is pulled back
+        shifts = offsets[::-1, :, None]
+        got = f.shifted_walk(segment, shifts, not inverse)
+        self._agree(f, got, _stepwise_shifted_walk(f, segment, shifts, not inverse))
 
 
 class TestPreimages:
