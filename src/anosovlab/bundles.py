@@ -22,14 +22,6 @@ from anosovlab.maps import TorusMap
 from anosovlab.util import adjugate, float_cell, pairwise_principal_angles, qr_pos
 
 
-def _forward_jacobians(f: TorusMap, pts: np.ndarray, depth: int) -> np.ndarray:
-    jacs = np.empty((depth, pts.shape[0], f.dim, f.dim))
-    t = pts
-    for j in range(depth):
-        t, jacs[j] = f.step_with_jacobian(t)
-    return jacs
-
-
 def _backward_jacobians(f: TorusMap, pts: np.ndarray, depth: int) -> np.ndarray:
     """Jacobians at the lift backward orbit, deepest point first."""
     jacs = np.empty((depth, pts.shape[0], f.dim, f.dim))

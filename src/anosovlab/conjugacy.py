@@ -52,14 +52,8 @@ def displacement_field(f: TorusMap) -> DisplacementField:
     grid_n = 64 if f.dim == 2 else 24
     pts = grid_points(f.dim, grid_n)
     grid_sup = float(np.linalg.norm(f.displacement(pts), axis=1).max())
-    if f.perturbation is not None:
-        bound = abs(f.epsilon) * f.perturbation.sup_bound()
-    elif f.conjugator is not None:
-        # no closed form for G o A o G^{-1} - A; pad the grid measurement
-        bound = 1.05 * grid_sup + 1e-15
-    else:
-        bound = 0.0
-    return DisplacementField(map=f, sup_norm=max(bound, grid_sup), grid_sup=grid_sup, grid_n=grid_n)
+    sup_norm = max(f.displacement_sup_bound(grid_sup), grid_sup)
+    return DisplacementField(map=f, sup_norm=sup_norm, grid_sup=grid_sup, grid_n=grid_n)
 
 
 @dataclass(frozen=True, eq=False)

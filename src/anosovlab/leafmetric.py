@@ -23,7 +23,6 @@ from anosovlab.bundles import (
     IntegrabilityReport,
     _backward_jacobians,
     _descending_frame,
-    _forward_jacobians,
     first_stable_direction,
 )
 from anosovlab.conjugacy import ConjugacyEvaluator
@@ -46,9 +45,7 @@ def stable_direction_field(f: TorusMap, pts: np.ndarray, depth: int = 12) -> np.
     """
     if f.epsilon == 0.0:
         return np.broadcast_to(f.model.stable_lines[0], pts.shape).copy()
-    # the chain starts at the lift point itself; its torus cell would round
-    # the first Jacobian differently
-    return first_stable_direction(f, _forward_jacobians(f, pts, depth), depth)[0]
+    return first_stable_direction(f, next(f.orbit_jacobians(pts, depth, depth)), depth)[0]
 
 
 def unstable_direction_field(f: TorusMap, pts: np.ndarray) -> np.ndarray:
@@ -313,10 +310,13 @@ def _segment_mean(f: TorusMap, phi, segments: int, segment_len: int, seed: int) 
     coboundaries plus a constant).
 
     An observable with an orbit form (`phi.along_orbit`, see
-    `stable_log_norm_observable`) is evaluated on time blocks of the
-    segments, each reading `lookahead` further orbit points; any other is
-    evaluated point by point. Either way the values are summed in the same
-    chunks, so both give the same float.
+    `stable_log_norm_observable`) is evaluated from the Jacobians of one
+    continuous walk per segment (`TorusMap.orbit_jacobians`), built one time
+    block at a time, each value reading `lookahead` further Jacobians; any
+    other is evaluated point by point. Either way the values are summed in
+    the same chunks, so on a map with the identity chart (perturbed or
+    linear) both give the same float. A conjugated map's orbit form reads DF
+    off the chart walk, which rounds differently from a pointwise G^{-1}.
     """
     rng = np.random.default_rng(seed)
     starts = rng.random((segments, f.dim))
@@ -326,12 +326,15 @@ def _segment_mean(f: TorusMap, phi, segments: int, segment_len: int, seed: int) 
         vals = np.concatenate([phi(c) for c in np.array_split(flat, _sum_chunks(flat.shape[0]))])
     else:
         extra = along_orbit.lookahead
-        orbit = f.orbit_points(starts, segment_len + extra)
         block = max(1, 2**16 // segments)  # time steps; bounds the Jacobian and frame stacks
-        vals = np.concatenate([
-            along_orbit(orbit[t : min(t + block, segment_len) + extra]).ravel()
-            for t in range(0, segment_len, block)
-        ])
+        parts, held = [], np.empty((0, segments, f.dim, f.dim))
+        for jacs in f.orbit_jacobians(starts, segment_len + extra, block):
+            # the last `extra` Jacobians of a block serve the windows of the next
+            held = np.concatenate([held, jacs])
+            if held.shape[0] > extra:
+                parts.append(along_orbit(held).ravel())
+                held = held[held.shape[0] - extra :]
+        vals = np.concatenate(parts)
     total = 0.0
     for chunk in np.array_split(vals, _sum_chunks(vals.size)):
         total += float(np.sum(chunk))
@@ -455,9 +458,9 @@ def stable_log_norm_observable(f: TorusMap, depth: int = 12):
     """phi(x) = log of the contraction factor of DF on E^s_1 at x.
 
     On a perturbed map phi also has an orbit form, `phi.along_orbit`, which
-    evaluates it along forward orbit segments from one Jacobian per orbit
-    point; `phi.along_orbit.lookahead` is the number of points it reads past
-    the last value.
+    evaluates it along forward orbits from their Jacobians, one per orbit
+    point (`TorusMap.orbit_jacobians`); `phi.along_orbit.lookahead` is the
+    number of Jacobians it reads past the last value.
     """
     def log_contraction(jacs, v):
         w = np.einsum("nij,nj->ni", jacs, v)
@@ -470,15 +473,14 @@ def stable_log_norm_observable(f: TorusMap, depth: int = 12):
     if f.epsilon == 0.0:
         return phi
 
-    def along_orbit(orbit):
-        """phi at orbit[t] for t < len(orbit) - depth + 1, shape (T, n).
+    def along_orbit(jacs):
+        """phi at orbit step t for t < len(jacs) - depth + 1, shape (T, n).
 
-        orbit (T + depth - 1, n, d) holds n forward orbits; each point's
-        Jacobian serves as DF in phi and in the direction windows of the
-        depth - 1 points before it.
+        jacs (T + depth - 1, n, d, d) holds DF along n forward orbits; each
+        serves as DF in phi and in the direction windows of the depth - 1
+        steps before it.
         """
         d = f.dim
-        jacs = f.jacobian(orbit.reshape(-1, d)).reshape(orbit.shape + (d,))
         v = first_stable_direction(f, jacs, depth)
         vals = log_contraction(jacs[: v.shape[0]].reshape(-1, d, d), v.reshape(-1, d))
         return vals.reshape(v.shape[:2])

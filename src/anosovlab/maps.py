@@ -5,6 +5,9 @@ Two representations are supported: an explicit trigonometric-polynomial
 perturbation F = A + eps*p, and a conjugated form F = G o A o G^{-1} with
 G = Id + eps*q a trig diffeomorphism (the displacement is then evaluated
 pointwise; it is still Z^d-periodic but not a finite trig polynomial).
+Both are one model, F = C o S o C^{-1} with a chart C and a chart step S:
+C = Id and S = A + eps*p for a perturbation, C = G and S = A for a conjugated
+map. Every evaluation and orbit walk is written once in that form.
 
 All evaluation paths are batched: points are (n, d) arrays, Jacobians
 (n, d, d). Lifts commute with integer translations by construction, so
@@ -32,6 +35,8 @@ from anosovlab.util import grid_points, inv_batched, solve_batched, torus_distan
 # Newton solves for G^-1 and the trig lift inverse: relative residual of G^-1, iteration cap
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITER = 80
+# default relative residual of the lift inverse
+_INVERT_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,20 +138,55 @@ class TorusMap:
     def is_linear(self) -> bool:
         return self.epsilon == 0.0 or (self.perturbation is None and self.conjugator is None)
 
-    # -- inner diffeo G = Id + eps q (conjugated representation) ------------
+    def displacement_sup_bound(self, grid_sup: float) -> float:
+        """Sup bound of |phi| given its largest value on a grid, grid_sup.
 
-    def _g(self, x: np.ndarray) -> np.ndarray:
-        return x + self.epsilon * self.conjugator.evaluate(x)
+        A perturbation's bound is exact, from its trig amplitudes; a conjugated
+        map's phi = G o A o G^{-1} - A has no closed form, so its grid value is
+        padded.
+        """
+        if self.perturbation is not None:
+            return abs(self.epsilon) * self.perturbation.sup_bound()
+        if self.conjugator is not None:
+            return 1.05 * grid_sup + 1e-15
+        return 0.0
 
-    def _g_jacobian(self, x: np.ndarray) -> np.ndarray:
-        d = self.dim
-        return np.eye(d) + self.epsilon * self.conjugator.jacobian(x)
+    # -- the chart -----------------------------------------------------------
+    #
+    # Every map is F = C o S o C^{-1} on the lift, with a chart C and a chart
+    # step S: a conjugated map has C = G and S = A, any other map C = Id and
+    # S = A + eps p. Since C(z) + k = C(z + k), integer shifts and wraps pass
+    # through C, so each method below solves C^{-1} once, steps with S or
+    # S^{-1} in the chart and maps its points out with one batched C or DC
+    # pass. Only these primitives tell the representations apart.
 
-    def _g_inverse(self, y: np.ndarray) -> np.ndarray:
-        """Newton per row: a row stops at its own tolerance, so its value does not
-        depend on the batch. The whole batch is evaluated and solved every pass
-        and a converged row takes a zero step, so no row takes numpy's one-row
-        product path."""
+    @property
+    def _perturbed(self) -> bool:
+        """Whether the chart step S = A + eps p is nonlinear."""
+        return self.perturbation is not None and self.epsilon != 0.0
+
+    def _map_out(self, z: np.ndarray, fn) -> np.ndarray:
+        """fn applied to a stack of chart points (..., d) as one batch."""
+        out = fn(z.reshape(-1, self.dim))
+        return out.reshape(z.shape[:-1] + out.shape[1:])
+
+    def _chart(self, z: np.ndarray) -> np.ndarray:
+        """C(z) on a stack of chart points (..., d)."""
+        if self.conjugator is None:
+            return z
+        return z + self.epsilon * self._map_out(z, self.conjugator.evaluate)
+
+    def _chart_inverse(self, x: np.ndarray) -> np.ndarray:
+        """C^{-1}(x) on a stack of lift points (..., d).
+
+        G^{-1} runs Newton per row: a row stops at its own tolerance, so its
+        value does not depend on the batch. The whole batch is evaluated and
+        solved every pass and a converged row takes a zero step, so no row
+        takes numpy's one-row product path.
+        """
+        if self.conjugator is None:
+            return x
+        y = x.reshape(-1, self.dim)
         eye = np.eye(self.dim)
         z = y.copy()
         # row maxima folded over the d columns: max(axis=1) over so short an axis is ~10x slower
@@ -156,97 +196,97 @@ class TorusMap:
             res = z + self.epsilon * val - y
             active = functools.reduce(np.maximum, np.abs(res).T) > scale
             if not active.any():
-                return z
+                return z.reshape(x.shape)
             z -= np.where(active[:, None], solve_batched(eye + self.epsilon * jac, res), 0.0)
         raise NoConvergence(f"inner diffeo inversion stalled at residual {float(np.abs(res).max()):.3e}")
 
-    def _inner_step(self, z: np.ndarray, inverse: bool) -> np.ndarray:
-        """A z, or A^{-1} z with `inverse`, on a stack of inner points (..., d)."""
+    def _step(self, z: np.ndarray, jacobian: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """(S z, S z - A z, DS(z)) at chart points (n, d) from one trig pass;
+        DS is None unless `jacobian`."""
         a = self.model.array
-        if inverse:
-            return np.linalg.solve(a, z.reshape(-1, self.dim).T).T.reshape(z.shape)
-        return z @ a.T
+        out = z @ a.T
+        if not self._perturbed:
+            jac = np.broadcast_to(a, z.shape + (self.dim,)).copy() if jacobian else None
+            return out, np.zeros_like(z), jac
+        if jacobian:
+            val, dval = self.perturbation.evaluate_and_jacobian(z)
+        else:
+            val, dval = self.perturbation.evaluate(z), None
+        disp = self.epsilon * val
+        return out + disp, disp, None if dval is None else a + self.epsilon * dval
 
-    def _inner_displacement(self, q_z: np.ndarray, q_az: np.ndarray) -> np.ndarray:
-        """phi(G(z)) = G(A z) - A G(z) = eps (q(A z) - A q(z)), from q at z and at A z."""
-        return self.epsilon * (q_az - q_z @ self.model.array.T)
+    def _step_inverse(self, y: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(x, S x - A x, DS(x)) with S x = y at chart points (n, d).
+
+        A linear step solves A x = y. A trig step runs a batched Newton from
+        that seed with one trig pass per update for S and DS on the whole
+        batch, until every row's residual is within tol of its own scale, and
+        reads the displacement and DS off the last pass.
+        """
+        a = self.model.array
+        x = np.linalg.solve(a, y.T).T
+        if not self._perturbed:
+            return x, np.zeros_like(x), np.broadcast_to(a, x.shape + (self.dim,)).copy()
+        scale = np.maximum(1.0, np.abs(y).max(axis=1))
+        for step in range(_NEWTON_MAX_ITER + 1):
+            val, dval = self.perturbation.evaluate_and_jacobian(x)
+            disp, jac = self.epsilon * val, a + self.epsilon * dval
+            res = x @ a.T + disp - y
+            bad = np.abs(res).max(axis=1) > tol * scale
+            if not bad.any():
+                return x, disp, jac
+            if step == _NEWTON_MAX_ITER:
+                raise NoConvergence(f"lift inversion stalled at residual {float(np.abs(res).max()):.3e}")
+            det = np.linalg.det(jac[bad])
+            if np.any(np.abs(det) < 1e-14):
+                idx = int(np.argmin(np.abs(det)))
+                raise NotLocalDiffeo(f"Jacobian determinant {det[idx]:.3e} near x = {x[bad][idx]}")
+            x[bad] -= solve_batched(jac[bad], res[bad])
+
+    def _df(self, z: np.ndarray, w: np.ndarray, ds: np.ndarray) -> np.ndarray:
+        """DF^n at C(z) = DC(w) DS^n DC(z)^{-1}, for chart points z and
+        w = S^n z (up to an integer shift) and ds = DS^n(z); stacks (..., d)."""
+        if self.conjugator is None:
+            return ds
+        dc = np.eye(self.dim) + self.epsilon * self._map_out(np.stack([w, z]), self.conjugator.jacobian)
+        return (dc[0] @ ds) @ inv_batched(dc[1])
+
+    def _chart_jacobian(self, z: np.ndarray) -> np.ndarray:
+        """DF at C(z) for chart points z (n, d)."""
+        w, _, ds = self._step(z, jacobian=True)
+        return self._df(z, w, ds)
+
+    def _displacements(self, chart: np.ndarray, disp: np.ndarray) -> np.ndarray:
+        """phi at C(chart[j]), j < m, along a forward chart orbit chart (m + 1, n, d),
+        chart[j + 1] = S chart[j] up to an integer shift, with disp (m, n, d) the
+        step displacements S z - A z at chart[:-1].
+
+        phi(C z) = C(S z) - A C(z); for C = G that is eps (q(S z) - A q(z)).
+        """
+        if self.conjugator is None:
+            return disp
+        q = self._map_out(chart, self.conjugator.evaluate)
+        return self.epsilon * (q[1:] - q[:-1] @ self.model.array.T)
 
     # -- evaluation ----------------------------------------------------------
 
-    def _conjugated_jacobian(self, y: np.ndarray, w: np.ndarray, power: np.ndarray | None = None) -> np.ndarray:
-        """DF^n at x = G(y) given the inner point y = G^{-1}(x), w = A^n y and
-        power = A^n (default A)."""
-        power = self.model.array if power is None else power
-        return (self._g_jacobian(w) @ power) @ inv_batched(self._g_jacobian(y))
-
     def evaluate(self, x) -> np.ndarray:
         """Lift value F(x); batched."""
-        xb, single = _as_batch(x)
-        a = self.model.array
-        if self.conjugator is not None:
-            y = self._g_inverse(xb)
-            out = self._g(y @ a.T)
-        else:
-            out = xb @ a.T
-            if self.perturbation is not None and self.epsilon != 0.0:
-                out = out + self.epsilon * self.perturbation.evaluate(xb)
-        return out[0] if single else out
+        return self.evaluate_with_displacement(x)[0]
 
     def jacobian(self, x) -> np.ndarray:
         xb, single = _as_batch(x)
-        a = self.model.array
-        if self.conjugator is not None:
-            y = self._g_inverse(xb)
-            jac = self._conjugated_jacobian(y, y @ a.T)
-        else:
-            jac = np.broadcast_to(a, xb.shape + (self.dim,)).copy()
-            if self.perturbation is not None and self.epsilon != 0.0:
-                jac = jac + self.epsilon * self.perturbation.jacobian(xb)
+        jac = self._chart_jacobian(self._chart_inverse(xb))
         return jac[0] if single else jac
 
-    def evaluate_with_jacobian(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """(F(x), DF(x)) on the lift sharing one inner inverse solve or trig pass; batched."""
-        xb, single = _as_batch(x)
-        a = self.model.array
-        if self.conjugator is not None:
-            y = self._g_inverse(xb)
-            w = y @ a.T
-            out, jac = self._g(w), self._conjugated_jacobian(y, w)
-        elif self.is_linear:
-            out, jac = self.evaluate(xb), self.jacobian(xb)
-        else:
-            val, dval = self.perturbation.evaluate_and_jacobian(xb)
-            out = xb @ a.T + self.epsilon * val
-            jac = np.broadcast_to(a, xb.shape + (self.dim,)) + self.epsilon * dval
-        return (out[0], jac[0]) if single else (out, jac)
-
-    def step_with_jacobian(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(wrap(F(t)), DF(t)) sharing one inner inverse solve or trig pass; batched."""
-        out, jac = self.evaluate_with_jacobian(t)
-        return wrap(out), jac
-
-    def invert_with_jacobian(self, y) -> tuple[np.ndarray, np.ndarray]:
-        """(x, DF(x)) with F(x) = y; the conjugated form reuses the inner point."""
-        yb = np.asarray(y, dtype=float)
-        if self.conjugator is not None:
-            z = np.linalg.solve(self.model.array, self._g_inverse(yb).T).T
-            x = self._g(z)
-            return x, self._conjugated_jacobian(z, z @ self.model.array.T)
-        x, _, jac = self.invert_with_displacement(yb)
-        return x, jac
-
     def evaluate_with_displacement(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """(F(x), phi(x)) from one inner inverse solve or trig pass; batched."""
+        """(F(x), phi(x)) from one chart inverse and one trig pass; batched."""
         xb, single = _as_batch(x)
-        linear = xb @ self.model.array.T
+        out, disp, _ = self._step(self._chart_inverse(xb), jacobian=False)
+        out = self._chart(out)
         if self.conjugator is not None:
-            out = self.evaluate(xb)
-            disp = out - linear
-        elif self.perturbation is not None and self.epsilon != 0.0:
-            disp = self.epsilon * self.perturbation.evaluate(xb)
-            out = linear + disp
-        else:
-            out, disp = linear, np.zeros_like(xb)
+            # phi read off F, which the sup bound of `displacement_field` measures
+            disp = out - xb @ self.model.array.T
         return (out[0], disp[0]) if single else (out, disp)
 
     def displacement(self, x) -> np.ndarray:
@@ -258,84 +298,68 @@ class TorusMap:
         return wrap(self.evaluate(t))
 
     # -- orbit walks ---------------------------------------------------------
-    #
-    # A conjugated map F = G o A o G^{-1} is walked in the chart G. Since
-    # G(z) + k = G(z + k), every lift or torus orbit of F is G of an orbit of A,
-    # and integer shifts and wraps pass through G unchanged: each walk solves
-    # G^{-1} once, steps with A or A^{-1}, and maps all its points out in one
-    # batched pass. Every other map runs its per-step loop.
-
-    def _inner_torus_orbit(self, starts: np.ndarray, length: int) -> np.ndarray:
-        """Wrapped inner orbit z_t = A^t G^{-1}(starts) mod 1, shape (length, n, d)."""
-        a = self.model.array
-        z = self._g_inverse(starts)
-        inner = np.empty((length,) + starts.shape)
-        for t in range(length):
-            inner[t] = z
-            z = wrap(z @ a.T)
-        return inner
-
-    def _map_out(self, inner: np.ndarray, fn) -> np.ndarray:
-        """fn applied to a stack of inner points (..., d) as one batch."""
-        out = fn(inner.reshape(-1, self.dim))
-        return out.reshape(inner.shape[:-1] + out.shape[1:])
 
     def orbit_points(self, starts: np.ndarray, length: int) -> np.ndarray:
-        """Torus orbit segments, shape (length, n, d); orbit_points[0] = starts."""
-        starts = np.atleast_2d(np.asarray(starts, dtype=float))
-        if self.conjugator is not None:
-            return wrap(self._map_out(self._inner_torus_orbit(starts, length), self._g))
-        out = np.empty((length, starts.shape[0], self.dim))
-        x = wrap(starts)
+        """Torus orbit segments, shape (length, n, d); orbit_points[0] = wrap(starts)."""
+        starts = wrap(np.atleast_2d(np.asarray(starts, dtype=float)))
+        chart = np.empty((length,) + starts.shape)
+        z = self._chart_inverse(starts)
         for t in range(length):
-            out[t] = x
-            x = self.torus_step(x)
-        return out
+            chart[t] = z
+            z = wrap(self._step(z, jacobian=False)[0])
+        return wrap(self._chart(chart))
+
+    def orbit_jacobians(self, starts: np.ndarray, length: int, block: int):
+        """DF along `length` steps of forward torus orbits, yielded in time
+        blocks of at most `block` steps, (m, n, d, d) each.
+
+        Step j holds DF(t_j) for t_{j+1} = wrap(F(t_j)) from t_0 = starts,
+        taken as lift points: their torus cell would round the first Jacobian
+        differently. The walk runs on in the chart from block to block, so
+        C^{-1} is solved once.
+        """
+        z = self._chart_inverse(np.atleast_2d(np.asarray(starts, dtype=float)))
+        for lo in range(0, length, block):
+            m = min(block, length - lo)
+            chart, ds = np.empty((m + 1,) + z.shape), np.empty((m,) + z.shape + (self.dim,))
+            chart[0] = z
+            for t in range(m):
+                w, _, ds[t] = self._step(chart[t], jacobian=True)
+                chart[t + 1] = wrap(w)
+            z = chart[m]
+            yield self._df(chart[:-1], chart[1:], ds)
 
     def orbit_displacements(self, starts: np.ndarray, length: int) -> np.ndarray:
         """phi along torus orbits, shape (length, n, d): phi(t_j) for t_0 = wrap(starts)
         and t_{j+1} = wrap(F(t_j))."""
         t = wrap(np.atleast_2d(np.asarray(starts, dtype=float)))
-        if self.conjugator is not None:
-            q = self._map_out(self._inner_torus_orbit(t, length + 1), self.conjugator.evaluate)
-            return self._inner_displacement(q[:-1], q[1:])
-        out = np.empty((length,) + t.shape)
+        chart, disp = np.empty((length + 1,) + t.shape), np.empty((length,) + t.shape)
+        chart[0] = self._chart_inverse(t)
         for j in range(length):
-            image, out[j] = self.evaluate_with_displacement(t)
-            t = wrap(image)
-        return out
+            w, disp[j], _ = self._step(chart[j], jacobian=False)
+            chart[j + 1] = wrap(w)
+        return self._displacements(chart, disp)
 
     def preimage_displacements(self, y: np.ndarray, length: int) -> np.ndarray:
         """phi along lift backward orbits, shape (length, n, d): phi(x_j) for
         x_0 = y and x_j = F^{-1}(x_{j-1}), j = 1 .. length."""
         yb = np.atleast_2d(np.asarray(y, dtype=float))
-        if self.conjugator is not None:
-            inner = np.empty((length + 1,) + yb.shape)
-            inner[0] = self._g_inverse(yb)
-            for j in range(length):
-                inner[j + 1] = self._inner_step(inner[j], inverse=True)
-            q = self._map_out(inner, self.conjugator.evaluate)
-            return self._inner_displacement(q[1:], q[:-1])
-        out = np.empty((length,) + yb.shape)
-        for j in range(length):
-            yb, out[j], _ = self.invert_with_displacement(yb)
-        return out
+        # the backward orbit in forward time order: chart[length - j] is x_j in the chart
+        chart, disp = np.empty((length + 1,) + yb.shape), np.empty((length,) + yb.shape)
+        chart[length] = self._chart_inverse(yb)
+        for j in range(length, 0, -1):
+            chart[j - 1], disp[j - 1], _ = self._step_inverse(chart[j], _INVERT_TOL)
+        return self._displacements(chart, disp)[::-1]
 
     def iterate_with_jacobian(self, x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         """(F^n(x), DF^n(x)) on the lift, batched."""
         xb = np.asarray(x, dtype=float)
-        if self.conjugator is not None:
-            z = self._g_inverse(xb)
-            w = z
-            for _ in range(n):
-                w = self._inner_step(w, inverse=False)
-            power = np.linalg.matrix_power(self.model.array, n)
-            return self._g(w), self._conjugated_jacobian(z, w, power)
-        acc = np.broadcast_to(np.eye(self.dim), xb.shape + (self.dim,)).copy()
+        z = w = self._chart_inverse(xb)
+        acc = np.broadcast_to(np.eye(self.dim), xb.shape + (self.dim,))
         for _ in range(n):
-            xb, jac = self.evaluate_with_jacobian(xb)
-            acc = jac @ acc
-        return xb, acc
+            w, _, ds = self._step(w, jacobian=True)
+            acc = ds @ acc
+        return self._chart(w), self._df(z, w, acc)
 
     def branch_jacobians(self, starts: np.ndarray, shifts: np.ndarray, tol: float) -> np.ndarray:
         """DF along coded preimage walks, shape (depth, n, d, d).
@@ -344,16 +368,11 @@ class TorusMap:
         and row j holds DF(t_{j+1}); shifts (depth, n, d) are integer vectors.
         A trig map inverts each step to `tol`.
         """
-        if self.conjugator is not None:
-            z = self._g_inverse(starts)
-            inner = np.empty(shifts.shape)
-            for j, shift in enumerate(shifts):
-                inner[j] = z = wrap(self._inner_step(z + shift, inverse=True))
-            return self._map_out(inner, lambda p: self._conjugated_jacobian(p, p @ self.model.array.T))
-        t, trail = starts, np.empty(shifts.shape)
+        z = self._chart_inverse(starts)
+        trail = np.empty(shifts.shape)
         for j, shift in enumerate(shifts):
-            trail[j] = t = wrap(self.invert(t + shift, tol=tol))
-        return np.stack([self.jacobian(p) for p in trail])
+            trail[j] = z = wrap(self._step_inverse(z + shift, tol)[0])
+        return self._map_out(trail, self._chart_jacobian)
 
     def wrapped_walk(self, starts: np.ndarray, steps: int, inverse: bool) -> tuple[np.ndarray, np.ndarray]:
         """Walk y = F(x) (F^{-1} with `inverse`) `steps` times, wrapping each step.
@@ -363,19 +382,12 @@ class TorusMap:
         """
         ends = np.asarray(starts, dtype=float)
         offsets = np.empty((steps,) + ends.shape)
-        if self.conjugator is not None:
-            z = self._g_inverse(ends)
-            for j in range(steps):
-                z = self._inner_step(z, inverse)
-                y = self._g(z)
-                offsets[j] = np.floor(y)
-                ends, z = y - offsets[j], z - offsets[j]
-            return ends, offsets
-        step = self.invert if inverse else self.evaluate
+        z = self._chart_inverse(ends)
         for j in range(steps):
-            y = step(ends)
+            z = self._step_inverse(z, _INVERT_TOL)[0] if inverse else self._step(z, jacobian=False)[0]
+            y = self._chart(z)
             offsets[j] = np.floor(y)
-            ends = y - offsets[j]
+            ends, z = y - offsets[j], z - offsets[j]
         return ends, offsets
 
     def shifted_walk(self, x: np.ndarray, shifts, inverse: bool) -> np.ndarray:
@@ -383,76 +395,42 @@ class TorusMap:
 
         x (..., d) is any stack of lift points; each k broadcasts against it.
         """
-        d = self.dim
-        if self.conjugator is not None:
-            z = self._map_out(x, self._g_inverse)
-            for k in shifts:
-                z = self._inner_step(z + k, inverse)
-            return self._map_out(z, self._g)
-        step = self.invert if inverse else self.evaluate
+        z = self._chart_inverse(x)
         for k in shifts:
-            x = step((x + k).reshape(-1, d)).reshape(x.shape)
-        return x
+            flat = (z + k).reshape(-1, self.dim)
+            step = self._step_inverse(flat, _INVERT_TOL) if inverse else self._step(flat, jacobian=False)
+            z = step[0].reshape(z.shape)
+        return self._chart(z)
 
     # -- lift inversion ------------------------------------------------------
 
-    def invert(self, y, tol: float = 1e-12) -> np.ndarray:
+    def invert(self, y, tol: float = _INVERT_TOL) -> np.ndarray:
         """Solve F(x) = y on the lift; unique since the lift is a diffeo."""
         return self.invert_with_displacement(y, tol)[0]
 
-    def invert_with_displacement(
-        self, y, tol: float = 1e-12
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """(x, phi(x), DF(x)) with F(x) = y on the lift; batched.
+    def invert_with_displacement(self, y, tol: float = _INVERT_TOL) -> tuple[np.ndarray, np.ndarray]:
+        """(x, phi(x)) with F(x) = y on the lift; batched.
 
-        Conjugated maps invert exactly by composition, and the round trip
-        through the forward map that verifies the residual also gives phi(x);
-        their DF is None, as no pass computes it. Trig maps run a batched
-        Newton from the seed A^{-1} y with one trig pass per step for F and DF
-        on the whole batch, at most _NEWTON_MAX_ITER updates; the last pass
-        gives phi(x) and DF(x). Residuals are always verified.
+        A trig step verifies its Newton residual row by row (`_step_inverse`).
+        A linear step is exact algebra, so the round trip through F verifies
+        it, each row against its own scale so that its verdict does not depend
+        on its batch; for a conjugated map that also gives phi(x).
         """
         yb, single = _as_batch(y)
-        a = self.model.array
-        scale = np.maximum(1.0, np.abs(yb).max(axis=1))
-        jac = None
-        if self.conjugator is not None:
-            z = np.linalg.solve(a, self._g_inverse(yb).T).T
-            x = self._g(z)
-            fx = self.evaluate(x)
-            disp, res = fx - x @ a.T, fx - yb
-        elif self.perturbation is None or self.epsilon == 0.0:
-            x = np.linalg.solve(a, yb.T).T
-            res = x @ a.T - yb
-            disp, jac = np.zeros_like(x), np.broadcast_to(a, x.shape + (self.dim,)).copy()
-        else:
-            x = np.linalg.solve(a, yb.T).T
-            for step in range(_NEWTON_MAX_ITER + 1):
-                val, dval = self.perturbation.evaluate_and_jacobian(x)
-                disp = self.epsilon * val
-                res = x @ a.T + disp - yb
-                bad = np.abs(res).max(axis=1) > tol * scale
-                if not bad.any():
-                    break
-                if step == _NEWTON_MAX_ITER:
-                    worst = float(np.abs(res).max())
-                    raise NoConvergence(f"lift inversion stalled at residual {worst:.3e}")
-                jb = a + self.epsilon * dval[bad]
-                det = np.linalg.det(jb)
-                if np.any(np.abs(det) < 1e-14):
-                    idx = int(np.argmin(np.abs(det)))
-                    raise NotLocalDiffeo(
-                        f"Jacobian determinant {det[idx]:.3e} near x = {x[bad][idx]}"
-                    )
-                x[bad] -= solve_batched(jb, res[bad])
-            jac = a + self.epsilon * dval
-        # each row against its own scale, so a row's verdict does not depend on its batch
-        worst = float((np.abs(res).max(axis=1) / scale).max())
-        if worst > 100.0 * tol:
-            raise NoConvergence(f"lift inversion verified residual {worst:.3e} exceeds tolerance")
-        if single:
-            return x[0], disp[0], None if jac is None else jac[0]
-        return x, disp, jac
+        z, disp, _ = self._step_inverse(self._chart_inverse(yb), tol)
+        x = self._chart(z)
+        if not self._perturbed:
+            fx, disp = self.evaluate_with_displacement(x)
+            scale = np.maximum(1.0, np.abs(yb).max(axis=1))
+            worst = float((np.abs(fx - yb).max(axis=1) / scale).max())
+            if worst > 100.0 * tol:
+                raise NoConvergence(f"lift inversion verified residual {worst:.3e} exceeds tolerance")
+        return (x[0], disp[0]) if single else (x, disp)
+
+    def invert_with_jacobian(self, y) -> tuple[np.ndarray, np.ndarray]:
+        """(x, DF(x)) with F(x) = y; a trig map reads DF off its last Newton pass."""
+        z, _, ds = self._step_inverse(self._chart_inverse(np.asarray(y, dtype=float)), _INVERT_TOL)
+        return self._chart(z), self._df(z, z @ self.model.array.T, ds)
 
     def preimages(self, t: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         """All degree-many torus preimages of each point; shape (n, degree, d).
@@ -469,14 +447,13 @@ class TorusMap:
         except (NoConvergence, NotLocalDiffeo) as exc:
             raise IncompleteEnumeration(f"preimage solve failed: {exc}") from exc
         pre = pre.reshape(n, deg, d)
-        for row in range(n):
-            pts = pre[row]
-            for i in range(deg):
-                for j in range(i + 1, deg):
-                    if torus_distance(pts[i], pts[j]) < tol:
-                        raise IncompleteEnumeration(
-                            f"branches {i} and {j} collided at {pts[i]} (distance < {tol})"
-                        )
+        first, second = np.triu_indices(deg, 1)
+        collided = torus_distance(pre[:, first], pre[:, second]) < tol
+        if collided.any():
+            # the first collision in (row, i, j) order
+            row, pair = divmod(int(np.argmax(collided)), first.size)
+            i, j = first[pair], second[pair]
+            raise IncompleteEnumeration(f"branches {i} and {j} collided at {pre[row, i]} (distance < {tol})")
         return pre[0] if single else pre
 
 
@@ -536,16 +513,6 @@ def _cone_directions(model: LinearModel, slope: float, n_dirs: int, unstable: bo
     return np.concatenate(dirs, axis=0)
 
 
-def _chain_forward(f: TorusMap, pts: np.ndarray, n: int) -> np.ndarray:
-    """DF^n along forward torus orbits; batched product, newest factor left."""
-    t = pts
-    acc = np.broadcast_to(np.eye(f.dim), (pts.shape[0], f.dim, f.dim)).copy()
-    for _ in range(n):
-        acc = f.jacobian(t) @ acc
-        t = f.torus_step(t)
-    return acc
-
-
 def _chain_backward(f: TorusMap, pts: np.ndarray, n: int, tol: float) -> np.ndarray:
     """DF^n at the depth-n principal-branch preimage of each point.
 
@@ -598,7 +565,7 @@ def anosov_certificate(f: TorusMap) -> ConeCertificate:
         return expansion, margin
 
     u_dirs = _cone_directions(model, _CONE_SLOPE, _CONE_DIRECTIONS, unstable=True)
-    fwd = _chain_forward(f, pts, _CONE_ITERATIONS)
+    fwd = f.iterate_with_jacobian(pts, _CONE_ITERATIONS)[1]
     u_exp, u_margin = scan(fwd, u_dirs, p_u, p_s)
 
     witness = None

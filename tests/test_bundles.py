@@ -5,7 +5,6 @@ import pytest
 
 from anosovlab.bundles import (
     _branch_walk_directions,
-    _forward_jacobians,
     _sample_codes,
     first_stable_direction,
     integrability_verdict,
@@ -61,7 +60,7 @@ class TestStableSplitting:
     def test_convergence_gap_decays_at_spectral_ratio(self, conjugated05):
         """The depth-n direction against the depth-2n one, from the same orbit."""
         depths = np.arange(2, 12)
-        jacs = _forward_jacobians(conjugated05, np.array([[0.37, 0.21]]), 2 * depths[-1])
+        [jacs] = conjugated05.orbit_jacobians(np.array([[0.37, 0.21]]), 2 * depths[-1], 2 * depths[-1])
         gaps = [
             _line_angles(
                 first_stable_direction(conjugated05, jacs[:n], n)[0],

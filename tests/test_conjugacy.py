@@ -114,7 +114,7 @@ class TestEvaluator:
         ce = conjugacy_evaluator(conjugated05)
         rng = np.random.default_rng(2)
         x = rng.random((96, 2))
-        calls = (conjugated05._g_inverse, conjugated05.evaluate, ce.h_displacement)
+        calls = (conjugated05._chart_inverse, conjugated05.evaluate, ce.h_displacement)
         full = [fn(x) for fn in calls]
         for _ in range(30):
             idx = rng.choice(96, int(rng.integers(2, 96)), replace=False)

@@ -186,8 +186,10 @@ class TestOrbitForm:
         f = request.getfixturevalue(name)
         phi = stable_log_norm_observable(f, depth=12)
         assert phi.along_orbit.lookahead == 11
-        orbit = f.orbit_points(rng.random((7, f.dim)), 40)
-        vals = phi.along_orbit(orbit)
+        starts = rng.random((7, f.dim))
+        orbit = f.orbit_points(starts, 40)
+        [jacs] = f.orbit_jacobians(starts, 40, 40)
+        vals = phi.along_orbit(jacs)
         assert vals.shape == (29, 7)
         pointwise = phi(orbit[:29].reshape(-1, f.dim)).reshape(29, 7)
         assert np.array_equal(vals, pointwise)

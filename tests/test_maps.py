@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from anosovlab.errors import CertificationFailed, NoConvergence, NotLocalDiffeo, UnknownFixture
-from anosovlab.maps import TrigField, anosov_certificate, fixture_catalog, local_diffeo_margin
+from anosovlab.errors import (
+    CertificationFailed,
+    IncompleteEnumeration,
+    NoConvergence,
+    NotLocalDiffeo,
+    UnknownFixture,
+)
+from anosovlab.maps import TorusMap, TrigField, anosov_certificate, fixture_catalog, local_diffeo_margin
 from anosovlab.util import pairwise_principal_angles, qr_pos, torus_distance, wrap
 
 
@@ -61,11 +67,12 @@ class TestLiftStructure:
                 fd = _fd_jacobian(f, x)
                 assert np.max(np.abs(jac - fd)) < 1e-6
 
-    def test_step_with_jacobian_consistent(self, conjugated05, rng):
+    def test_orbit_jacobians_consistent(self, conjugated05, rng):
+        """DF along the chart walk against DF at the points of the torus orbit."""
         t = rng.random((12, 2))
-        img, jac = conjugated05.step_with_jacobian(t)
-        assert np.max(torus_distance(img, wrap(conjugated05.evaluate(t)))) < 1e-10
-        assert np.max(np.abs(jac - conjugated05.jacobian(t))) < 1e-9
+        [jacs] = conjugated05.orbit_jacobians(t, 3, 3)
+        orbit = conjugated05.orbit_points(t, 3)
+        assert np.max(np.abs(jacs - conjugated05.jacobian(orbit.reshape(-1, 2)).reshape(3, 12, 2, 2))) < 1e-9
 
     def test_invert_with_jacobian_consistent(self, conjugated05, rng):
         y = rng.random((12, 2))
@@ -98,14 +105,10 @@ class TestInverseWithData:
     def test_matches_separate_calls(self, name, request, rng):
         f = request.getfixturevalue(name)
         y = rng.random((33, f.dim)) * 4 - 2
-        x, disp, jac = f.invert_with_displacement(y)
+        x, disp = f.invert_with_displacement(y)
         assert np.array_equal(x, f.invert(y))
         assert np.array_equal(disp, f.displacement(x))
-        if f.conjugator is None:
-            assert np.array_equal(jac, f.jacobian(x))
-        else:
-            assert jac is None
-        x1, disp1, _ = f.invert_with_displacement(y[3])
+        x1, disp1 = f.invert_with_displacement(y[3])
         assert np.array_equal(x1, f.invert(y[3])) and np.array_equal(disp1, f.displacement(x1))
         image, disp = f.evaluate_with_displacement(x)
         assert np.array_equal(image, f.evaluate(x)) and np.array_equal(disp, f.displacement(x))
@@ -124,14 +127,14 @@ class TestInverseWithData:
     def test_residual_verified_row_by_row(self, conjugated05, monkeypatch):
         """A row off its own tolerance fails whatever rows share its batch: next to
         a row of size 5e7 its residual is far below the batch's largest scale."""
-        g_inverse = type(conjugated05)._g_inverse
+        chart_inverse = type(conjugated05)._chart_inverse
 
         def spoiled(self, y):
-            z = g_inverse(self, y)
+            z = chart_inverse(self, y)
             z[0] += 1e-9
             return z
 
-        monkeypatch.setattr(type(conjugated05), "_g_inverse", spoiled)
+        monkeypatch.setattr(type(conjugated05), "_chart_inverse", spoiled)
         y = np.array([[0.3, 0.4], [0.6, 0.2]])
         for rest in ([], [[5e7, -3e7]], [[0.1, 0.9]] * 5 + [[-2e7, 4e7]]):
             batch = np.concatenate([y, np.reshape(rest, (-1, 2))])
@@ -166,7 +169,7 @@ def _stepwise_orbit_displacements(f, starts, length):
 def _stepwise_preimage_displacements(f, y, length):
     out = []
     for _ in range(length):
-        y, disp, _ = f.invert_with_displacement(y)
+        y, disp = f.invert_with_displacement(y)
         out.append(disp)
     return np.stack(out)
 
@@ -174,9 +177,16 @@ def _stepwise_preimage_displacements(f, y, length):
 def _stepwise_iterate_with_jacobian(f, x, n):
     acc = np.broadcast_to(np.eye(f.dim), x.shape + (f.dim,)).copy()
     for _ in range(n):
-        x, jac = f.evaluate_with_jacobian(x)
-        acc = jac @ acc
+        x, acc = f.evaluate(x), f.jacobian(x) @ acc
     return x, acc
+
+
+def _stepwise_orbit_jacobians(f, starts, length):
+    t, out = starts, []
+    for _ in range(length):
+        out.append(f.jacobian(t))
+        t = f.torus_step(t)
+    return np.stack(out)
 
 
 def _stepwise_branch_jacobians(f, starts, shifts, tol):
@@ -210,10 +220,14 @@ def _pushed_unstable(f, jacs):
     return basis
 
 
+_WALKED = ["linear_map", "shear05", "product05", "conjugated05"]
+
+
 class TestOrbitWalks:
-    """Each orbit walk against its per-step loop: a trig map runs that loop, bit
-    for bit; a conjugated map walks in the chart G, and rounding that the
-    hyperbolic steps amplify keeps the comparison to a few steps."""
+    """Each orbit walk against its per-step loop: a map with the identity chart
+    (linear or trig) runs that loop, bit for bit; a conjugated map walks in
+    the chart G, and rounding that the hyperbolic steps amplify keeps the
+    comparison to a few steps."""
 
     @staticmethod
     def _agree(f, got, want, tol=1e-12):
@@ -222,7 +236,7 @@ class TestOrbitWalks:
         else:
             assert np.abs(got - want).max() <= tol
 
-    @pytest.mark.parametrize("name", ["shear05", "product05", "conjugated05"])
+    @pytest.mark.parametrize("name", _WALKED)
     def test_displacements(self, name, request, rng):
         f = request.getfixturevalue(name)
         x = rng.random((9, f.dim)) * 4 - 2
@@ -230,7 +244,7 @@ class TestOrbitWalks:
         y = rng.random((9, f.dim))
         self._agree(f, f.preimage_displacements(y, 3), _stepwise_preimage_displacements(f, y, 3))
 
-    @pytest.mark.parametrize("name", ["shear05", "product05", "conjugated05"])
+    @pytest.mark.parametrize("name", _WALKED)
     def test_iterate_with_jacobian(self, name, request, rng):
         f = request.getfixturevalue(name)
         x = rng.random((9, f.dim))
@@ -238,7 +252,16 @@ class TestOrbitWalks:
         self._agree(f, got[0], want[0])
         self._agree(f, got[1], want[1])
 
-    @pytest.mark.parametrize("name", ["shear05", "product05", "conjugated05"])
+    @pytest.mark.parametrize("name", _WALKED)
+    def test_orbit_jacobians(self, name, request, rng):
+        """Blocks of 2 steps walk on from each other as one orbit of 3 steps."""
+        f = request.getfixturevalue(name)
+        x = rng.random((9, f.dim)) * 4 - 2  # lift points: the walk starts at them unwrapped
+        blocks = list(f.orbit_jacobians(x, 3, 2))
+        assert [b.shape[0] for b in blocks] == [2, 1]
+        self._agree(f, np.concatenate(blocks), _stepwise_orbit_jacobians(f, x, 3))
+
+    @pytest.mark.parametrize("name", _WALKED)
     def test_branch_jacobians(self, name, request, rng):
         f = request.getfixturevalue(name)
         starts = rng.random((10, f.dim))
@@ -252,7 +275,7 @@ class TestOrbitWalks:
             assert pairwise_principal_angles(pair).max() <= 1e-10
 
     @pytest.mark.parametrize("inverse", [False, True])
-    @pytest.mark.parametrize("name", ["shear05", "product05", "conjugated05"])
+    @pytest.mark.parametrize("name", _WALKED)
     def test_wrapped_and_shifted_walks(self, name, inverse, request, rng):
         f = request.getfixturevalue(name)
         starts = rng.random((6, f.dim))
@@ -291,6 +314,25 @@ class TestPreimages:
         pre = product05.preimages(np.array([0.3, 0.4, 0.5]))
         assert pre.shape == (2, 3)
 
+    def test_first_collision_named(self, monkeypatch):
+        """Branches that coincide are refused, naming the first colliding pair in
+        (row, i, j) order: here row 0's pair (1, 2) before row 1's pair (0, 1)."""
+        f = fixture_catalog("custom", custom={"matrix": ((4, 1), (1, 1))})
+        assert f.degree == 3
+        invert = TorusMap.invert
+
+        def collide(self, y, tol=1e-12):
+            x = invert(self, y, tol).reshape(-1, 3, 2)
+            x[0, 2] = x[0, 1] + 1.0  # the same torus point
+            x[1, 1] = x[1, 0]
+            return x.reshape(-1, 2)
+
+        monkeypatch.setattr(TorusMap, "invert", collide)
+        t = np.array([[0.3, 0.4], [0.6, 0.2], [0.1, 0.7]])
+        with pytest.raises(IncompleteEnumeration, match=r"^branches 1 and 2 collided at ") as exc_info:
+            f.preimages(t)
+        assert "distance < 1e-10" in str(exc_info.value)
+
 
 class TestTrigField:
     def test_evaluate_and_jacobian_consistent(self, rng):
@@ -323,15 +365,16 @@ class TestTrigField:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 4096])
     def test_step_takes_one_trig_pass(self, shear05, product05, n, rng, monkeypatch):
-        """step_with_jacobian equals wrap(F), DF from two passes, bit for bit."""
+        """Each step of `orbit_jacobians` gives wrap(F) and DF from one trig pass;
+        they equal the two separate passes, bit for bit."""
         for f in (shear05, product05):
             t = rng.random((n, f.dim))
-            want = (wrap(f.evaluate(t)), f.jacobian(t))
+            want = np.stack([f.jacobian(t), f.jacobian(wrap(f.evaluate(t)))])
             with monkeypatch.context() as m:
                 for name in ("evaluate", "jacobian"):
                     m.setattr(TrigField, name, lambda self, x: pytest.fail("second trig pass"))
-                got = f.step_with_jacobian(t)
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+                [got] = f.orbit_jacobians(t, 2, 2)
+            assert np.array_equal(got, want)
 
     def test_sup_bound_dominates_samples(self, rng):
         field = TrigField.from_terms(2, {0: [((1, 1), 0.5, 0.5)], 1: [((1, 0), 0.0, 1.0)]})
