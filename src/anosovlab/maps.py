@@ -351,6 +351,21 @@ class TorusMap:
             chart[j - 1], disp[j - 1], _ = self._step_inverse(chart[j], _INVERT_TOL)
         return self._displacements(chart, disp)[::-1]
 
+    def orbit_offsets(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Offsets of a chart orbit guess z (2m + 1, n, d) from the linear model:
+        the step displacements S z - A z at z[:-1], (2m, n, d), and the chart
+        offsets C(z) - z at z[0], z[m] and z[-1] only, (3, n, d).
+
+        Both are Z^d-periodic, so any row of z may be wrapped or on the lift.
+        A conjugated map's steps are linear, so it evaluates only the chart.
+        """
+        ends = z[[0, z.shape[0] // 2, -1]]
+        if self.conjugator is None:
+            offsets = np.zeros_like(ends)
+        else:
+            offsets = self.epsilon * self._map_out(ends, self.conjugator.evaluate)
+        return self._map_out(z[:-1], lambda p: self._step(p, jacobian=False)[1]), offsets
+
     def iterate_with_jacobian(self, x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         """(F^n(x), DF^n(x)) on the lift, batched."""
         xb = np.asarray(x, dtype=float)

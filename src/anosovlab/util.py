@@ -72,6 +72,15 @@ def pairwise_principal_angles(bases: np.ndarray) -> np.ndarray:
     return np.arctan2(sin, cos)
 
 
+def rows_times(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x @ m.T over the last axis of a stack x, as a sum unrolled over m's few
+    columns: elementwise, so a row's bits do not depend on its batch."""
+    out = np.zeros(x.shape[:-1] + m.shape[:1])
+    for c in range(m.shape[1]):
+        out += x[..., c, None] * m[:, c]
+    return out
+
+
 def solve_batched(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Solve stacked linear systems; mats (..., d, d), vecs (..., d).
 

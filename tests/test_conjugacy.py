@@ -12,6 +12,7 @@ from anosovlab.conjugacy import (
     displacement_field,
     specialness_defect,
 )
+from anosovlab.errors import NoConvergence
 from anosovlab.maps import fixture_catalog
 from anosovlab.util import wrap
 
@@ -94,7 +95,8 @@ class TestEvaluator:
         assert np.abs(ce.apply_inverse(ce.apply(x)) - x).max() <= 1e-8
 
     def test_inverse_rows_match_single_row_calls(self, shear05, rng, monkeypatch):
-        """Each row of a batch solves as it would alone, in few H evaluations."""
+        """Each row of a batch solves as it would alone, and H is evaluated once
+        per call: the series check of the orbit solution."""
         ce = conjugacy_evaluator(shear05)
         y = rng.random((24, 2))
         evaluated = []
@@ -104,17 +106,66 @@ class TestEvaluator:
             lambda self, pts: evaluated.append(len(pts)) or h(self, pts),
         )
         batch = ce.apply_inverse(y)
-        assert len(evaluated) <= 40
+        assert evaluated == [24]
         for row, target in zip(batch, y):
+            evaluated.clear()
             assert np.array_equal(row, ce.apply_inverse(target))
+            assert evaluated == [1]
+
+    @pytest.mark.parametrize("fixture", ["shear05", "product05", "conjugated05"])
+    def test_series_telescopes_to_the_orbit_ends(self, fixture, request):
+        """H_N(x) = A^-N P_u F^N(x) + A^N P_s F^-N(x) on the lift, the identity
+        that makes H(x) = y an orbit boundary-value problem."""
+        f = request.getfixturevalue(fixture)
+        n = 6
+        ce = conjugacy_evaluator(f, depth=n)
+        x = np.random.default_rng(5).random((20, f.dim)) * 2 - 0.5
+        ends = [f.shifted_walk(x, np.zeros((n, f.dim)), inverse) for inverse in (False, True)]
+        # A^-N P_u and A^N P_s from the invariant blocks: a plain A^-N would
+        # amplify the rounding of P_u F^N(x) along E^s
+        w_u, w_s = _series_weights(f.model, n + 1)
+        ends_form = ends[0] @ w_u[n - 1].T + ends[1] @ w_s[n].T
+        h = ce.apply(x)
+        assert np.abs(ends_form - h).max() <= 1e-12 * np.abs(h).max()
+
+    def test_wide_shear_roundtrip(self):
+        """At epsilon 0.15 the truncated H is nearly flat along a direction close
+        to E^s, so |H(x) - y| <= tol no longer pins x down; the orbit solve does."""
+        f = fixture_catalog("shear_A0", 0.15)
+        ce = conjugacy_evaluator(f)
+        for seed in range(3):
+            y = np.random.default_rng(seed).random((48, 2))
+            assert np.abs(ce.apply_inverse(ce.apply(y)) - y).max() <= 2e-8
+
+    def test_expanding_map_roundtrip(self):
+        """With no stable direction the orbit solve has an empty stable block."""
+        expanding = {"matrix": ((2, 1), (0, 2)), "terms": {1: [((1, 0), 0.0, 1.0)]}}
+        f = fixture_catalog("custom", 0.05, custom=expanding)
+        assert f.model.stable_dim == 0
+        ce = conjugacy_evaluator(f)
+        y = np.random.default_rng(0).random((16, 2))
+        assert np.abs(ce.apply_inverse(ce.apply(y)) - y).max() <= 1e-8
+
+    def test_holder_conjugacy_fails_the_series_check(self):
+        """On an irreducible T^3 shear with two unstable rates H is only Hoelder.
+        The orbit solve still converges, but |H(x) - y| cannot reach 1e-10 in
+        double precision, and the series check reports it."""
+        cubic = {"matrix": ((0, 0, -2), (1, 0, 3), (0, 1, 2)), "terms": {2: [((1, 0, 0), 0.0, 1.0)]}}
+        f = fixture_catalog("custom", 0.005, custom=cubic)
+        ce = conjugacy_evaluator(f)
+        rng = np.random.default_rng(29)  # _stage_conjugacy's stream at seed 0
+        rng.random((64, 3))
+        y = rng.random((32, 3))
+        with pytest.raises(NoConvergence, match="row 0 fails its series check"):
+            ce.apply_inverse(ce.apply(y))
 
     def test_conjugated_rows_do_not_depend_on_their_batch(self, conjugated05):
-        """G^-1, F, u and the orbit walks give a row the same bits in any sub-batch
-        of two or more rows."""
+        """G^-1, F, u, H^-1 and the orbit walks give a row the same bits in any
+        sub-batch of two or more rows."""
         ce = conjugacy_evaluator(conjugated05)
         rng = np.random.default_rng(2)
         x = rng.random((96, 2))
-        calls = (conjugated05._chart_inverse, conjugated05.evaluate, ce.h_displacement)
+        calls = (conjugated05._chart_inverse, conjugated05.evaluate, ce.h_displacement, ce.apply_inverse)
         full = [fn(x) for fn in calls]
         for _ in range(30):
             idx = rng.choice(96, int(rng.integers(2, 96)), replace=False)
