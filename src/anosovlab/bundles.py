@@ -22,43 +22,15 @@ from anosovlab.maps import TorusMap
 from anosovlab.util import adjugate, float_cell, pairwise_principal_angles, qr_pos
 
 
-def _backward_jacobians(f: TorusMap, pts: np.ndarray, depth: int) -> np.ndarray:
-    """Jacobians at the lift backward orbit, deepest point first."""
-    jacs = np.empty((depth, pts.shape[0], f.dim, f.dim))
-    y = pts.copy()
-    for j in range(depth):
-        y, jacs[depth - 1 - j] = f.invert_with_jacobian(y)
-    return jacs
-
-
 def _generic_frame(d: int) -> np.ndarray:
-    """Fixed generic orthonormal seed for the QR recursions.
+    """Fixed generic orthonormal frame; its first column seeds the d = 3 J^T
+    chain of `first_stable_direction`.
 
-    An identity seed can sit exactly on invariant coordinate axes (block
-    fixtures), in which case the QR flag never reorders columns by growth
-    rate and the trailing column is not the most contracted direction.
+    A coordinate-axis seed can sit exactly on an invariant axis (block
+    fixtures), which the chain then never leaves, so its growth would not
+    read the largest singular rate.
     """
     return np.linalg.qr(np.random.default_rng(1905).standard_normal((d, d)))[0]
-
-
-def _descending_frame(jacs: np.ndarray, depth: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """QR frames whose leading columns span realized-growth flags at the endpoint.
-
-    This is the forward QR chain of Ginelli et al., PRL 99, 130601 (2007),
-    with the per-step log rates averaged over the chain. The chain runs over
-    every window of `depth` consecutive factors (default: all of them):
-    jacs (T + depth - 1, n, d, d) gives frames and rates for the T windows,
-    shapes (T, n, d, d) and (T, n, d), window t applying jacs[t] first.
-    """
-    depth = jacs.shape[0] if depth is None else depth
-    windows = jacs.shape[0] - depth + 1
-    n, d = jacs.shape[1], jacs.shape[-1]
-    q = np.broadcast_to(_generic_frame(d), (windows, n, d, d)).copy()
-    logs = np.zeros((windows, n, d))
-    for j in range(depth):
-        q, r = qr_pos(jacs[j : j + windows] @ q)
-        logs += np.log(np.abs(r[..., np.arange(d), np.arange(d)]))
-    return q, logs / depth
 
 
 def _check_rates(rates: np.ndarray, k: int, min_gap: float) -> None:

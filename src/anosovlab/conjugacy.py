@@ -34,9 +34,8 @@ from anosovlab.linear import LinearModel, minimal_deep_vector
 from anosovlab.maps import TorusMap
 from anosovlab.util import float_cell, grid_points, rows_times, wrap
 
-# Anderson acceleration for H^{-1}: history window m, mixing beta, iteration cap
+# Anderson acceleration for H^{-1}, undamped: history window m and iteration cap
 _ANDERSON_WINDOW = 4
-_ANDERSON_MIXING = 1.0
 _ANDERSON_MAX_ITER = 250
 # orbit residual at which an H^{-1} row stops, relative to max(1, |A^j y|) per point
 _ORBIT_TOL = 1e-13
@@ -137,7 +136,7 @@ class ConjugacyEvaluator:
         the current guess (_linear_orbit). Anderson mixing (J. ACM 12, 1965;
         Walker and Ni, SIAM J. Numer. Anal. 49, 2011) runs on each row's whole
         deviation vector: with residual f and the row's last m differences dX,
-        dF of iterates and residuals, eps <- eps + beta f - (dX + beta dF) gamma
+        dF of iterates and residuals, eps <- eps + f - (dX + dF) gamma
         for the min-norm gamma of min ||dF gamma - f||, in the weighted norm of
         the stop rule. A row stops once every orbit point's residual is within
         _ORBIT_TOL max(1, |A^j y|), so no row depends on the rest of the batch.
@@ -186,12 +185,12 @@ class ConjugacyEvaluator:
                 r = int(active[0])
                 raise NoConvergence(f"H^(-1) orbit iteration stalled at row {r}: residual {float(err[r]):.3e}")
             fa = f[active]
-            step = _ANDERSON_MIXING * fa
+            step = fa.copy()  # fa is read again for the history below
             if k:
                 h = min(k, _ANDERSON_WINDOW)
                 df, wa = d_f[active, :, :h], weight[active]
                 gamma = np.linalg.pinv(df * wa[:, :, None]) @ (fa * wa)[:, :, None]
-                step -= ((d_x[active, :, :h] + _ANDERSON_MIXING * df) @ gamma)[:, :, 0]
+                step -= ((d_x[active, :, :h] + df) @ gamma)[:, :, 0]
             dev_new = dev[active] + step
             f_new, offset[active] = residual(active, dev_new)
             slot = k % _ANDERSON_WINDOW
@@ -205,14 +204,6 @@ class ConjugacyEvaluator:
             r = int(bad[0])
             raise NoConvergence(f"H^(-1) at row {r} fails its series check: residual {float(miss[r]):.3e} > {tol:g}")
         return x[0] if single else x
-
-    def conjugation_residual(self, samples: int = 200, seed: int = 0) -> float:
-        """Sampled sup of ||A H(x) - H(F x)||; bounded by a small multiple of the tail."""
-        rng = np.random.default_rng(seed)
-        x = rng.random((samples, self.map.dim))
-        lhs = self.apply(x) @ self.model.array.T
-        rhs = self.apply(self.map.evaluate(x))
-        return float(np.linalg.norm(lhs - rhs, axis=1).max())
 
 
 def _invariant_blocks(model: LinearModel) -> tuple[np.ndarray, ...]:

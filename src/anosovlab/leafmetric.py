@@ -3,14 +3,14 @@
 Leaves are polylines built by the graph transform: a straight segment along
 the linear stable line at the end of a wrapped forward orbit, pulled back
 through the lift (unstable leaves push a linear unstable segment forward the
-same way). The direction fields stay as the independent check of those
-leaves; the stable one, E^s_1 from the adjugate chain of
-`bundles.first_stable_direction`, also gives the log-contraction observable
-of the stable cocycle. The cocycle solver finds the mean and transfer
-function of an observable over the dynamics by Fourier least squares on a
-grid, with the periodic-orbit obstruction as the honesty check. The affine
-metric integrates e^(transfer) along the leaves, which turns the map into a
-strict affine contraction leafwise.
+same way). The stable direction field, E^s_1 from the adjugate chain of
+`bundles.first_stable_direction`, gives the log-contraction observable of
+the stable cocycle; unstable directions are read along backward branches
+(`bundles._branch_walk_directions`). The cocycle solver finds the mean and
+transfer function of an observable over the dynamics by Fourier least
+squares on a grid, with the periodic-orbit obstruction as the honesty
+check. The affine metric integrates e^(transfer) along the leaves, which
+turns the map into a strict affine contraction leafwise.
 """
 
 from __future__ import annotations
@@ -19,22 +19,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from anosovlab.bundles import (
-    IntegrabilityReport,
-    _backward_jacobians,
-    _descending_frame,
-    first_stable_direction,
-)
+from anosovlab.bundles import IntegrabilityReport, first_stable_direction
 from anosovlab.conjugacy import ConjugacyEvaluator
 from anosovlab.errors import NoIntersection, ObstructionNonzero, RefusedNonIntegrable
 from anosovlab.maps import TorusMap
 from anosovlab.orbits import OrbitInventory
-from anosovlab.util import float_cell, grid_points, pairwise_principal_angles, wrap
+from anosovlab.util import float_cell, grid_points, wrap
 
 
-# -- direction fields ----------------------------------------------------------
-
-_FIELD_DEPTH = 12  # backward chain length of the unstable direction field
+# -- stable direction field ----------------------------------------------------
 
 
 def stable_direction_field(f: TorusMap, pts: np.ndarray, depth: int = 12) -> np.ndarray:
@@ -46,17 +39,6 @@ def stable_direction_field(f: TorusMap, pts: np.ndarray, depth: int = 12) -> np.
     if f.epsilon == 0.0:
         return np.broadcast_to(f.model.stable_lines[0], pts.shape).copy()
     return first_stable_direction(f, next(f.orbit_jacobians(pts, depth, depth)), depth)[0]
-
-
-def unstable_direction_field(f: TorusMap, pts: np.ndarray) -> np.ndarray:
-    """Unit unstable vectors along the canonical lift-inverse branch (needs d-k = 1)."""
-    if f.dim - f.model.stable_dim != 1:
-        raise ValueError("unstable field tracing needs a one-dimensional unstable bundle")
-    if f.epsilon == 0.0:
-        line = f.model.unstable_subspace[:, 0]
-        return np.broadcast_to(line, pts.shape).copy()
-    q, _ = _descending_frame(_backward_jacobians(f, wrap(pts), _FIELD_DEPTH))
-    return q[0, :, :, 0]
 
 
 # -- leaf polylines ------------------------------------------------------------
@@ -159,24 +141,6 @@ def pull_back_leaves(
     return leaves
 
 
-def map_polyline(f: TorusMap, leaf: LeafPolyline) -> LeafPolyline:
-    """Image polyline under the lift; its nodes stay on the image leaf."""
-    pts = f.evaluate(leaf.points)
-    return replace(leaf, points=pts, arclength=_cumulative_arclength(pts))
-
-
-def tangency_residual(f: TorusMap, leaf: LeafPolyline) -> float:
-    """Max angle between polyline segments and the direction field at midpoints.
-
-    The angle is `pairwise_principal_angles`' sine form, which resolves
-    angles down to rounding where an arccos of the cosine stops near 1.5e-8.
-    """
-    mids = 0.5 * (leaf.points[:-1] + leaf.points[1:])
-    field = unstable_direction_field if leaf.index == 0 else stable_direction_field
-    pairs = np.stack([np.diff(leaf.points, axis=0), field(f, mids)], axis=1)
-    return float(pairwise_principal_angles(pairs[..., None]).max())
-
-
 def _nearest_on_polyline(points: np.ndarray, leaf: LeafPolyline) -> tuple[np.ndarray, np.ndarray]:
     """Distance from each query point to the polyline, and the fractional node position of its foot."""
     a = leaf.points[:-1][None, :, :]
@@ -187,16 +151,6 @@ def _nearest_on_polyline(points: np.ndarray, leaf: LeafPolyline) -> tuple[np.nda
     seg = dist.argmin(axis=1)
     rows = np.arange(points.shape[0])
     return dist[rows, seg], seg + t[rows, seg]
-
-
-def leaf_invariance_defect(f: TorusMap, leaf: LeafPolyline, depth: int = 12) -> float:
-    """Hausdorff-style defect: image nodes against a fresh leaf at the image center."""
-    image = map_polyline(f, leaf)
-    [fresh] = pull_back_leaves(f, image.points[image.center_index], depth=depth)
-    span = fresh.arclength[-1]
-    arc = np.abs(image.arclength - image.arclength[image.center_index])
-    keep = arc <= 0.9 * span / 2.0
-    return float(_nearest_on_polyline(image.points[keep], fresh)[0].max())
 
 
 # -- cocycle solver ------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from anosovlab import intlinalg as il
 from anosovlab.errors import NotHyperbolic, ResourceLimit
-from anosovlab.util import canonical_sign, grid_points, wrap
+from anosovlab.util import canonical_sign, grid_points
 
 _HYPERBOLIC_TOL = 1e-9  # unit-circle margin and eigen-residual tolerance of analyze_matrix
 _SIGN_TOL = 1e-15  # target relative change of the matrix sign iteration
@@ -47,9 +47,6 @@ class IntMatrix:
     @property
     def array(self) -> np.ndarray:
         return np.array(self.entries, dtype=float)
-
-    def power(self, m: int) -> "IntMatrix":
-        return IntMatrix(il.int_pow(self.entries, m))
 
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(str(v) for v in row) for row in self.entries) + "]"
@@ -268,30 +265,6 @@ def coset_representatives(matrix, cap: int = 200_000) -> LatticeCoset:
     if len(reps) != absdet:
         raise ArithmeticError(f"coset search found {len(reps)} of {absdet} cosets")
     return LatticeCoset(matrix=m, representatives=tuple(reps))
-
-
-def preimage_points(matrix, k: int, cap: int = 200_000) -> np.ndarray:
-    """All |det A|^k torus points x with A^k x in Z^d (digit expansion).
-
-    A transversal of Z^d / A^k Z^d is {r_0 + A r_1 + ... + A^{k-1} r_{k-1}}
-    over single-step representatives r_j; the preimage set is its image
-    under A^{-k}, wrapped to [0,1)^d.
-    """
-    m = matrix if isinstance(matrix, IntMatrix) else IntMatrix(matrix)
-    if k < 0:
-        raise ValueError(f"preimage depth must be >= 0, got {k}")
-    degree = abs(m.det)
-    if degree**k > cap:
-        raise ResourceLimit(f"|det|^k = {degree**k} preimage points exceeds cap {cap}")
-    if k == 0:
-        return np.zeros((1, m.dim))
-    reps = np.array(coset_representatives(m, cap=cap).representatives, dtype=float)
-    a = m.array
-    pts = np.zeros((1, m.dim))
-    for _ in range(k):
-        pts = (reps[:, None, :] + pts[None, :, :] @ a.T).reshape(-1, m.dim)
-    ak = np.array(il.int_pow(m.entries, k), dtype=float)
-    return wrap(np.linalg.solve(ak, pts.T).T)
 
 
 def _lll_basis(columns: il.IMatrix) -> list[list[int]]:

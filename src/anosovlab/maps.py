@@ -215,18 +215,18 @@ class TorusMap:
         disp = self.epsilon * val
         return out + disp, disp, None if dval is None else a + self.epsilon * dval
 
-    def _step_inverse(self, y: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(x, S x - A x, DS(x)) with S x = y at chart points (n, d).
+    def _step_inverse(self, y: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+        """(x, S x - A x) with S x = y at chart points (n, d).
 
         A linear step solves A x = y. A trig step runs a batched Newton from
         that seed with one trig pass per update for S and DS on the whole
         batch, until every row's residual is within tol of its own scale, and
-        reads the displacement and DS off the last pass.
+        reads the displacement off the last pass.
         """
         a = self.model.array
         x = np.linalg.solve(a, y.T).T
         if not self._perturbed:
-            return x, np.zeros_like(x), np.broadcast_to(a, x.shape + (self.dim,)).copy()
+            return x, np.zeros_like(x)
         scale = np.maximum(1.0, np.abs(y).max(axis=1))
         for step in range(_NEWTON_MAX_ITER + 1):
             val, dval = self.perturbation.evaluate_and_jacobian(x)
@@ -234,7 +234,7 @@ class TorusMap:
             res = x @ a.T + disp - y
             bad = np.abs(res).max(axis=1) > tol * scale
             if not bad.any():
-                return x, disp, jac
+                return x, disp
             if step == _NEWTON_MAX_ITER:
                 raise NoConvergence(f"lift inversion stalled at residual {float(np.abs(res).max()):.3e}")
             det = np.linalg.det(jac[bad])
@@ -348,7 +348,7 @@ class TorusMap:
         chart, disp = np.empty((length + 1,) + yb.shape), np.empty((length,) + yb.shape)
         chart[length] = self._chart_inverse(yb)
         for j in range(length, 0, -1):
-            chart[j - 1], disp[j - 1], _ = self._step_inverse(chart[j], _INVERT_TOL)
+            chart[j - 1], disp[j - 1] = self._step_inverse(chart[j], _INVERT_TOL)
         return self._displacements(chart, disp)[::-1]
 
     def orbit_offsets(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -432,7 +432,7 @@ class TorusMap:
         on its batch; for a conjugated map that also gives phi(x).
         """
         yb, single = _as_batch(y)
-        z, disp, _ = self._step_inverse(self._chart_inverse(yb), tol)
+        z, disp = self._step_inverse(self._chart_inverse(yb), tol)
         x = self._chart(z)
         if not self._perturbed:
             fx, disp = self.evaluate_with_displacement(x)
@@ -441,11 +441,6 @@ class TorusMap:
             if worst > 100.0 * tol:
                 raise NoConvergence(f"lift inversion verified residual {worst:.3e} exceeds tolerance")
         return (x[0], disp[0]) if single else (x, disp)
-
-    def invert_with_jacobian(self, y) -> tuple[np.ndarray, np.ndarray]:
-        """(x, DF(x)) with F(x) = y; a trig map reads DF off its last Newton pass."""
-        z, _, ds = self._step_inverse(self._chart_inverse(np.asarray(y, dtype=float)), _INVERT_TOL)
-        return self._chart(z), self._df(z, z @ self.model.array.T, ds)
 
     def preimages(self, t: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         """All degree-many torus preimages of each point; shape (n, degree, d).

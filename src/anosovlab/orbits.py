@@ -46,10 +46,6 @@ class PeriodicOrbit:
     residual: float
     orbit_id: int = -1
 
-    @property
-    def base_point(self) -> np.ndarray:
-        return self.points[0]
-
 
 def _power_minus_identity(matrix: IntMatrix, n: int) -> IntMatrix:
     rows = int_add(int_pow(matrix.entries, n), int_scale(identity(matrix.dim), -1))
@@ -179,9 +175,6 @@ class OrbitInventory:
 
     def __len__(self):
         return len(self.orbits)
-
-    def by_period(self, n: int) -> list[PeriodicOrbit]:
-        return [o for o in self.orbits if o.period == n]
 
 
 def _continuation_scales(epsilon: float, step: float) -> list[float]:

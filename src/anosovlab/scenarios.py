@@ -276,7 +276,9 @@ def load_scenario(source) -> Scenario:
             problems.append(f"sampling.{target}: must be >= 2; {why}")
 
     dim = fixture_dim(values["fixture"], values.get("custom")) if "fixture" in values else None
-    if dim is not None and values.get("fourier_order") is not None:
+    if dim not in (None, 2, 3):
+        problems.append(f"fixture.custom.matrix: {dim}x{dim}; the kernels support 2x2 and 3x3 (T^2 and T^3)")
+    elif dim is not None and values.get("fourier_order") is not None:
         problem = fourier_order_problem(dim, values["fourier_order"])
         if problem:
             problems.append(f"depths.fourier_order: {problem}")

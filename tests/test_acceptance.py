@@ -21,12 +21,12 @@ from anosovlab.leafmetric import (
     conjugacy_leaf_isometry_check,
     holonomy_isometry_check,
     livschitz_solve,
-    map_polyline,
     pull_back_leaves,
 )
 from anosovlab.linear import analyze_matrix, covering_radius_table
 from anosovlab.orbits import enumerate_orbits, rigidity_report
 from anosovlab.scenarios import Scenario, dichotomy_sweep, run_scenario
+from leafchecks import map_polyline
 
 A0 = ((3, 1), (1, 1))
 MU_S = 2.0 - np.sqrt(2.0)

@@ -9,7 +9,7 @@ from anosovlab.bundles import (
     first_stable_direction,
     integrability_verdict,
 )
-from anosovlab.leafmetric import stable_direction_field, unstable_direction_field
+from anosovlab.leafmetric import stable_direction_field
 from anosovlab.util import pairwise_principal_angles, qr_pos
 
 
@@ -36,13 +36,14 @@ def _pair_angle(b1: np.ndarray, b2: np.ndarray) -> float:
 
 
 class TestStableSplitting:
-    """The most-contracted stable direction and the unstable field along one branch."""
+    """The most-contracted stable direction and the linear unstable line."""
 
     def test_linear_directions_exact(self, linear_map):
         a = linear_map.model.array
         pt = np.array([[0.3, 0.7]])
         assert _line_angles(stable_direction_field(linear_map, pt), _unit_eigvec(a, 0)[None])[0] < 1e-12
-        assert _line_angles(unstable_direction_field(linear_map, pt), _unit_eigvec(a, 1)[None])[0] < 1e-12
+        v_u = linear_map.model.unstable_subspace[:, 0]
+        assert _line_angles(v_u[None], _unit_eigvec(a, 1)[None])[0] < 1e-12
 
     def test_shear_field_is_invariant(self, shear05, rng):
         """Df(x) e_s(x) must line up with e_s(f x)."""

@@ -13,6 +13,8 @@ from anosovlab.conjugacy import (
     specialness_defect,
 )
 from anosovlab.errors import NoConvergence
+from anosovlab.intlinalg import int_pow
+from anosovlab.linear import IntMatrix
 from anosovlab.maps import fixture_catalog
 from anosovlab.util import wrap
 
@@ -82,15 +84,19 @@ class TestEvaluator:
         assert np.abs(ce.apply(y) - z).max() <= ce.tail_bound + 1e-12
 
     def test_residual_within_certified_tail(self, shear05, conjugated05):
+        x = np.random.default_rng(3).random((100, 2))
         for f in (shear05, conjugated05):
             ce = conjugacy_evaluator(f)
-            res = ce.conjugation_residual(samples=100, seed=3)
+            # sampled sup of |A H(x) - H(F x)|
+            res = np.linalg.norm(ce.apply(x) @ f.model.array.T - ce.apply(f.evaluate(x)), axis=1).max()
             a_norm = np.linalg.norm(f.model.array, 2)
             assert res <= (a_norm + 1.0) * ce.tail_bound + 1e-12
 
     def test_small_shear_residual_and_roundtrip(self, shear02, rng):
         ce = conjugacy_evaluator(shear02)
-        assert ce.conjugation_residual(samples=100, seed=3) <= 1e-6
+        x = np.random.default_rng(3).random((100, 2))
+        lhs, rhs = ce.apply(x) @ shear02.model.array.T, ce.apply(shear02.evaluate(x))
+        assert np.linalg.norm(lhs - rhs, axis=1).max() <= 1e-6
         x = rng.random((40, 2)) * 2 - 0.5
         assert np.abs(ce.apply_inverse(ce.apply(x)) - x).max() <= 1e-8
 
@@ -300,7 +306,7 @@ class TestDeepDecay:
         assert [r[0] for r in table.rows] == list(range(6))
         for m, vec, d_m, d_inv in table.rows:
             # n_m belongs to A^m Z^d: solving A^m w = n_m gives integers
-            a_m = shear05.model.matrix.power(m).array.astype(float)
+            a_m = IntMatrix(int_pow(shear05.model.matrix.entries, m)).array
             w = np.linalg.solve(a_m, np.array(vec, dtype=float))
             assert np.abs(w - np.round(w)).max() < 1e-9
             assert d_m >= 0.0 and d_inv >= 0.0

@@ -5,7 +5,12 @@ import functools
 import numpy as np
 import pytest
 
-from anosovlab.bundles import _descending_frame, first_stable_direction, integrability_verdict
+from anosovlab.bundles import (
+    _branch_walk_directions,
+    _generic_frame,
+    first_stable_direction,
+    integrability_verdict,
+)
 from anosovlab.conjugacy import conjugacy_evaluator
 from anosovlab.errors import (
     GapTooSmall,
@@ -20,18 +25,17 @@ from anosovlab.leafmetric import (
     affine_distance,
     conjugacy_leaf_isometry_check,
     holonomy_isometry_check,
-    leaf_invariance_defect,
     livschitz_solve,
-    map_polyline,
     pull_back_leaves,
     stable_direction_field,
     stable_log_norm_observable,
-    tangency_residual,
     unstable_holonomy,
 )
+from anosovlab.linear import coset_representatives
 from anosovlab.maps import fixture_catalog
 from anosovlab.orbits import enumerate_orbits
-from anosovlab.util import grid_points
+from anosovlab.util import grid_points, qr_pos
+from leafchecks import leaf_invariance_defect, map_polyline, tangency_residual
 
 MU_S = 2.0 - np.sqrt(2.0)
 
@@ -57,7 +61,7 @@ def _eig_dirs(a: np.ndarray):
 class TestTraces:
     def test_linear_leaf_is_straight(self, linear_map):
         [leaf] = pull_back_leaves(linear_map, [0.3, 0.4], L=0.3)
-        assert tangency_residual(linear_map, leaf) < 1e-14
+        assert tangency_residual(leaf, functools.partial(stable_direction_field, linear_map)) < 1e-14
         v_s, _ = _eig_dirs(linear_map.model.array)
         rel = leaf.points - leaf.points[leaf.center_index]
         cross = rel[:, 0] * v_s[1] - rel[:, 1] * v_s[0]
@@ -73,7 +77,7 @@ class TestTraces:
 
     def test_shear_leaf_tangent_and_invariant(self, shear05):
         [leaf] = pull_back_leaves(shear05, [0.3, 0.4], L=0.3)
-        assert tangency_residual(shear05, leaf) < 1e-6
+        assert tangency_residual(leaf, functools.partial(stable_direction_field, shear05)) < 1e-6
         assert leaf_invariance_defect(shear05, leaf) < 1e-6
 
     def test_conjugated_contraction_near_eigenrate(self, conjugated05):
@@ -91,11 +95,23 @@ class TestTraces:
     def test_linear_unstable_trace(self, linear_map):
         [leaf] = pull_back_leaves(linear_map, [0.3, 0.4], L=0.2, unstable=True)
         assert leaf.index == 0
-        assert tangency_residual(linear_map, leaf) < 1e-12
+        assert tangency_residual(leaf, lambda mids: linear_map.model.unstable_subspace[:, 0]) < 1e-12
         _, v_u = _eig_dirs(linear_map.model.array)
         rel = leaf.points - leaf.points[leaf.center_index]
         cross = rel[:, 0] * v_u[1] - rel[:, 1] * v_u[0]
         assert np.abs(cross).max() < 1e-12
+
+    def test_conjugated_unstable_leaf_follows_the_zero_branch(self, conjugated05):
+        """An unstable leaf is pushed along the wrapped lift preimage orbit, which
+        is the branch of the all-zero code: representative 0 is the zero vector."""
+        assert coset_representatives(conjugated05.model.matrix).representatives[0] == (0, 0)
+        [leaf] = pull_back_leaves(conjugated05, [0.3, 0.4], L=0.2, unstable=True)
+        codes = np.zeros((1, 12), dtype=int)
+
+        def zero_branch(mids):
+            return _branch_walk_directions(conjugated05, mids, codes)[:, 0, :, 0]
+
+        assert tangency_residual(leaf, zero_branch) < 1e-6
 
     @pytest.mark.parametrize("depth", [12, 24])
     @pytest.mark.parametrize("name", ["shear05", "conjugated05"])
@@ -109,7 +125,7 @@ class TestTraces:
             assert (np.linalg.norm(np.diff(leaf.points, axis=0), axis=1) > 0).all()
             center = leaf.arclength[leaf.center_index]
             assert center >= L and leaf.arclength[-1] - center >= L
-            assert tangency_residual(f, leaf) < 1e-6
+            assert tangency_residual(leaf, functools.partial(stable_direction_field, f)) < 1e-6
             assert leaf_invariance_defect(f, leaf, depth=depth) < 1e-6
 
     def test_node_near_arc(self, linear_map):
@@ -130,12 +146,24 @@ def _transpose_recursion(f, jacs, depth):
     return np.stack([-v[..., 1], v[..., 0]], axis=-1)
 
 
+def _descending_frame(jacs, depth):
+    """QR frames whose leading columns span realized-growth flags at the endpoint:
+    the forward QR chain of Ginelli et al., PRL 99, 130601 (2007), over every
+    window of `depth` consecutive factors. jacs (T + depth - 1, n, d, d) gives
+    frames (T, n, d, d), window t applying jacs[t] first."""
+    windows = jacs.shape[0] - depth + 1
+    n, d = jacs.shape[1], jacs.shape[-1]
+    q = np.broadcast_to(_generic_frame(d), (windows, n, d, d)).copy()
+    for j in range(depth):
+        q, _ = qr_pos(jacs[j : j + windows] @ q)
+    return q
+
+
 def _ascending_frame(jacs, depth):
     """The d = 3 reference before the adjugate chain: QR frames of the
     transposed cocycle over each depth-window, run from the window's far end,
     so that the last column spans the most-contracted direction."""
-    q, _ = _descending_frame(np.swapaxes(jacs[::-1], -1, -2), depth)
-    return q[::-1]
+    return _descending_frame(np.swapaxes(jacs[::-1], -1, -2), depth)[::-1]
 
 
 def _orbit_jacobians(f, rng, n, length):

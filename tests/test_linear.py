@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anosovlab.errors import NotHyperbolic
+from anosovlab.intlinalg import int_pow
 from anosovlab.linear import (
     IntMatrix,
     _matrix_sign,
@@ -15,12 +16,27 @@ from anosovlab.linear import (
     deep_lattice_vectors,
     minimal_deep_vector,
     preimage_covering_radius,
-    preimage_points,
 )
 from anosovlab.util import grid_points, torus_delta, torus_distance, wrap
 
 A0 = ((3, 1), (1, 1))
 MU_S = 2.0 - np.sqrt(2.0)
+
+
+def preimage_points(rows, k: int) -> np.ndarray:
+    """All |det A|^k torus points x with A^k x in Z^d, by digit expansion.
+
+    A transversal of Z^d / A^k Z^d is {r_0 + A r_1 + ... + A^{k-1} r_{k-1}}
+    over single-step representatives r_j; the preimage set is its image
+    under A^{-k}, wrapped to [0,1)^d.
+    """
+    m = IntMatrix(rows)
+    reps = np.array(coset_representatives(m).representatives, dtype=float)
+    pts = np.zeros((1, m.dim))
+    for _ in range(k):
+        pts = (reps[:, None, :] + pts[None, :, :] @ m.array.T).reshape(-1, m.dim)
+    ak = np.array(int_pow(m.entries, k), dtype=float)
+    return wrap(np.linalg.solve(ak, pts.T).T)
 
 
 class TestAnalyzeMatrix:
@@ -260,5 +276,5 @@ def test_wrap_idempotent_and_in_cell(xs):
 
 def test_int_matrix_power_exact():
     m = IntMatrix(A0)
-    assert m.power(3).det == m.det**3
-    assert np.array_equal(m.power(2).array, m.array @ m.array)
+    assert IntMatrix(int_pow(m.entries, 3)).det == m.det**3
+    assert np.array_equal(IntMatrix(int_pow(m.entries, 2)).array, m.array @ m.array)

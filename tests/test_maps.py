@@ -74,12 +74,6 @@ class TestLiftStructure:
         orbit = conjugated05.orbit_points(t, 3)
         assert np.max(np.abs(jacs - conjugated05.jacobian(orbit.reshape(-1, 2)).reshape(3, 12, 2, 2))) < 1e-9
 
-    def test_invert_with_jacobian_consistent(self, conjugated05, rng):
-        y = rng.random((12, 2))
-        x, jac = conjugated05.invert_with_jacobian(y)
-        assert np.max(np.abs(conjugated05.evaluate(x) - y)) < 1e-9
-        assert np.max(np.abs(jac - conjugated05.jacobian(x))) < 1e-8
-
     def test_invert_is_right_inverse(self, shear05, rng):
         y = rng.random((30, 2)) * 4 - 2  # lift points well outside the cell
         x = shear05.invert(y)
@@ -99,7 +93,7 @@ class TestLiftStructure:
 
 
 class TestInverseWithData:
-    """invert_with_displacement hands back phi and DF from its last pass."""
+    """invert_with_displacement hands back phi from its last pass."""
 
     @pytest.mark.parametrize("name", ["shear05", "product05", "conjugated05"])
     def test_matches_separate_calls(self, name, request, rng):
@@ -112,17 +106,6 @@ class TestInverseWithData:
         assert np.array_equal(x1, f.invert(y[3])) and np.array_equal(disp1, f.displacement(x1))
         image, disp = f.evaluate_with_displacement(x)
         assert np.array_equal(image, f.evaluate(x)) and np.array_equal(disp, f.displacement(x))
-
-    @pytest.mark.parametrize("name", ["shear05", "product05"])
-    def test_trig_invert_with_jacobian_reads_the_last_pass(self, name, request, rng, monkeypatch):
-        f = request.getfixturevalue(name)
-        y = rng.random((9, f.dim)) * 4 - 2
-        want = (f.invert(y), f.jacobian(f.invert(y)))
-        with monkeypatch.context() as m:
-            for attr in ("evaluate", "jacobian"):
-                m.setattr(TrigField, attr, lambda self, x: pytest.fail("extra trig pass"))
-            got = f.invert_with_jacobian(y)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     def test_residual_verified_row_by_row(self, conjugated05, monkeypatch):
         """A row off its own tolerance fails whatever rows share its batch: next to

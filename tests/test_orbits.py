@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from anosovlab.errors import ResourceLimit
+from anosovlab.intlinalg import int_pow
+from anosovlab.linear import IntMatrix
 from anosovlab.orbits import (
     _refine_batch,
     enumerate_orbits,
@@ -15,7 +17,7 @@ from anosovlab.util import torus_distance, wrap
 
 def _expected_count(model, n: int) -> int:
     """|det(A^n - I)| computed independently from the integer matrix."""
-    a_n = model.matrix.power(n).array.astype(float)
+    a_n = IntMatrix(int_pow(model.matrix.entries, n)).array
     return int(round(abs(np.linalg.det(a_n - np.eye(model.dim)))))
 
 
@@ -25,7 +27,7 @@ class TestLinearEnumeration:
             pts = linear_periodic_points(linear_map.model, n)
             assert pts.shape == (want, 2)
             assert want == _expected_count(linear_map.model, n)
-            a_n = linear_map.model.matrix.power(n).array.astype(float)
+            a_n = IntMatrix(int_pow(linear_map.model.matrix.entries, n)).array
             gap = pts @ a_n.T - pts
             assert np.abs(gap - np.round(gap)).max() < 1e-9
 
@@ -46,7 +48,7 @@ class TestLinearEnumeration:
         assert inv.complete and not inv.failures
         assert inv.expected_counts == {1: 1, 2: 7, 3: 31, 4: 119}
         # minimal-period points split into cycles: (7-1)/2, (31-1)/3, (119-7)/4
-        assert {n: len(inv.by_period(n)) for n in (1, 2, 3, 4)} == {1: 1, 2: 3, 3: 10, 4: 28}
+        assert {n: len([o for o in inv if o.period == n]) for n in (1, 2, 3, 4)} == {1: 1, 2: 3, 3: 10, 4: 28}
         assert len(inv) == 42
 
     def test_linear_spectra_exact(self, linear_map):
@@ -94,11 +96,11 @@ class TestCycleStructure:
         assert periods == sorted(periods)
 
     def test_refine_orbit_finds_continued_fixed_point(self, shear05):
-        fixed = enumerate_orbits(shear05, 1).by_period(1)[0]
-        seed = fixed.base_point + np.array([0.012, -0.008])
+        [fixed] = [o for o in enumerate_orbits(shear05, 1) if o.period == 1]
+        seed = fixed.points[0] + np.array([0.012, -0.008])
         pts, res, ok = _refine_batch(shear05, seed[None, :], 1, 1e-12)
         assert ok[0] and res[0] <= 1e-12
-        assert torus_distance(pts[0], fixed.base_point) < 1e-10
+        assert torus_distance(pts[0], fixed.points[0]) < 1e-10
 
 
 class TestRigidity:

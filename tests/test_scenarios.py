@@ -136,6 +136,19 @@ class TestLoadScenario:
         sc = load_scenario({"fixture": {"name": "custom", "custom": {"matrix": [[3, 1], [1, 1]]}}})
         assert sc.build_map().dim == 2
 
+    @pytest.mark.parametrize("matrix", [
+        [[2]],
+        [[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]],
+    ], ids=["1x1", "4x4"])
+    def test_custom_torus_outside_two_and_three_dimensions(self, matrix):
+        """The kernels stop at d = 3: a 4x4 matrix once loaded, and `all` then asked
+        the cone scan for gigabytes. It is refused at load, before any stage."""
+        d = len(matrix)
+        with pytest.raises(ConfigInvalid) as exc_info:
+            load_scenario({"fixture": {"name": "custom", "custom": {"matrix": matrix}}})
+        [problem] = exc_info.value.problems
+        assert problem.startswith(f"fixture.custom.matrix: {d}x{d};") and "2x2 and 3x3" in problem
+
     def test_root_must_be_mapping(self):
         with pytest.raises(ConfigInvalid):
             load_scenario("- 1\n- 2\n")

@@ -2,8 +2,10 @@
 
 A module uses every name it takes with `from ... import`: `__init__.py`
 re-exports its imports and `from __future__ import annotations` changes how
-the module compiles, so neither counts. And the representation of a map,
-its `perturbation` or `conjugator` field, is read only inside `maps.py`.
+the module compiles, so neither counts. Every function, method, class and
+module-level constant is referenced somewhere in the package, so nothing
+lives on for the tests alone. And the representation of a map, its
+`perturbation` or `conjugator` field, is read only inside `maps.py`.
 """
 
 import ast
@@ -35,6 +37,49 @@ def test_finds_an_unused_name():
 @pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
 def test_no_unused_from_imports(path):
     assert _unused_from_imports(path.read_text()) == []
+
+
+def _unreferenced(sources: dict[str, str]) -> list[str]:
+    """`module.name` of each definition no module refers to by name.
+
+    A definition is a function, method or class, or a name assigned at module
+    level; a reference is a name or attribute that is read, or a string
+    constant (which covers `__all__` and names looked up with getattr).
+    Dunder names are exempt: the language calls them.
+    """
+    defined, referenced = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                referenced.add(node.value)
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(module, t.id) for t in targets if isinstance(t, ast.Name)]
+    return [
+        f"{module}.{name}"
+        for module, name in defined
+        if name not in referenced and not (name.startswith("__") and name.endswith("__"))
+    ]
+
+
+def test_finds_an_unreferenced_definition():
+    source = (
+        "_DEPTH = 3\n_UNUSED = 4\n\nclass A:\n    def __len__(self):\n        return _DEPTH\n\n"
+        "    def spare(self):\n        return 0\n\ndef build():\n    return len(A())\n"
+    )
+    assert _unreferenced({"m": source, "n": "__all__ = ['build']\n"}) == ["m.spare", "m._UNUSED"]
+
+
+def test_every_definition_is_referenced():
+    assert _unreferenced({p.stem: p.read_text() for p in sorted(_PACKAGE.glob("*.py"))}) == []
 
 
 _REPRESENTATION = {"perturbation", "conjugator"}
