@@ -3,7 +3,8 @@
 The most-contracted stable direction at a point is branch-free: M^-1 w,
 normalized, for M = DF^N along the forward orbit. It comes from one chain of
 2x2 or 3x3 adjugates walked from the far end of the window, which also yields
-the singular rates that check its gap.
+the singular rates that check its gap. Along an orbit segment the
+log-contraction sums to one forward product of adjugates.
 
 Unstable directions live on backward branches: each step of a branch walk
 picks one preimage coset, and the pushed-forward subspace depends on those
@@ -124,6 +125,49 @@ def first_stable_direction(
         rates = np.stack([stretch, shrink - stretch, total - shrink], axis=-1) / depth
         _check_rates(rates, k, min_gap)
     return np.stack(w, axis=-1)
+
+
+def _ordered_product(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """m[:, :, 0] @ m[:, :, 1] @ ... of an entry stack (d, d, T, n), multiplied in
+    pairs level by level, each product divided by its largest entry.
+
+    Returns the product (d, d, n) and the summed log of the divisors (n,).
+    """
+    logs = np.zeros(m.shape[3:])
+    while m.shape[2] > 1:
+        pairs = m.shape[2] // 2
+        prod = np.einsum("ic...,cj...->ij...", m[:, :, 0 : 2 * pairs : 2], m[:, :, 1 : 2 * pairs : 2])
+        scale = np.abs(prod).max(axis=(0, 1))
+        logs += np.log(scale).sum(axis=0)
+        m = np.concatenate([prod / scale, m[:, :, 2 * pairs :]], axis=2)
+    return m[:, :, 0], logs
+
+
+def stable_log_sums(f: TorusMap, blocks, depth: int, min_gap: float = 0.02) -> np.ndarray:
+    """Summed log-contraction of DF on E^s_1 along n forward orbits, shape (n,).
+
+    `blocks` yields DF along the orbits in time blocks (m, n, d, d), as
+    `TorusMap.orbit_jacobians` does; the sum runs over every step but the
+    last depth - 1. With J_t = DF(x_t) it telescopes to sum_t log|det J_t| -
+    log|P u|: P = adj(J_0) ... adj(J_{T-1}) is accumulated block by block and
+    u is `_stable_seed` pushed back through the depth - 1 tail adjugates. In
+    3-D every depth-window is checked for rate gaps (`first_stable_direction`).
+    """
+    prod, logs, tail = None, 0.0, None  # tail: the Jacobians that close the next block's windows
+    for jacs in blocks:
+        held = jacs if tail is None else np.concatenate([tail, jacs])
+        done = max(0, held.shape[0] - depth + 1)
+        if done:
+            if f.dim == 3:
+                first_stable_direction(f, held, depth, min_gap)
+            adj, det = adjugate(held[:done])
+            stack = _entries(adj) if prod is None else np.concatenate([prod[:, :, None], _entries(adj)], axis=2)
+            prod, block_logs = _ordered_product(stack)
+            logs = logs + block_logs - np.log(np.abs(det)).sum(axis=0)
+        tail = held[done:]
+    u, _ = _unit_walk(_entries(adjugate(tail)[0]), _stable_seed(f.model), depth - 1)
+    pu = [sum(prod[i, c] * u[c] for c in range(f.dim)) for i in range(f.dim)]
+    return -logs - 0.5 * np.log(sum(c * c for c in pu)).ravel()
 
 
 # -- branch-dependent unstable directions -------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from anosovlab.bundles import IntegrabilityReport, first_stable_direction
+from anosovlab.bundles import IntegrabilityReport, first_stable_direction, stable_log_sums
 from anosovlab.conjugacy import ConjugacyEvaluator
 from anosovlab.errors import NoIntersection, ObstructionNonzero, RefusedNonIntegrable
 from anosovlab.maps import TorusMap
@@ -156,7 +156,14 @@ def _nearest_on_polyline(points: np.ndarray, leaf: LeafPolyline) -> tuple[np.nda
 # -- cocycle solver ------------------------------------------------------------
 
 # grid rows per block of the normal equations: the design is never held whole
-_BLOCK_ROWS = 512
+_BLOCK_ROWS = 256
+# points per evaluation of phi or psi on the solver's grids: bounds their tables and stacks
+_CHUNK_ROWS = 4096
+
+
+def _by_rows(fn, pts: np.ndarray) -> np.ndarray:
+    """fn over the rows of pts, _CHUNK_ROWS at a time."""
+    return np.concatenate([fn(pts[lo : lo + _CHUNK_ROWS]) for lo in range(0, pts.shape[0], _CHUNK_ROWS)])
 
 
 def _half_space_modes(d: int, order: int) -> np.ndarray:
@@ -204,7 +211,6 @@ class CocycleSolution:
     fourier_order: int
     residual: float
     obstruction: float
-    orbit_mean: float
     orientation: str = "forward"
 
     def transfer(self, x: np.ndarray) -> np.ndarray:
@@ -255,44 +261,19 @@ _SEGMENTS = 160
 _SEGMENT_LEN = 4000
 
 
-def _sum_chunks(n: int) -> int:
-    return max(1, n // 20000)
-
-
 def _segment_mean(f: TorusMap, phi, segments: int, segment_len: int, seed: int) -> float:
     """Average of phi along long forward orbit segments (telescoping-exact for
     coboundaries plus a constant).
 
-    An observable with an orbit form (`phi.along_orbit`, see
-    `stable_log_norm_observable`) is evaluated from the Jacobians of one
-    continuous walk per segment (`TorusMap.orbit_jacobians`), built one time
-    block at a time, each value reading `lookahead` further Jacobians; any
-    other is evaluated point by point. Either way the values are summed in
-    the same chunks, so on a map with the identity chart (perturbed or
-    linear) both give the same float. A conjugated map's orbit form reads DF
-    off the chart walk, which rounds differently from a pointwise G^{-1}.
+    An observable with a segment form (`phi.orbit_sums`, see
+    `stable_log_norm_observable`) gives each segment's sum in one pass that
+    stores no per-step value; any other is evaluated point by point.
     """
-    rng = np.random.default_rng(seed)
-    starts = rng.random((segments, f.dim))
-    along_orbit = getattr(phi, "along_orbit", None)
-    if along_orbit is None:
-        flat = f.orbit_points(starts, segment_len).reshape(-1, f.dim)
-        vals = np.concatenate([phi(c) for c in np.array_split(flat, _sum_chunks(flat.shape[0]))])
-    else:
-        extra = along_orbit.lookahead
-        block = max(1, 2**16 // segments)  # time steps; bounds the Jacobian and frame stacks
-        parts, held = [], np.empty((0, segments, f.dim, f.dim))
-        for jacs in f.orbit_jacobians(starts, segment_len + extra, block):
-            # the last `extra` Jacobians of a block serve the windows of the next
-            held = np.concatenate([held, jacs])
-            if held.shape[0] > extra:
-                parts.append(along_orbit(held).ravel())
-                held = held[held.shape[0] - extra :]
-        vals = np.concatenate(parts)
-    total = 0.0
-    for chunk in np.array_split(vals, _sum_chunks(vals.size)):
-        total += float(np.sum(chunk))
-    return total / vals.size
+    starts = np.random.default_rng(seed).random((segments, f.dim))
+    orbit_sums = getattr(phi, "orbit_sums", None)
+    if orbit_sums is not None:
+        return float(np.sum(orbit_sums(starts, segment_len))) / (segments * segment_len)
+    return float(np.mean(_by_rows(phi, f.orbit_points(starts, segment_len).reshape(-1, f.dim))))
 
 
 def _periodic_obstruction(phi, mean: float, inventory: OrbitInventory) -> float:
@@ -309,8 +290,11 @@ def fourier_order_problem(d: int, order: int) -> str | None:
     The plane solve runs on a 64^2 grid, where modes k and k + 64 e_j coincide
     above order 31. The 20^d grid above the plane would alias only above 9, but
     its normal equations grow as (2N + 1)^(2d): order 6 has 2196 unknowns, order
-    9 would have 6858 (a 376 MB Gram matrix in 3-D).
+    9 would have 6858 (a 376 MB Gram matrix in 3-D). An order below 1 has no
+    mode to fit.
     """
+    if order < 1:
+        return "must be >= 1"
     if d == 2:
         if order > 31:
             return "must be <= 31; higher modes alias on the 64^2 cocycle grid, where k and k + 64 e_j coincide"
@@ -320,6 +304,27 @@ def fourier_order_problem(d: int, order: int) -> str | None:
             f"grow as (2N + 1)^{2 * d}"
         )
     return None
+
+
+def _normal_equations(
+    grid: np.ndarray, image: np.ndarray, rhs: np.ndarray, modes: np.ndarray, order: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """D^T D and D^T rhs for D = [Re, Im] of E(F x) - E(x), one block of grid rows at a time;
+    the Gram's upper triangle in row panels, so no temporary is as large as the Gram."""
+    m2 = 2 * modes.shape[0]
+    gram, moment = np.zeros((m2, m2)), np.zeros(m2)
+    panels = [slice(lo, lo + _BLOCK_ROWS) for lo in range(0, m2, _BLOCK_ROWS)]
+    for lo in range(0, grid.shape[0], _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        delta = _mode_exponentials(image[rows], modes, order)
+        delta -= _mode_exponentials(grid[rows], modes, order)
+        block = np.concatenate([delta.real, delta.imag], axis=1)
+        for p in panels:
+            gram[p, p.start :] += block[:, p].T @ block[:, p.start :]
+        moment += block.T @ rhs[rows]
+    for p in panels:
+        gram[p.stop :, p] = gram[p, p.stop :].T
+    return gram, moment
 
 
 def livschitz_solve(
@@ -333,7 +338,8 @@ def livschitz_solve(
     """Decompose phi = mean + psi(f x) - psi(x) by grid least squares.
 
     The mean comes from _SEGMENTS orbit segments of _SEGMENT_LEN steps (exact
-    up to 2 sup|psi|/len per segment when the decomposition exists); psi from
+    up to 2 sup|psi|/len per segment when the decomposition exists), one sum
+    per segment when phi has a segment form (`_segment_mean`); psi from
     least squares over Fourier modes |k|_inf <= fourier_order on a 64^2
     (plane) or 20^3 grid, with the sup residual measured through the fitted
     transfer function on a finer off-lattice grid. fourier_order defaults to
@@ -341,10 +347,10 @@ def livschitz_solve(
     refuses raises ValueError. The least squares runs on the normal equations,
     solved by LU: the design's condition number measured 4.0 to 10.6 on the
     shear, conjugated and product fixtures for epsilon up to 0.3 and orders up
-    to 24, and 53 on shear_A0(0.05) at order 31. The obstruction is the
-    worst deviation of an average over an orbit of `inventory` from the mean;
-    when it exceeds obstruction_tol the best fit is attached to
-    ObstructionNonzero.
+    to 24, and 53 on shear_A0(0.05) at order 31. No phase holds more than the
+    Gram and the copy its solve takes. The obstruction is the worst deviation
+    of an average over an orbit of `inventory` from the mean; when it exceeds
+    obstruction_tol the best fit is attached to ObstructionNonzero.
     """
     d = f.dim
     grid_n = 64 if d == 2 else 20
@@ -358,37 +364,26 @@ def livschitz_solve(
     probe_vals = phi(probe)
     if float(np.ptp(probe_vals)) < 1e-12:
         # a constant observable is its own mean with a zero transfer function
-        mean = orbit_mean = float(np.mean(probe_vals))
+        mean = float(np.mean(probe_vals))
         modes = np.zeros((0, d), dtype=int)
         cos_c, sin_c = np.zeros(0), np.zeros(0)
         residual = float(np.ptp(probe_vals))
     else:
-        orbit_mean = _segment_mean(f, phi, _SEGMENTS, _SEGMENT_LEN, seed)
-        mean = orbit_mean
+        mean = _segment_mean(f, phi, _SEGMENTS, _SEGMENT_LEN, seed)
 
         grid = grid_points(d, grid_n)
-        image = f.torus_step(grid)
-        rhs = phi(grid) - mean
         modes = _half_space_modes(d, fourier_order)
         m = modes.shape[0]
-        # normal equations D^T D c = D^T rhs, D = [Re, Im] of E(F x) - E(x), one row block at a time
-        gram, moment = np.zeros((2 * m, 2 * m)), np.zeros(2 * m)
-        for lo in range(0, grid.shape[0], _BLOCK_ROWS):
-            rows = slice(lo, lo + _BLOCK_ROWS)
-            delta = _mode_exponentials(image[rows], modes, fourier_order)
-            delta -= _mode_exponentials(grid[rows], modes, fourier_order)
-            block = np.concatenate([delta.real, delta.imag], axis=1)
-            gram += block.T @ block
-            moment += block.T @ rhs[rows]
-        coeffs = np.linalg.solve(gram, moment)
+        coeffs = np.linalg.solve(
+            *_normal_equations(grid, f.torus_step(grid), _by_rows(phi, grid) - mean, modes, fourier_order)
+        )
         cos_c, sin_c = coeffs[:m], coeffs[m:]
 
         fine_n = 97 if d == 2 else 23
-        fine_axes = [(np.arange(fine_n) + 0.37) / fine_n] * d
-        fine = np.stack(np.meshgrid(*fine_axes, indexing="ij"), axis=-1).reshape(-1, d)
-        fit = CocycleSolution(mean, modes, cos_c, sin_c, fourier_order, 0.0, 0.0, orbit_mean)
-        coboundary = fit.transfer(f.torus_step(fine)) - fit.transfer(fine)
-        residual = float(np.abs(phi(fine) - mean - coboundary).max())
+        fine = grid_points(d, fine_n) + 0.37 / fine_n
+        fit = CocycleSolution(mean, modes, cos_c, sin_c, fourier_order, 0.0, 0.0)
+        coboundary = _by_rows(fit.transfer, f.torus_step(fine)) - _by_rows(fit.transfer, fine)
+        residual = float(np.abs(_by_rows(phi, fine) - mean - coboundary).max())
 
     obstruction = _periodic_obstruction(phi, mean, inventory)
     sol = CocycleSolution(
@@ -399,7 +394,6 @@ def livschitz_solve(
         fourier_order=fourier_order,
         residual=residual,
         obstruction=obstruction,
-        orbit_mean=orbit_mean,
     )
     if obstruction > obstruction_tol:
         raise ObstructionNonzero(
@@ -411,37 +405,24 @@ def livschitz_solve(
 def stable_log_norm_observable(f: TorusMap, depth: int = 12):
     """phi(x) = log of the contraction factor of DF on E^s_1 at x.
 
-    On a perturbed map phi also has an orbit form, `phi.along_orbit`, which
-    evaluates it along forward orbits from their Jacobians, one per orbit
-    point (`TorusMap.orbit_jacobians`); `phi.along_orbit.lookahead` is the
-    number of Jacobians it reads past the last value.
+    E^s_1 comes from a depth-long window. On a perturbed map phi also has a
+    segment form, `phi.orbit_sums(starts, length)`: the sums of phi over
+    `length` steps of the orbits from `starts`, by `bundles.stable_log_sums`.
     """
-    def log_contraction(jacs, v):
-        w = np.einsum("nij,nj->ni", jacs, v)
-        return np.log(np.linalg.norm(w, axis=1))
-
     def phi(pts):
         pts = np.atleast_2d(pts)
-        return log_contraction(f.jacobian(pts), stable_direction_field(f, pts, depth))
+        w = np.einsum("nij,nj->ni", f.jacobian(pts), stable_direction_field(f, pts, depth))
+        return np.log(np.linalg.norm(w, axis=1))
 
     if f.epsilon == 0.0:
         return phi
 
-    def along_orbit(jacs):
-        """phi at orbit step t for t < len(jacs) - depth + 1, shape (T, n).
+    def orbit_sums(starts, length):
+        block = max(1, 2**14 // starts.shape[0])  # time steps; bounds the Jacobian stacks
+        return stable_log_sums(f, f.orbit_jacobians(starts, length + depth - 1, block), depth)
 
-        jacs (T + depth - 1, n, d, d) holds DF along n forward orbits; each
-        serves as DF in phi and in the direction windows of the depth - 1
-        steps before it.
-        """
-        d = f.dim
-        v = first_stable_direction(f, jacs, depth)
-        vals = log_contraction(jacs[: v.shape[0]].reshape(-1, d, d), v.reshape(-1, d))
-        return vals.reshape(v.shape[:2])
-
-    # function attributes, so wrappers that copy __dict__ keep the orbit form
-    along_orbit.lookahead = depth - 1
-    phi.along_orbit = along_orbit
+    # a function attribute, so wrappers that copy __dict__ keep the segment form
+    phi.orbit_sums = orbit_sums
     return phi
 
 

@@ -9,9 +9,8 @@ invertible along the way, so counts are preserved.
 Each period is then read from one batched walk: `orbit_points` walks every
 converged point once, and the cycles, minimal periods and 8-decimal dedup
 keys all come from that one (n, rows, d) array. The new orbits of the period
-share one lift walk for their translation classes and one QR chain over
-their derivative cocycles for the stable exponents, cross-checked against
-direct eigenvalues of the formed products for the short periods used here.
+share one lift walk for their translation classes, and each takes its stable
+exponents from the eigenvalues of its cycle product DF^n.
 """
 
 from __future__ import annotations
@@ -25,13 +24,12 @@ from anosovlab.errors import NoConvergence, ResourceLimit, SingularJacobian
 from anosovlab.intlinalg import identity, int_add, int_pow, int_scale
 from anosovlab.linear import IntMatrix, LinearModel, coset_representatives
 from anosovlab.maps import TorusMap
-from anosovlab.util import float_cell, qr_pos, torus_distance, wrap
+from anosovlab.util import float_cell, torus_distance, wrap
 
 _DEDUP_DECIMALS = 8
 _NEWTON_TOL = 1e-12  # sup residual of F^n(x) - x - m at an accepted periodic point
 _CONTINUATION_STEP = 0.01  # epsilon step of the first continuation attempt
 _REFINE_MAX_ITER = 40  # Newton steps per continuation stage
-_MAX_QR_PASSES = 600
 _PERIOD_TOL = 1e-8  # torus distance at which a cycle point counts as back at its start
 
 
@@ -100,40 +98,16 @@ def _refine_batch(
 def _stable_spectra(f: TorusMap, cycles: np.ndarray) -> np.ndarray:
     """Stable exponents of k cycles of one period, cycles (k, n, d); shape (k, stable_dim).
 
-    One QR chain runs over the derivative cocycles of all k cycles at once.
-    Q carries a burn-in transient; once a full pass reproduces the previous
-    one the flag is invariant and that single pass holds the exact rates, so
-    each cycle keeps the first pass that repeats its predecessor.
+    The exponents are log|eig(DF^n)| / n of each cycle product, whose small
+    eigenvalues carry a relative error of about ulp |lambda_u / lambda_s|^n:
+    about 1.6e-10 in the exponent at the largest periods the point cap admits.
     """
     k, n, d = cycles.shape
     jacs = f.jacobian(cycles.reshape(-1, d)).reshape(k, n, d, d)
-    q = np.broadcast_to(np.eye(d), (k, d, d)).copy()
-    prev = None
-    rates = np.empty((k, d))
-    open_rows = np.ones(k, dtype=bool)
-    for _ in range(_MAX_QR_PASSES):
-        pass_log = np.zeros((k, d))
-        for step in range(n):
-            q, r = qr_pos(jacs[:, step] @ q)
-            pass_log += np.log(np.abs(np.diagonal(r, axis1=1, axis2=2)))
-        if prev is not None:
-            repeat = open_rows & (np.abs(pass_log - prev).max(axis=1) < 1e-13 * n)
-            rates[repeat] = pass_log[repeat]
-            open_rows &= ~repeat
-            if not open_rows.any():
-                break
-        prev = pass_log
-    else:
-        raise NoConvergence(f"QR exponent passes did not stabilize in {_MAX_QR_PASSES} rounds")
-    exponents = np.sort(rates / n, axis=1)
-    if n <= 8:
-        prod = np.broadcast_to(np.eye(d), (k, d, d))
-        for step in range(n):
-            prod = jacs[:, step] @ prod
-        direct = np.sort(np.log(np.abs(np.linalg.eigvals(prod))) / n, axis=1)
-        gap = float(np.abs(direct - exponents).max())
-        if gap > 1e-10:
-            raise NoConvergence(f"QR and direct eigenvalue exponents disagree: {gap:.3e}")
+    prod = np.broadcast_to(np.eye(d), (k, d, d))
+    for step in range(n):
+        prod = jacs[:, step] @ prod
+    exponents = np.sort(np.log(np.abs(np.linalg.eigvals(prod))) / n, axis=1)
     stable = exponents[:, : f.model.stable_dim]
     if stable.max() >= 0:
         worst = exponents[int(stable.max(axis=1).argmax())]

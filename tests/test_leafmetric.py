@@ -1,6 +1,7 @@
 """Pulled-back leaves, the cocycle solver, the affine leaf metric, and holonomies."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from anosovlab.bundles import (
     _generic_frame,
     first_stable_direction,
     integrability_verdict,
+    stable_log_sums,
 )
 from anosovlab.conjugacy import conjugacy_evaluator
 from anosovlab.errors import (
@@ -207,20 +209,27 @@ class TestStableKernel:
 
 
 class TestOrbitForm:
-    """The stable log-contraction observable along orbits, one Jacobian per point."""
+    """The stable log-contraction observable's segment form, one adjugate product per orbit."""
 
     @pytest.mark.parametrize("name", ["shear05", "product05"])
     def test_matches_pointwise_phi(self, name, request, rng):
+        """Per-orbit sums against depth-48 pointwise windows, whose error is at rounding level."""
         f = request.getfixturevalue(name)
-        phi = stable_log_norm_observable(f, depth=12)
-        assert phi.along_orbit.lookahead == 11
-        starts = rng.random((7, f.dim))
-        orbit = f.orbit_points(starts, 40)
-        [jacs] = f.orbit_jacobians(starts, 40, 40)
-        vals = phi.along_orbit(jacs)
-        assert vals.shape == (29, 7)
-        pointwise = phi(orbit[:29].reshape(-1, f.dim)).reshape(29, 7)
-        assert np.array_equal(vals, pointwise)
+        starts = rng.random((6, f.dim))
+        sums = stable_log_norm_observable(f, depth=12).orbit_sums(starts, 300)
+        assert sums.shape == (6,)
+        orbit = f.orbit_points(starts, 300).reshape(-1, f.dim)
+        deep = stable_log_norm_observable(f, depth=48)(orbit).reshape(300, 6).sum(axis=0)
+        assert np.abs(sums - deep).max() < 1e-10
+
+    @pytest.mark.parametrize("name", ["shear05", "product05"])
+    def test_blocks_shorter_than_the_tail(self, name, request, rng):
+        """Blocks of 7 steps, fewer than the 11 that close a depth-12 window, match one block."""
+        f = request.getfixturevalue(name)
+        starts = rng.random((5, f.dim))
+        whole = stable_log_sums(f, f.orbit_jacobians(starts, 211, 211), 12)
+        split = stable_log_sums(f, f.orbit_jacobians(starts, 211, 7), 12)
+        assert np.abs(split - whole).max() < 1e-12 * np.abs(whole).max()
 
     def test_windows_match_per_point_chains(self, shear05, rng):
         orbit = shear05.orbit_points(rng.random((5, 2)), 20)
@@ -231,28 +240,32 @@ class TestOrbitForm:
             assert np.array_equal(windows[t], stable_direction_field(shear05, orbit[t], 12))
 
     def test_gap_still_checked(self, product05, rng):
-        orbit = product05.orbit_points(rng.random((3, 3)), 16)
-        jacs = product05.jacobian(orbit.reshape(-1, 3)).reshape(16, 3, 3, 3)
+        """Every depth-window of the 3-D segment path is checked, across block ends: the
+        middle and smallest rates sit 1.66 apart."""
+        starts = rng.random((3, 3))
+        stable_log_sums(product05, product05.orbit_jacobians(starts, 40, 16), 12, min_gap=1.4)
         with pytest.raises(GapTooSmall):
-            first_stable_direction(product05, jacs, 12, min_gap=5.0)
+            stable_log_sums(product05, product05.orbit_jacobians(starts, 40, 16), 12, min_gap=2.0)
 
     def test_linear_map_has_no_orbit_form(self, linear_map):
         """Its phi is constant; the solver never walks orbits for it."""
-        assert not hasattr(stable_log_norm_observable(linear_map), "along_orbit")
+        assert not hasattr(stable_log_norm_observable(linear_map), "orbit_sums")
 
-    @pytest.mark.parametrize("name, segments, length", [("shear05", 128, 1200), ("product05", 16, 200)])
-    def test_segment_mean_same_float(self, name, segments, length, request):
-        """128 segments make 512-step blocks, so 1200 steps cross two block ends."""
+    @pytest.mark.parametrize("name", ["shear05", "conjugated05", "product05"])
+    def test_segment_mean_matches_deep_windows(self, name, request):
+        """The product form against depth-48 windows point by point; a seed at the segment's
+        end that is not pushed back through the tail misses by about 1e-6."""
         f = request.getfixturevalue(name)
         phi = stable_log_norm_observable(f, depth=12)
         traced = functools.wraps(phi)(lambda pts: phi(pts))
-        assert traced.along_orbit is phi.along_orbit
+        assert traced.orbit_sums is phi.orbit_sums
+        deep = stable_log_norm_observable(f, depth=48)
 
         def pointwise(pts):
-            return phi(pts)
+            return deep(pts)
 
-        orbit_form = _segment_mean(f, traced, segments, length, seed=4)
-        assert orbit_form == _segment_mean(f, pointwise, segments, length, seed=4)
+        product = _segment_mean(f, traced, 16, 400, seed=4)
+        assert abs(product - _segment_mean(f, pointwise, 16, 400, seed=4)) < 1e-12
 
 
 class TestCocycleSolver:
@@ -298,7 +311,7 @@ class TestCocycleSolver:
         """The per-axis contraction against sum_k a_k cos(2 pi k.x) + b_k sin(2 pi k.x)."""
         modes = _half_space_modes(d, order)
         a, b = rng.standard_normal((2, modes.shape[0]))
-        sol = CocycleSolution(0.0, modes, a, b, order, 0.0, 0.0, 0.0)
+        sol = CocycleSolution(0.0, modes, a, b, order, 0.0, 0.0)
         pts = rng.random((500, d))
         theta = 2 * np.pi * (pts @ modes.T)
         want = np.cos(theta) @ a + np.sin(theta) @ b
@@ -341,6 +354,29 @@ class TestCocycleSolver:
         assert livschitz_solve(product05, phi, inventory, fourier_order=6).fourier_order == 6
         with pytest.raises(ValueError, match="fourier_order 16: must be <= 6 in 3-D; on the 20\\^3 cocycle grid"):
             livschitz_solve(product05, phi, inventory, fourier_order=16)
+
+    @pytest.mark.parametrize("order", [0, -3])
+    def test_order_below_one_is_refused(self, shear05, order):
+        phi = stable_log_norm_observable(shear05)
+        with pytest.raises(ValueError, match=f"fourier_order {order}: must be >= 1"):
+            livschitz_solve(shear05, phi, enumerate_orbits(shear05, 1), fourier_order=order)
+
+    @pytest.mark.parametrize("name, order", [("shear05", None), ("conjugated05", 16)])
+    def test_working_set_bounded(self, name, order, request):
+        """The solve at the metric stage's arguments holds at most 24 MiB of traced
+        allocations: the Gram and the copy its solve takes, about 18 MiB at order 16."""
+        f = request.getfixturevalue(name)
+        phi = stable_log_norm_observable(f, depth=12)
+        inventory = enumerate_orbits(f, 3)
+        tracemalloc.start()
+        try:
+            livschitz_solve(f, phi, inventory, fourier_order=order, obstruction_tol=1e-4, seed=17)
+        except ObstructionNonzero:
+            pass
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak <= 24 * 2**20
 
     def test_non_coboundary_raises_with_best_fit(self, shear05):
         def phi(p):

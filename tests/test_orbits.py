@@ -8,11 +8,12 @@ from anosovlab.intlinalg import int_pow
 from anosovlab.linear import IntMatrix
 from anosovlab.orbits import (
     _refine_batch,
+    _stable_spectra,
     enumerate_orbits,
     linear_periodic_points,
     rigidity_report,
 )
-from anosovlab.util import torus_distance, wrap
+from anosovlab.util import qr_pos, torus_distance, wrap
 
 
 def _expected_count(model, n: int) -> int:
@@ -101,6 +102,40 @@ class TestCycleStructure:
         pts, res, ok = _refine_batch(shear05, seed[None, :], 1, 1e-12)
         assert ok[0] and res[0] <= 1e-12
         assert torus_distance(pts[0], fixed.points[0]) < 1e-10
+
+
+def _qr_exponents(f, cycles, passes=20):
+    """Reference stable exponents: a QR chain run `passes` times around each
+    closed product, its last pass read. It is backward stable step by step, so
+    it does not lose the small eigenvalue to the large one."""
+    k, n, d = cycles.shape
+    jacs = f.jacobian(cycles.reshape(-1, d)).reshape(k, n, d, d)
+    q = np.broadcast_to(np.eye(d), (k, d, d)).copy()
+    for _ in range(passes):
+        logs = np.zeros((k, d))
+        for step in range(n):
+            q, r = qr_pos(jacs[:, step] @ q)
+            logs += np.log(np.abs(np.diagonal(r, axis1=1, axis2=2)))
+    return np.sort(logs / n, axis=1)[:, : f.model.stable_dim]
+
+
+class TestCycleSpectra:
+    """Exponents from eig(DF^n) at the largest period the point cap admits."""
+
+    @pytest.mark.parametrize("name, n", [("shear05", 9), ("product05", 7)])
+    def test_largest_period_against_a_qr_chain(self, name, n, request):
+        """Products along n steps from the linear model's period-n points, read both ways:
+        about 1.6e-10 apart, against a rigidity threshold of 5e-4."""
+        f = request.getfixturevalue(name)
+        with pytest.raises(ResourceLimit):
+            linear_periodic_points(f.model, n + 1)
+        seeds = linear_periodic_points(f.model, n)[::997]
+        cycles = np.swapaxes(f.orbit_points(seeds, n), 0, 1)
+        assert np.abs(_stable_spectra(f, cycles) - _qr_exponents(f, cycles)).max() < 1e-9
+
+    def test_linear_cycles_at_period_nine(self, linear_map):
+        cycles = np.swapaxes(linear_map.orbit_points(linear_periodic_points(linear_map.model, 9)[::997], 9), 0, 1)
+        assert np.abs(_stable_spectra(linear_map, cycles) - np.log(2.0 - np.sqrt(2.0))).max() < 1e-10
 
 
 class TestRigidity:
