@@ -19,7 +19,6 @@ from anosovlab.errors import (
     ConfigInvalid,
     GapTooSmall,
     IncompleteEnumeration,
-    IrreducibilityUndecided,
     NoConvergence,
     NoIntersection,
     NotHyperbolic,
@@ -39,7 +38,6 @@ __all__ = [
     "ConfigInvalid",
     "GapTooSmall",
     "IncompleteEnumeration",
-    "IrreducibilityUndecided",
     "NoConvergence",
     "NoIntersection",
     "NotHyperbolic",

@@ -16,10 +16,6 @@ class NotHyperbolic(AnosovLabError):
     """An eigenvalue modulus sits within tolerance of the unit circle."""
 
 
-class IrreducibilityUndecided(AnosovLabError):
-    """Exact factor search is only implemented for degree <= 4."""
-
-
 class ResourceLimit(AnosovLabError):
     """An exact enumeration would exceed the configured cap."""
 

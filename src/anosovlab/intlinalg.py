@@ -7,20 +7,26 @@ factor searches are all exact. Matrices are tuples of tuples of ints.
 
 from __future__ import annotations
 
-from math import isqrt
-
-from anosovlab.errors import IrreducibilityUndecided
+from numbers import Integral
 
 IMatrix = tuple[tuple[int, ...], ...]
 
 
 def as_imatrix(rows) -> IMatrix:
-    """Coerce nested ints into the canonical tuple-of-tuples form."""
-    mat = tuple(tuple(int(v) for v in row) for row in rows)
-    d = len(mat)
-    if d == 0 or any(len(row) != d for row in mat):
-        raise ValueError(f"expected a nonempty square matrix, got rows of lengths {[len(r) for r in mat]}")
-    return mat
+    """Nested integers in the canonical tuple-of-tuples form; ValueError unless `rows`
+    is a nonempty square array of integers, naming the first entry that is not one
+    (a bool or a float is refused, not truncated)."""
+    try:
+        mat = tuple(tuple(row) for row in rows)
+    except TypeError:
+        raise ValueError(f"matrix must be a list of rows, got {rows!r}") from None
+    if not mat or any(len(row) != len(mat) for row in mat):
+        raise ValueError(f"matrix must be square, got {len(mat)} rows of lengths {[len(r) for r in mat]}")
+    for i, row in enumerate(mat):
+        for j, v in enumerate(row):
+            if isinstance(v, bool) or not isinstance(v, Integral):
+                raise ValueError(f"matrix entry [{i}][{j}] = {v!r} is not an integer")
+    return tuple(tuple(int(v) for v in row) for row in mat)
 
 
 def identity(d: int) -> IMatrix:
@@ -64,8 +70,6 @@ def int_pow(a: IMatrix, m: int) -> IMatrix:
 def int_det(a: IMatrix) -> int:
     """Fraction-free Bareiss elimination; exact for any dimension."""
     d = len(a)
-    if d == 1:
-        return a[0][0]
     m = [list(row) for row in a]
     sign = 1
     prev = 1
@@ -92,8 +96,6 @@ def int_minor(a: IMatrix, i: int, j: int) -> int:
         for r in range(len(a))
         if r != i
     )
-    if not sub:
-        return 1
     return int_det(sub)
 
 
@@ -151,53 +153,15 @@ def _integer_roots(coeffs) -> list[int]:
     return [t for t in _divisors_with_sign(c0) if poly_eval(coeffs, t) == 0]
 
 
-def _quartic_splits(coeffs) -> bool:
-    """Does x^4+ax^3+bx^2+cx+e factor into two monic integer quadratics?
-
-    Exhaustive over divisor pairs (q, s) with qs = e: p + r = a and
-    pr = b - q - s pin p, r as roots of t^2 - at + (b-q-s), so integrality
-    reduces to a perfect-square discriminant plus the cross-term check.
-    Assumes no integer root (e != 0), which the caller established.
-    """
-    e, c, b, a, _ = coeffs
-    for q in _divisors_with_sign(e):
-        s = e // q
-        disc = a * a - 4 * (b - q - s)
-        if disc < 0:
-            continue
-        root = isqrt(disc)
-        if root * root != disc or (a + root) % 2 != 0:
-            continue
-        for p in ((a + root) // 2, (a - root) // 2):
-            r = a - p
-            if p * r == b - q - s and p * s + q * r == c:
-                return True
-    return False
-
-
 def is_irreducible_over_q(coeffs) -> bool:
-    """Exact irreducibility over Q of a monic integer polynomial, degree <= 4.
+    """Exact irreducibility over Q of a monic integer polynomial of degree 2 or 3.
 
-    Gauss: reducible over Q iff it factors into monic integer polynomials.
-    Degrees 2 and 3 reduce to the integer-root test; degree 4 additionally
-    needs the quadratic-pair search.
+    Gauss: reducible over Q iff it factors into monic integer polynomials, and
+    below degree 4 any such factorization has a linear factor, an integer root.
     """
-    degree = len(coeffs) - 1
     if coeffs[-1] != 1:
         raise ValueError(f"expected a monic polynomial, leading coefficient {coeffs[-1]}")
-    if degree == 0:
-        return False
-    if degree == 1:
-        return True
-    if _integer_roots(coeffs):
-        return False
-    if degree in (2, 3):
-        return True
-    if degree == 4:
-        return not _quartic_splits(coeffs)
-    raise IrreducibilityUndecided(
-        f"exact factor search implemented for degree <= 4, got degree {degree}"
-    )
+    return not _integer_roots(coeffs)
 
 
 def lattice_key(adj: IMatrix, absdet: int, v) -> tuple[int, ...]:

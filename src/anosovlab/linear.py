@@ -135,15 +135,17 @@ def analyze_matrix(matrix) -> LinearModel:
     """Full exact + spectral breakdown of an integer hyperbolic matrix.
 
     Args:
-        matrix: IntMatrix or nested ints; square, nonsingular.
+        matrix: IntMatrix or nested ints; 2x2 or 3x3, nonsingular.
 
     Raises:
+        ValueError: the matrix is not 2x2 or 3x3, the sizes the kernels support.
         NotHyperbolic: some eigenvalue modulus is within _HYPERBOLIC_TOL of 1.
-        IrreducibilityUndecided: dim > 4 (exact factor search unavailable).
     """
     m = matrix if isinstance(matrix, IntMatrix) else IntMatrix(matrix)
     a = m.array
     d = m.dim
+    if d not in (2, 3):
+        raise ValueError(f"matrix is {d}x{d}; the kernels support 2x2 and 3x3 (T^2 and T^3)")
 
     poly = il.char_poly(m.entries)
     irreducible = il.is_irreducible_over_q(poly)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -124,7 +125,7 @@ class TorusMap:
 
     def __post_init__(self):
         if self.perturbation is not None and self.conjugator is not None:
-            raise ValueError("a map is either perturbative or conjugated, not both")
+            raise ValueError("a map is either perturbed (terms) or conjugated (conjugator_terms), not both")
 
     @property
     def dim(self) -> int:
@@ -500,14 +501,11 @@ class ConeCertificate:
 
 
 def _sphere_mesh(dim: int, n_dirs: int) -> np.ndarray:
-    if dim == 0:
-        return np.zeros((1, 0))
+    """Unit directions in a 1- or 2-dimensional side of the splitting of a model in scope."""
     if dim == 1:
         return np.array([[1.0], [-1.0]])
-    if dim == 2:
-        th = np.linspace(0.0, 2.0 * np.pi, n_dirs, endpoint=False)
-        return np.stack([np.cos(th), np.sin(th)], axis=1)
-    raise ValueError(f"direction meshes implemented for subspace dims <= 2, got {dim}")
+    th = np.linspace(0.0, 2.0 * np.pi, n_dirs, endpoint=False)
+    return np.stack([np.cos(th), np.sin(th)], axis=1)
 
 
 def _cone_directions(model: LinearModel, slope: float, n_dirs: int, unstable: bool) -> np.ndarray:
@@ -641,19 +639,38 @@ _A0 = ((3, 1), (1, 1))
 _A1 = ((2, 1, 0), (1, 1, 0), (0, 0, 2))
 _CUBIC = ((0, 0, -2), (1, 0, 1), (0, 1, 6))
 
-_FIXTURE_MATRICES = {
-    "linear_A0": _A0,
-    "shear_A0": _A0,
-    "conjugated_A0": _A0,
-    "product_T3": _A1,
-    "cubic_companion": _CUBIC,
+# name -> (matrix, the TorusMap field its terms set, terms); a fixture without
+# terms is linear and exists only at epsilon 0
+_CATALOG = {
+    "linear_A0": (_A0, None, None),
+    "shear_A0": (_A0, "perturbation", {1: [((1, 0), 0.0, 1.0)]}),
+    "conjugated_A0": (_A0, "conjugator", {0: [((0, 1), 0.0, 0.1)], 1: [((1, 0), 0.0, 0.1)]}),
+    "product_T3": (_A1, "perturbation", {1: [((1, 0, 0), 0.0, 1.0)]}),
+    "cubic_companion": (_CUBIC, None, None),
 }
 
-FIXTURE_NAMES = ("linear_A0", "shear_A0", "conjugated_A0", "product_T3", "cubic_companion", "custom")
+FIXTURE_NAMES = (*_CATALOG, "custom")
+
+_CUSTOM_KEYS = ("matrix", "terms", "conjugator_terms", "label")
+
+
+def check_fixture(name: str, epsilon: float = 0.0, custom: dict | None = None) -> int:
+    """Torus dimension of the map `fixture_catalog(name, epsilon, custom)` builds, or
+    ValueError saying why fixture_catalog refuses those arguments. A named fixture
+    is answered from the catalog table without analysing its matrix; a custom one
+    is built, which takes well under a millisecond."""
+    if name == "custom":
+        return _custom_fixture(epsilon, custom).dim
+    if name not in _CATALOG:
+        raise UnknownFixture(f"no fixture named {name!r}; known: {', '.join(FIXTURE_NAMES)}")
+    matrix, kind, _ = _CATALOG[name]
+    if kind is None and epsilon != 0.0:
+        raise ValueError(f"{name} takes no perturbation scale")
+    return len(matrix)
 
 
 def fixture_catalog(name: str, epsilon: float = 0.0, custom: dict | None = None) -> TorusMap:
-    """Construct a named fixture map.
+    """Construct a named fixture map; ValueError when check_fixture refuses it.
 
     linear_A0         the 2x2 linear model, eigenvalues 2 +- sqrt(2)
     shear_A0(eps)     A0 plus the vertical shear (0, eps sin 2 pi x)
@@ -662,53 +679,64 @@ def fixture_catalog(name: str, epsilon: float = 0.0, custom: dict | None = None)
     cubic_companion   3x3 companion of x^3 - 6x^2 - x + 2 (two stable directions)
     custom            built from `custom` dict: matrix, terms or conjugator_terms, label
     """
-    if name == "linear_A0":
-        if epsilon != 0.0:
-            raise ValueError("linear_A0 takes no perturbation scale")
-        return TorusMap(model=analyze_matrix(_A0), label="linear_A0")
-    if name == "shear_A0":
-        field_ = TrigField.from_terms(2, {1: [((1, 0), 0.0, 1.0)]})
-        return TorusMap(model=analyze_matrix(_A0), epsilon=epsilon,
-                        perturbation=field_, label=f"shear_A0({epsilon:g})")
-    if name == "conjugated_A0":
-        conj = TrigField.from_terms(2, {0: [((0, 1), 0.0, 0.1)], 1: [((1, 0), 0.0, 0.1)]})
-        return TorusMap(model=analyze_matrix(_A0), epsilon=epsilon,
-                        conjugator=conj, label=f"conjugated_A0({epsilon:g})")
-    if name == "product_T3":
-        field_ = TrigField.from_terms(3, {1: [((1, 0, 0), 0.0, 1.0)]})
-        return TorusMap(model=analyze_matrix(_A1), epsilon=epsilon,
-                        perturbation=field_, label=f"product_T3({epsilon:g})")
-    if name == "cubic_companion":
-        if epsilon != 0.0:
-            raise ValueError("cubic_companion takes no perturbation scale; use custom")
-        return TorusMap(model=analyze_matrix(_CUBIC), label="cubic_companion")
     if name == "custom":
-        if not custom or "matrix" not in custom:
-            raise ValueError("custom fixture needs at least a 'matrix' entry")
-        model = analyze_matrix(custom["matrix"])
-        label = custom.get("label", "custom")
-        terms = custom.get("terms")
-        conj_terms = custom.get("conjugator_terms")
-        if terms and conj_terms:
-            raise ValueError("custom fixture cannot set both terms and conjugator_terms")
-        pert = TrigField.from_terms(model.dim, _parse_terms(terms)) if terms else None
-        conj = TrigField.from_terms(model.dim, _parse_terms(conj_terms)) if conj_terms else None
-        return TorusMap(model=model, epsilon=epsilon, perturbation=pert,
-                        conjugator=conj, label=label)
-    raise UnknownFixture(f"no fixture named {name!r}; known: {', '.join(FIXTURE_NAMES)}")
+        return _custom_fixture(epsilon, custom)
+    check_fixture(name, epsilon)
+    matrix, kind, terms = _CATALOG[name]
+    model = _model_in_scope(matrix)
+    if kind is None:
+        return TorusMap(model=model, label=name)
+    return TorusMap(model=model, epsilon=epsilon, label=f"{name}({epsilon:g})",
+                    **{kind: TrigField.from_terms(model.dim, terms)})
 
 
-def fixture_dim(name: str, custom: dict | None = None) -> int | None:
-    """Torus dimension of a named fixture, read off its matrix without analysing it;
-    None for a custom fixture without a matrix list."""
-    if name != "custom":
-        return len(_FIXTURE_MATRICES[name])
-    matrix = (custom or {}).get("matrix")
-    return len(matrix) if isinstance(matrix, (list, tuple)) else None
+def _model_in_scope(matrix) -> LinearModel:
+    """The analysed matrix, or ValueError naming the hypothesis of the paper it breaks:
+    the maps are non-invertible, have a stable direction and, with two of them, a
+    real, simple stable spectrum. In d <= 3 a repeated stable eigenvalue would be
+    an integer inside the unit circle, so only a complex pair breaks the last."""
+    model = analyze_matrix(matrix)
+    m = model.matrix
+    if model.degree == 1:
+        raise ValueError(f"matrix {m} has |det| = 1: one preimage per point makes every branch code "
+                         "the same and the branch spread 0 by construction; the maps here have |det| >= 2")
+    if model.stable_dim == 0:
+        raise ValueError(f"matrix {m} has no eigenvalue inside the unit circle: an expanding map "
+                         "has no stable direction")
+    if len(model.stable_eigenvalues) < model.stable_dim:
+        raise ValueError(f"matrix {m} has a complex stable pair; with two stable directions the paper "
+                         "assumes a real, simple stable spectrum")
+    return model
 
 
-def _parse_terms(terms) -> dict[int, list[tuple]]:
-    out: dict[int, list[tuple]] = {}
+def _custom_fixture(epsilon: float, custom) -> TorusMap:
+    if not isinstance(custom, dict) or "matrix" not in custom:
+        raise ValueError("needs a 'matrix' entry")
+    unknown = [key for key in custom if key not in _CUSTOM_KEYS]
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}; a custom fixture takes {', '.join(_CUSTOM_KEYS)}")
+    model = _model_in_scope(custom["matrix"])
+    fields_ = {
+        kind: TrigField.from_terms(model.dim, _parse_terms(key, custom[key], model.dim))
+        for kind, key in (("perturbation", "terms"), ("conjugator", "conjugator_terms"))
+        if custom.get(key)
+    }
+    return TorusMap(model=model, epsilon=epsilon, label=custom.get("label", "custom"), **fields_)
+
+
+def _parse_terms(key: str, terms, dim: int) -> dict[int, list[tuple]]:
+    """A custom fixture's `key` entry, coordinate index -> [[k_1..k_d], cos
+    coefficient, sin coefficient] terms; ValueError names a malformed part."""
+    if not isinstance(terms, dict):
+        raise ValueError(f"{key} must map coordinate indices to term lists, got {terms!r}")
     for coord, entries in terms.items():
-        out[int(coord)] = [(tuple(e[0]), float(e[1]), float(e[2])) for e in entries]
-    return out
+        if isinstance(coord, bool) or not isinstance(coord, int) or not 0 <= coord < dim:
+            raise ValueError(f"{key}: coordinate index {coord!r} is not an integer in 0..{dim - 1}")
+        for e in entries if isinstance(entries, (list, tuple)) else [entries]:
+            if not (isinstance(e, (list, tuple)) and len(e) == 3 and isinstance(e[0], (list, tuple))
+                    and len(e[0]) == dim
+                    and all(isinstance(v, Real) and not isinstance(v, bool) for v in (*e[0], *e[1:]))):
+                raise ValueError(f"{key}: term {e!r} of coordinate {coord} is not "
+                                 f"[[k_1..k_{dim}], cos coefficient, sin coefficient]")
+    return {coord: [(tuple(e[0]), float(e[1]), float(e[2])) for e in entries]
+            for coord, entries in terms.items()}

@@ -63,8 +63,8 @@ from anosovlab.maps import (
     FIXTURE_NAMES,
     TorusMap,
     anosov_certificate,
+    check_fixture,
     fixture_catalog,
-    fixture_dim,
     local_diffeo_margin,
 )
 from anosovlab.orbits import (
@@ -117,40 +117,68 @@ class Scenario:
         return fixture_catalog(self.fixture, self.epsilon, custom=self.custom)
 
 
-# section name -> (yaml key -> (Scenario field, expected kind))
-_SECTIONS = {
-    "tolerances": {
-        "rigidity": ("rigidity_threshold", "pos_float"),
-        "spread": ("spread_tol", "pos_float"),
-        "conjugacy_residual": ("residual_target", "pos_float"),
-        "specialness": ("specialness_threshold", "pos_float"),
-        "obstruction": ("obstruction_tol", "pos_float"),
-        "exponent": ("exponent_tol", "pos_float"),
-        "isometry": ("isometry_tol", "pos_float"),
-    },
-    "depths": {
-        "series": ("series_depth", "opt_pos_int"),
-        "branch": ("branch_depth", "pos_int"),
-        "max_period": ("max_period", "pos_int"),
-        "fourier_order": ("fourier_order", "pos_int"),
-    },
-    "sampling": {
-        "points": ("points", "pos_int"),
-        "codes_per_point": ("codes_per_point", "pos_int"),
-        "pairs": ("pairs", "pos_int"),
-    },
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# kind -> (what a value must be, test, conversion to the Scenario field)
+_KINDS = {
+    "pos_float": ("a number > 0", lambda v: _number(v) and v > 0, float),
+    "nonneg_float": ("a number >= 0", lambda v: _number(v) and v >= 0, float),
+    "pos_int": ("an integer >= 1", lambda v: _integer(v) and v >= 1, int),
+    "opt_pos_int": ("an integer >= 1 or null", lambda v: v is None or _integer(v) and v >= 1, lambda v: v),
+    "nonneg_int": ("an integer >= 0", lambda v: _integer(v) and v >= 0, int),
+    "path": ("a non-empty path string", lambda v: isinstance(v, str) and v != "", str),
+    "mapping": ("a mapping", lambda v: v is None or isinstance(v, dict), lambda v: v),
+    "fixture": (f"one of {', '.join(FIXTURE_NAMES)}", lambda v: v in FIXTURE_NAMES, str),
+    "sweepable": ("a fixture other than custom, which cannot be swept",
+                  lambda v: v in FIXTURE_NAMES and v != "custom", str),
+    "stages": (f"a list of stage names from {', '.join(STAGES)}",
+               lambda v: isinstance(v, list) and all(s in STAGES for s in v),
+               lambda v: tuple(s for s in STAGES if s in v)),
+    "epsilons": ("a non-empty list of numbers >= 0",
+                 lambda v: isinstance(v, list) and v != [] and all(_number(e) and e >= 0 for e in v),
+                 lambda v: tuple(float(e) for e in v)),
 }
+
+# yaml path -> (Scenario field, kind): every config key, declared once. A key
+# the config leaves out keeps the field's default.
+_KEYS = {
+    "fixture.name": ("fixture", "fixture"),
+    "fixture.epsilon": ("epsilon", "nonneg_float"),
+    "fixture.custom": ("custom", "mapping"),
+    "tolerances.rigidity": ("rigidity_threshold", "pos_float"),
+    "tolerances.spread": ("spread_tol", "pos_float"),
+    "tolerances.conjugacy_residual": ("residual_target", "pos_float"),
+    "tolerances.specialness": ("specialness_threshold", "pos_float"),
+    "tolerances.obstruction": ("obstruction_tol", "pos_float"),
+    "tolerances.exponent": ("exponent_tol", "pos_float"),
+    "tolerances.isometry": ("isometry_tol", "pos_float"),
+    "depths.series": ("series_depth", "opt_pos_int"),
+    "depths.branch": ("branch_depth", "pos_int"),
+    "depths.max_period": ("max_period", "pos_int"),
+    "depths.fourier_order": ("fourier_order", "pos_int"),
+    "sampling.points": ("points", "pos_int"),
+    "sampling.codes_per_point": ("codes_per_point", "pos_int"),
+    "sampling.pairs": ("pairs", "pos_int"),
+    "seed": ("seed", "nonneg_int"),
+    "output": ("out_dir", "path"),
+    "stages": ("stages", "stages"),
+    "dichotomy.family": ("dichotomy_family", "sweepable"),
+    "dichotomy.epsilons": ("dichotomy_epsilons", "epsilons"),
+}
+
+_SECTIONS = {path.split(".")[0] for path in _KEYS if "." in path}
 
 # sampling counts below 2 make a verdict hold by construction
 _AT_LEAST_TWO = {
     "codes_per_point": "one branch code per point leaves no pair of branches to compare",
     "pairs": "one pair fits the isometry scale exactly, so its deviation is 0",
 }
-
-_TOP_KEYS = {"fixture", "tolerances", "depths", "sampling", "seed", "output", "stages", "dichotomy"}
-
-# fixtures that exist only at epsilon 0
-_UNPERTURBED = ("linear_A0", "cubic_companion")
 
 
 # libyaml's parser when PyYAML was built with it; the constructor is the same
@@ -169,27 +197,6 @@ def _parse_yaml(text: str):
         return yaml.load(text, Loader=_FAST_LOADER)
     except yaml.YAMLError:
         return yaml.safe_load(text)
-
-
-def _coerce(kind: str, value):
-    """Return (ok, coerced). Booleans are not numbers here."""
-    if isinstance(value, bool):
-        return False, None
-    if kind == "pos_float":
-        if isinstance(value, (int, float)) and value > 0:
-            return True, float(value)
-        return False, None
-    if kind == "pos_int":
-        if isinstance(value, int) and value >= 1:
-            return True, int(value)
-        return False, None
-    if kind == "opt_pos_int":
-        if value is None:
-            return True, None
-        if isinstance(value, int) and value >= 1:
-            return True, int(value)
-        return False, None
-    raise ValueError(kind)
 
 
 def load_scenario(source) -> Scenario:
@@ -220,121 +227,66 @@ def load_scenario(source) -> Scenario:
         raise ConfigInvalid(["config root must be a mapping"])
 
     problems: list[str] = []
+    bad: set[str] = set()  # key paths with a problem
+
+    def refuse(path: str, why: str) -> None:
+        problems.append(f"{path}: {why}")
+        bad.add(path)
+
     values: dict = {}
-
-    for key in cfg:
-        if key not in _TOP_KEYS:
-            problems.append(f"unknown top-level key {key!r}")
-
-    fix = cfg.get("fixture")
-    if not isinstance(fix, dict) or "name" not in fix:
-        problems.append("fixture: must be a mapping with a 'name'")
-    else:
-        name = fix.get("name")
-        if name not in FIXTURE_NAMES:
-            problems.append(f"fixture.name: unknown fixture {name!r}")
-        else:
-            values["fixture"] = name
-        eps = fix.get("epsilon", 0.0)
-        if isinstance(eps, bool) or not isinstance(eps, (int, float)) or eps < 0:
-            problems.append("fixture.epsilon: must be a number >= 0")
-        else:
-            values["epsilon"] = float(eps)
-            if name in _UNPERTURBED and eps != 0.0:
-                problems.append(f"fixture.epsilon: {name} takes no perturbation scale")
-        custom = fix.get("custom")
-        if custom is not None and not isinstance(custom, dict):
-            problems.append("fixture.custom: must be a mapping")
-        else:
-            values["custom"] = custom
-            if name == "custom" and not (isinstance(custom, dict) and "matrix" in custom):
-                problems.append("fixture.custom: needs a 'matrix' entry")
-        for key in fix:
-            if key not in ("name", "epsilon", "custom"):
-                problems.append(f"fixture.{key}: unknown key")
-
-    for section, schema in _SECTIONS.items():
-        raw = cfg.get(section, {})
-        if raw is None:
-            raw = {}
-        if not isinstance(raw, dict):
-            problems.append(f"{section}: must be a mapping")
-            continue
-        for key, value in raw.items():
-            if key not in schema:
-                problems.append(f"{section}.{key}: unknown key")
+    given: set[str] = set()  # key paths the config sets, valid or not
+    for key, value in cfg.items():
+        if key in _SECTIONS:
+            if value is None:
                 continue
-            target, kind = schema[key]
-            ok, coerced = _coerce(kind, value)
-            if not ok:
-                problems.append(f"{section}.{key}: expected {kind.replace('_', ' ')}, got {value!r}")
+            if not isinstance(value, dict):
+                refuse(key, f"must be a mapping, got {value!r}")
+                continue
+            items = [(f"{key}.{sub}", v) for sub, v in value.items()]
+        else:
+            items = [(str(key), value)]
+        for path, v in items:
+            if path not in _KEYS:
+                refuse(path, "unknown key")
+                continue
+            given.add(path)
+            target, kind = _KEYS[path]
+            what, ok, convert = _KINDS[kind]
+            if ok(v):
+                values[target] = convert(v)
             else:
-                values[target] = coerced
+                refuse(path, f"must be {what}, got {v!r}")
+
+    # the keys a config must set: the fixture's name, and a sweep's family and grid
+    sweep = ["dichotomy.family", "dichotomy.epsilons"] if cfg.get("dichotomy") is not None else []
+    for path in ["fixture.name"] + sweep:
+        if path not in given and path.split(".")[0] not in bad:
+            refuse(path, "required")
+    # a stand-in fixture lets the checks below run when fixture.name is bad
+    sc = Scenario(**{"fixture": None, **values})
 
     for target, why in _AT_LEAST_TWO.items():
-        if values.get(target, 2) < 2:
-            problems.append(f"sampling.{target}: must be >= 2; {why}")
-
-    dim = fixture_dim(values["fixture"], values.get("custom")) if "fixture" in values else None
-    if dim not in (None, 2, 3):
-        problems.append(f"fixture.custom.matrix: {dim}x{dim}; the kernels support 2x2 and 3x3 (T^2 and T^3)")
-    elif dim is not None and values.get("fourier_order") is not None:
-        problem = fourier_order_problem(dim, values["fourier_order"])
-        if problem:
-            problems.append(f"depths.fourier_order: {problem}")
-
-    seed = cfg.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        problems.append("seed: must be an integer >= 0")
-    else:
-        values["seed"] = seed
-
-    out = cfg.get("output", "runs/scenario")
-    if not isinstance(out, str) or not out:
-        problems.append("output: must be a non-empty path string")
-    else:
-        values["out_dir"] = out
-
-    stages = cfg.get("stages", list(STAGES))
-    if not isinstance(stages, list) or not all(isinstance(s, str) for s in stages):
-        problems.append("stages: must be a list of stage names")
-    else:
-        bad = [s for s in stages if s not in STAGES]
-        for s in bad:
-            problems.append(f"stages: unknown stage {s!r}")
-        if not bad:
-            values["stages"] = tuple(s for s in STAGES if s in stages)
-
-    dich = cfg.get("dichotomy")
-    if dich is not None:
-        if not isinstance(dich, dict):
-            problems.append("dichotomy: must be a mapping")
+        if getattr(sc, target) < 2:
+            refuse(f"sampling.{target}", f"must be >= 2; {why}")
+    if sc.fixture is not None and not bad & {"fixture.epsilon", "fixture.custom"}:
+        try:
+            dim = check_fixture(sc.fixture, sc.epsilon, sc.custom)
+        except (ValueError, AnosovLabError) as exc:
+            refuse(f"fixture.{'custom' if sc.fixture == 'custom' else 'epsilon'}", str(exc))
         else:
-            family = dich.get("family")
-            if family not in FIXTURE_NAMES:
-                problems.append(f"dichotomy.family: unknown fixture {family!r}")
-            elif family == "custom":
-                problems.append("dichotomy.family: a custom fixture cannot be swept")
-            else:
-                values["dichotomy_family"] = family
-            eps_list = dich.get("epsilons")
-            if (
-                not isinstance(eps_list, list)
-                or not eps_list
-                or not all(isinstance(e, (int, float)) and not isinstance(e, bool) and e >= 0 for e in eps_list)
-            ):
-                problems.append("dichotomy.epsilons: must be a non-empty list of numbers >= 0")
-            else:
-                values["dichotomy_epsilons"] = tuple(float(e) for e in eps_list)
-                if family in _UNPERTURBED and any(e != 0.0 for e in eps_list):
-                    problems.append(f"dichotomy.epsilons: {family} takes no perturbation scale")
-            for key in dich:
-                if key not in ("family", "epsilons"):
-                    problems.append(f"dichotomy.{key}: unknown key")
+            problem = sc.fourier_order and fourier_order_problem(dim, sc.fourier_order)
+            if problem:
+                refuse("depths.fourier_order", problem)
+    if sc.dichotomy_family is not None and "dichotomy.epsilons" not in bad:
+        try:
+            for eps in sc.dichotomy_epsilons:
+                check_fixture(sc.dichotomy_family, eps)
+        except ValueError as exc:
+            refuse("dichotomy.epsilons", str(exc))
 
     if problems:
         raise ConfigInvalid(sorted(problems))
-    return Scenario(**values)
+    return sc
 
 
 # -- stage cache -----------------------------------------------------------------

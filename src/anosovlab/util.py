@@ -82,15 +82,12 @@ def rows_times(x: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def solve_batched(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Solve stacked linear systems; mats (..., d, d), vecs (..., d).
+    """Solve stacked 2x2 or 3x3 linear systems; mats (..., d, d), vecs (..., d).
 
-    d <= 3 uses the adjugate closed form: forward error is cond-limited either
-    way, and it avoids a per-matrix LAPACK round trip on large stacks.
+    The adjugate closed form: forward error is cond-limited as with LAPACK,
+    and it avoids a per-matrix LAPACK round trip on large stacks.
     """
-    d = mats.shape[-1]
-    if d in (2, 3):
-        return np.einsum("...ij,...j->...i", inv_batched(mats), vecs)
-    return np.linalg.solve(mats, vecs[..., None])[..., 0]
+    return np.einsum("...ij,...j->...i", inv_batched(mats), vecs)
 
 
 def adjugate(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,11 +115,9 @@ def adjugate(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def inv_batched(mats: np.ndarray) -> np.ndarray:
-    """Inverses of stacked small matrices; adjugate over determinant for d <= 3."""
-    if mats.shape[-1] in (2, 3):
-        adj, det = adjugate(mats)
-        return adj / det[..., None, None]
-    return np.linalg.inv(mats)
+    """Inverses of stacked 2x2 or 3x3 matrices, adjugate over determinant."""
+    adj, det = adjugate(mats)
+    return adj / det[..., None, None]
 
 
 def float_cell(x) -> str:

@@ -14,8 +14,8 @@ from anosovlab.conjugacy import (
 )
 from anosovlab.errors import NoConvergence
 from anosovlab.intlinalg import int_pow
-from anosovlab.linear import IntMatrix
-from anosovlab.maps import fixture_catalog
+from anosovlab.linear import IntMatrix, analyze_matrix
+from anosovlab.maps import TorusMap, TrigField, fixture_catalog
 from anosovlab.util import wrap
 
 
@@ -144,9 +144,10 @@ class TestEvaluator:
             assert np.abs(ce.apply_inverse(ce.apply(y)) - y).max() <= 2e-8
 
     def test_expanding_map_roundtrip(self):
-        """With no stable direction the orbit solve has an empty stable block."""
-        expanding = {"matrix": ((2, 1), (0, 2)), "terms": {1: [((1, 0), 0.0, 1.0)]}}
-        f = fixture_catalog("custom", 0.05, custom=expanding)
+        """With no stable direction the orbit solve has an empty stable block.
+        The catalog refuses an expanding map, so it is built directly."""
+        shear = TrigField.from_terms(2, {1: [((1, 0), 0.0, 1.0)]})
+        f = TorusMap(model=analyze_matrix(((2, 1), (0, 2))), epsilon=0.05, perturbation=shear)
         assert f.model.stable_dim == 0
         ce = conjugacy_evaluator(f)
         y = np.random.default_rng(0).random((16, 2))

@@ -202,10 +202,10 @@ class TestStableKernel:
             first_stable_direction(product05, jacs, 12, min_gap=2.0)
 
     def test_four_dimensions_refused(self):
+        """The kernels stop at d = 3, so no 4x4 map is built for them."""
         matrix = ((2, 1, 0, 0), (1, 1, 0, 0), (0, 0, 2, 1), (0, 0, 1, 1))
-        f = fixture_catalog("custom", custom={"matrix": matrix})
-        with pytest.raises(ValueError, match="2x2 and 3x3"):
-            first_stable_direction(f, np.zeros((12, 1, 4, 4)), 12)
+        with pytest.raises(ValueError, match="4x4; the kernels support 2x2 and 3x3"):
+            fixture_catalog("custom", custom={"matrix": matrix})
 
 
 class TestOrbitForm:

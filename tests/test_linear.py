@@ -126,14 +126,22 @@ class TestLattice:
 
 
 # (matrix, stable dimension): the plane model, the reducible product, the
-# irreducible cubic, a 4x4 companion matrix and an expanding matrix
+# irreducible cubic, a cubic with a complex unstable pair and an expanding matrix
 SPECTRAL_CASES = [
     (A0, 1),
     (((2, 1, 0), (1, 1, 0), (0, 0, 2)), 1),
     (((0, 0, -2), (1, 0, 1), (0, 1, 6)), 2),
-    (((0, 0, 0, -3), (1, 0, 0, 1), (0, 1, 0, -5), (0, 0, 1, 4)), 2),
+    (((0, 0, 2), (1, 0, -3), (0, 1, 1)), 1),
     (((2, 1), (1, 3)), 0),
 ]
+
+
+@pytest.mark.parametrize("rows", [((2,),), ((0, 0, 0, -3), (1, 0, 0, 1), (0, 1, 0, -5), (0, 0, 1, 4))])
+def test_kernels_stop_at_three_dimensions(rows):
+    """A 1x1 or 4x4 matrix is refused before any spectral data is computed."""
+    d = len(rows)
+    with pytest.raises(ValueError, match=f"matrix is {d}x{d}; the kernels support 2x2 and 3x3"):
+        analyze_matrix(rows)
 
 
 @pytest.mark.parametrize("rows, k", SPECTRAL_CASES)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from anosovlab import scenarios
+from anosovlab import cli, maps, scenarios
 from anosovlab.conjugacy import ConjugacyEvaluator
 from anosovlab.errors import ConfigInvalid
 from anosovlab.maps import fixture_catalog
@@ -27,6 +27,34 @@ from anosovlab.scenarios import (
 
 MINIMAL = {"fixture": {"name": "linear_A0"}}
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+_SHEAR = {1: [[[1, 0], 0.0, 1.0]]}
+# custom fixtures the fixture owner refuses: name -> (custom mapping, what the problem says)
+BAD_CUSTOM = {
+    "1x1": ({"matrix": [[2]]}, "matrix is 1x1; the kernels support 2x2 and 3x3"),
+    "non-square": ({"matrix": [[2, 1, 0], [1, 1, 0]]}, "matrix must be square, got 2 rows of lengths [3, 3]"),
+    "4x4": ({"matrix": [[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]]}, "matrix is 4x4"),
+    "not-a-matrix": ({"matrix": 5}, "matrix must be a list of rows"),
+    "singular": ({"matrix": [[1, 1], [1, 1]]}, "is singular over Q"),
+    "non-integer": ({"matrix": [[2, 1], [1, 1.5]]}, "matrix entry [1][1] = 1.5 is not an integer"),
+    "boolean-entry": ({"matrix": [[3, True], [1, 1]]}, "matrix entry [0][1] = True is not an integer"),
+    "non-hyperbolic": ({"matrix": [[1, 1], [0, 1]]}, "touch the unit circle"),
+    "no-matrix": ({"terms": _SHEAR}, "needs a 'matrix' entry"),
+    "unknown-key": ({"matrix": [[3, 1], [1, 1]], "conjugator_term": _SHEAR}, "unknown key 'conjugator_term'"),
+    "malformed-terms": ({"matrix": [[3, 1], [1, 1]], "terms": {1: [[1, 0]]}},
+                        "terms: term [1, 0] of coordinate 1 is not [[k_1..k_2], cos coefficient, sin coefficient]"),
+    "coordinate-out-of-range": ({"matrix": [[3, 1], [1, 1]], "terms": {2: [[[1, 0], 0.0, 1.0]]}},
+                                "terms: coordinate index 2 is not an integer in 0..1"),
+    "wave-vector-length": ({"matrix": [[3, 1], [1, 1]], "terms": {1: [[[1, 0, 0], 0.0, 1.0]]}},
+                           "terms: term [[1, 0, 0], 0.0, 1.0] of coordinate 1 is not"),
+    "terms-and-conjugator": ({"matrix": [[3, 1], [1, 1]], "terms": _SHEAR, "conjugator_terms": _SHEAR},
+                             "either perturbed (terms) or conjugated (conjugator_terms), not both"),
+    "complex-stable-pair": ({"matrix": [[0, 0, 2], [1, 0, -1], [0, 1, 4]],
+                             "conjugator_terms": {0: [[[0, 1, 0], 0, 0.1]], 2: [[[1, 0, 0], 0, 0.1]]}},
+                            "real, simple stable spectrum"),
+    "cat-map": ({"matrix": [[2, 1], [1, 1]]}, "|det| = 1"),
+    "expanding": ({"matrix": [[2, 1], [0, 2]], "terms": _SHEAR}, "no eigenvalue inside the unit circle"),
+}
 
 
 class TestLoadScenario:
@@ -84,7 +112,7 @@ class TestLoadScenario:
             "fixture.name", "fixture.epsilon", "fixture.extra",
             "tolerances.rigidity", "tolerances.unknown_tol",
             "depths.max_period", "sampling.points",
-            "seed", "stages: unknown stage 'bogus'", "surprise",
+            "seed", "stages: must be a list of stage names", "'bogus'", "surprise: unknown key",
         ):
             assert fragment in joined, fragment
         assert problems == sorted(problems)
@@ -147,7 +175,32 @@ class TestLoadScenario:
         with pytest.raises(ConfigInvalid) as exc_info:
             load_scenario({"fixture": {"name": "custom", "custom": {"matrix": matrix}}})
         [problem] = exc_info.value.problems
-        assert problem.startswith(f"fixture.custom.matrix: {d}x{d};") and "2x2 and 3x3" in problem
+        assert problem.startswith(f"fixture.custom: matrix is {d}x{d};") and "2x2 and 3x3" in problem
+
+    @pytest.mark.parametrize("custom, why", list(BAD_CUSTOM.values()), ids=list(BAD_CUSTOM))
+    def test_bad_custom_fixture_is_one_config_problem(self, custom, why, tmp_path, capsys):
+        """Refused at load with one problem naming it, and by the command before any stage runs."""
+        cfg = {"fixture": {"name": "custom", "epsilon": 0.02, "custom": custom}, "output": str(tmp_path / "run")}
+        with pytest.raises(ConfigInvalid) as exc_info:
+            load_scenario(cfg)
+        [problem] = exc_info.value.problems
+        assert problem.startswith("fixture.custom: ") and why in problem
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert cli.main(["all", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: {problem}\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_shipped_configs_analyse_no_matrix(self, monkeypatch):
+        """A named fixture is checked from the catalog table: loading a config, which
+        every warm run does, builds no map."""
+        def refuse(matrix):
+            raise AssertionError(f"analysed {matrix}")
+
+        monkeypatch.setattr(maps, "analyze_matrix", refuse)
+        for config in sorted(CONFIGS.glob("*.yaml")):
+            load_scenario(config)
 
     def test_root_must_be_mapping(self):
         with pytest.raises(ConfigInvalid):
@@ -179,7 +232,7 @@ class TestLoadScenario:
             load_scenario({**MINIMAL, "dichotomy": {"family": "shear_A0", "epsilons": []}})
         with pytest.raises(ConfigInvalid, match="family"):
             load_scenario({**MINIMAL, "dichotomy": {"family": "nope", "epsilons": [0.1]}})
-        with pytest.raises(ConfigInvalid, match=r"dichotomy\.family: a custom fixture"):
+        with pytest.raises(ConfigInvalid, match=r"dichotomy\.family: must be a fixture other than custom"):
             load_scenario({**MINIMAL, "dichotomy": {"family": "custom", "epsilons": [0.0]}})
         for family in ("linear_A0", "cubic_companion"):
             with pytest.raises(ConfigInvalid, match=r"dichotomy\.epsilons: .* no perturbation scale"):
@@ -260,7 +313,7 @@ class TestCache:
     def test_custom_yaml_fixture_has_a_key(self, tmp_path):
         text = (
             "fixture:\n  name: custom\n  epsilon: 0.01\n  custom:\n"
-            "    matrix: [[2, 1], [1, 1]]\n    terms: {{1: [[[1, 0], 0.0, {c}]]}}\n"
+            "    matrix: [[3, 1], [1, 1]]\n    terms: {{1: [[[1, 0], 0.0, {c}]]}}\n"
             f"output: {tmp_path / 'out'}\nstages: [analyze]\n"
         )
         sc = load_scenario(text.format(c=1.0))
