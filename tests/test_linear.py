@@ -126,13 +126,15 @@ class TestLattice:
 
 
 # (matrix, stable dimension): the plane model, the reducible product, the
-# irreducible cubic, a cubic with a complex unstable pair and an expanding matrix
+# irreducible cubic, the companion of x^3 - x - 1 (a complex stable pair), an
+# expanding matrix and a cubic with a complex unstable pair
 SPECTRAL_CASES = [
     (A0, 1),
     (((2, 1, 0), (1, 1, 0), (0, 0, 2)), 1),
     (((0, 0, -2), (1, 0, 1), (0, 1, 6)), 2),
-    (((0, 0, 2), (1, 0, -3), (0, 1, 1)), 1),
+    (((0, 0, 1), (1, 0, 1), (0, 1, 0)), 2),
     (((2, 1), (1, 3)), 0),
+    (((0, 0, 2), (1, 0, -3), (0, 1, 1)), 1),
 ]
 
 
