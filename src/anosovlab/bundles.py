@@ -34,16 +34,20 @@ def _generic_frame(d: int) -> np.ndarray:
     return np.linalg.qr(np.random.default_rng(1905).standard_normal((d, d)))[0]
 
 
-def _check_rates(rates: np.ndarray, k: int, min_gap: float) -> None:
+# least gap between consecutive singular rates at which a 3-D splitting counts as resolved
+_MIN_GAP = 0.02
+
+
+def _check_rates(rates: np.ndarray, k: int) -> None:
     """rates descending; stable block must be simple and separated from unstable."""
     d = rates.shape[-1]
     worst = np.inf
     for i in range(d - k - 1, d - 1):
         if i >= 0:
             worst = min(worst, float((rates[..., i] - rates[..., i + 1]).min()))
-    if worst < min_gap:
+    if worst < _MIN_GAP:
         raise GapTooSmall(
-            f"singular rate gap {worst:.4f} below {min_gap}; splitting unresolved at this depth"
+            f"singular rate gap {worst:.4f} below {_MIN_GAP}; splitting unresolved at this depth"
         )
 
 
@@ -95,9 +99,7 @@ def _unit_walk(m: np.ndarray, seed: np.ndarray, depth: int, growth: bool = False
     return w, logs
 
 
-def first_stable_direction(
-    f: TorusMap, jacs: np.ndarray, depth: int, min_gap: float = 0.02
-) -> np.ndarray:
+def first_stable_direction(f: TorusMap, jacs: np.ndarray, depth: int) -> np.ndarray:
     """Most-contracted direction at the first T steps of n forward orbits, d <= 3.
 
     jacs (T + depth - 1, n, d, d) holds DF along the orbits; the direction at
@@ -123,7 +125,7 @@ def first_stable_direction(
         transposed = _entries(np.swapaxes(jacs, -1, -2))
         _, stretch = _unit_walk(transposed, _generic_frame(d)[:, 0], depth, growth=True)
         rates = np.stack([stretch, shrink - stretch, total - shrink], axis=-1) / depth
-        _check_rates(rates, k, min_gap)
+        _check_rates(rates, k)
     return np.stack(w, axis=-1)
 
 
@@ -143,7 +145,7 @@ def _ordered_product(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m[:, :, 0], logs
 
 
-def stable_log_sums(f: TorusMap, blocks, depth: int, min_gap: float = 0.02) -> np.ndarray:
+def stable_log_sums(f: TorusMap, blocks, depth: int) -> np.ndarray:
     """Summed log-contraction of DF on E^s_1 along n forward orbits, shape (n,).
 
     `blocks` yields DF along the orbits in time blocks (m, n, d, d), as
@@ -159,7 +161,7 @@ def stable_log_sums(f: TorusMap, blocks, depth: int, min_gap: float = 0.02) -> n
         done = max(0, held.shape[0] - depth + 1)
         if done:
             if f.dim == 3:
-                first_stable_direction(f, held, depth, min_gap)
+                first_stable_direction(f, held, depth)
             adj, det = adjugate(held[:done])
             stack = _entries(adj) if prod is None else np.concatenate([prod[:, :, None], _entries(adj)], axis=2)
             prod, block_logs = _ordered_product(stack)
@@ -182,7 +184,7 @@ def _branch_walk_directions(f: TorusMap, pts: np.ndarray, codes: np.ndarray) -> 
     codes[j, step], then pushes the linear unstable subspace forward along
     that branch with per-step orthonormalization.
     """
-    reps = np.array(coset_representatives(f.model.matrix).representatives, dtype=float)
+    reps = coset_representatives(f.model.matrix)
     n_pts, d = pts.shape
     n_codes, depth = codes.shape
     starts = np.broadcast_to(pts[:, None, :], (n_pts, n_codes, d)).reshape(-1, d).copy()
@@ -228,12 +230,7 @@ def _sample_codes(rng: np.random.Generator, degree: int, count: int, depth: int)
 
 
 def integrability_verdict(
-    f: TorusMap,
-    samples: int = 50,
-    codes_per_point: int = 8,
-    depth: int = 12,
-    tol: float = 1e-3,
-    seed: int = 0,
+    f: TorusMap, samples: int, codes_per_point: int, depth: int, tol: float, seed: int
 ) -> IntegrabilityReport:
     """Integrable iff branch choice never moves the unstable direction by > tol.
 

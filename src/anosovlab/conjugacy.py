@@ -41,24 +41,19 @@ _ANDERSON_MAX_ITER = 250
 _ORBIT_TOL = 1e-13
 # deepest series the evaluator builds
 _MAX_SERIES_DEPTH = 400
+# |H(x) - y| at which an H^-1 row passes its series check
+_SERIES_TOL = 1e-10
+# deep_translation_decay: deepest lattice depth m and sample points
+_DECAY_DEPTH = 6
+_DECAY_SAMPLES = 12
 
 
-@dataclass(frozen=True, eq=False)
-class DisplacementField:
-    """phi(x) = F(x) - A x with a measured and, when available, exact sup bound."""
-
-    map: TorusMap
-    sup_norm: float
-    grid_sup: float
-    grid_n: int
-
-
-def displacement_field(f: TorusMap) -> DisplacementField:
-    grid_n = 64 if f.dim == 2 else 24
-    pts = grid_points(f.dim, grid_n)
+def displacement_sup(f: TorusMap) -> float:
+    """Sup bound of |phi| for phi(x) = F(x) - A x: the exact bound when there is one,
+    never below the largest |phi| measured on a grid."""
+    pts = grid_points(f.dim, 64 if f.dim == 2 else 24)
     grid_sup = float(np.linalg.norm(f.displacement(pts), axis=1).max())
-    sup_norm = max(f.displacement_sup_bound(grid_sup), grid_sup)
-    return DisplacementField(map=f, sup_norm=sup_norm, grid_sup=grid_sup, grid_n=grid_n)
+    return max(f.displacement_sup_bound(grid_sup), grid_sup)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +66,6 @@ class ConjugacyEvaluator:
     unstable_conorm: float
     displacement_bound: float
     tail_bound: float
-    tail_method: str
     weights_unstable: np.ndarray = field(repr=False)  # (N, d, d): A^{-(n+1)} P_u
     weights_stable: np.ndarray = field(repr=False)    # (N, d, d): A^{n} P_s
 
@@ -104,21 +98,16 @@ class ConjugacyEvaluator:
             acc -= disp[n] @ self.weights_stable[n].T
         return acc
 
-    def h_displacement(self, x) -> np.ndarray:
+    def h_displacement(self, x: np.ndarray) -> np.ndarray:
         """u(x) = H(x) - x."""
-        xb = np.asarray(x, dtype=float)
-        single = xb.ndim == 1
-        xb = xb[None, :] if single else xb
         if self.map.is_linear:
-            out = np.zeros_like(xb)
-        else:
-            out = self._series_unstable(xb) + self._series_stable(xb)
-        return out[0] if single else out
+            return np.zeros_like(x)
+        return self._series_unstable(x) + self._series_stable(x)
 
-    def apply(self, x) -> np.ndarray:
-        return np.asarray(x, dtype=float) + self.h_displacement(x)
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return x + self.h_displacement(x)
 
-    def apply_inverse(self, y, tol: float = 1e-10) -> np.ndarray:
+    def apply_inverse(self, y: np.ndarray) -> np.ndarray:
         """Solve H(x) = y as one orbit boundary-value problem per row.
 
         At depth N the series telescopes along x_j = F^j x to
@@ -141,20 +130,17 @@ class ConjugacyEvaluator:
         the stop rule. A row stops once every orbit point's residual is within
         _ORBIT_TOL max(1, |A^j y|), so no row depends on the rest of the batch.
         One H evaluation then checks x = y + e_0: a row with
-        ||x + u(x) - y|| > tol, or one still moving after _ANDERSON_MAX_ITER
-        steps, raises NoConvergence.
+        ||x + u(x) - y|| > _SERIES_TOL, or one still moving after
+        _ANDERSON_MAX_ITER steps, raises NoConvergence.
         """
-        yb = np.asarray(y, dtype=float)
-        single = yb.ndim == 1
-        yb = yb[None, :] if single else yb
         if self.map.is_linear:
-            return yb[0].copy() if single else yb.copy()
-        n, d = yb.shape
+            return y.copy()
+        n, d = y.shape
         depth = self.series_depth
         a = self.model.array
         # base points A^j y, j = -N .. N, at index j + N
         base = np.empty((2 * depth + 1, n, d))
-        base[depth] = yb
+        base[depth] = y
         a_inv = np.linalg.inv(a)
         for j in range(depth):
             base[depth + j + 1] = wrap(rows_times(base[depth + j], a))
@@ -197,13 +183,15 @@ class ConjugacyEvaluator:
             d_x[active, :, slot] = step
             d_f[active, :, slot] = f_new - fa
             dev[active], f[active] = dev_new, f_new
-        x = yb + dev.reshape(shape)[:, depth] + offset
-        miss = np.linalg.norm(x + self.h_displacement(x) - yb, axis=1)
-        bad = np.flatnonzero(~(miss <= tol))
+        x = y + dev.reshape(shape)[:, depth] + offset
+        miss = np.linalg.norm(x + self.h_displacement(x) - y, axis=1)
+        bad = np.flatnonzero(~(miss <= _SERIES_TOL))
         if bad.size:
             r = int(bad[0])
-            raise NoConvergence(f"H^(-1) at row {r} fails its series check: residual {float(miss[r]):.3e} > {tol:g}")
-        return x[0] if single else x
+            raise NoConvergence(
+                f"H^(-1) at row {r} fails its series check: residual {float(miss[r]):.3e} > {_SERIES_TOL:g}"
+            )
+        return x
 
 
 def _invariant_blocks(model: LinearModel) -> tuple[np.ndarray, ...]:
@@ -287,11 +275,7 @@ def _power_tail(model: LinearModel, sup_norm: float):
     return tail, (w_u, w_s)
 
 
-def conjugacy_evaluator(
-    f: TorusMap,
-    residual_target: float = 1e-9,
-    depth: int | None = None,
-) -> ConjugacyEvaluator:
+def conjugacy_evaluator(f: TorusMap, residual_target: float, depth: int | None) -> ConjugacyEvaluator:
     """Build an evaluator whose certified truncation tail meets residual_target.
 
     With an explicit depth the tail is computed for that depth instead. The
@@ -299,21 +283,19 @@ def conjugacy_evaluator(
     is below 1; otherwise it sums the norms of a long scan of the weights.
     """
     model = f.model
-    disp = displacement_field(f)
+    sup_norm = displacement_sup(f)
     sigma = model.stable_norm
     nu = model.unstable_conorm
     rate = max(sigma, 1.0 / nu)
     weights = None
     if rate < 1.0:
-        method = "closed_form"
 
         def tail_fn(n: int) -> float:
-            return disp.sup_norm * rate**n / (1.0 - rate)
+            return sup_norm * rate**n / (1.0 - rate)
     else:
-        method = "power_norms"
-        tail_fn, weights = _power_tail(model, disp.sup_norm)
+        tail_fn, weights = _power_tail(model, sup_norm)
     if depth is None:
-        if disp.sup_norm == 0.0:
+        if sup_norm == 0.0:
             depth = 1
         else:
             for n in range(1, _MAX_SERIES_DEPTH + 1):
@@ -333,9 +315,8 @@ def conjugacy_evaluator(
         series_depth=depth,
         stable_norm=sigma,
         unstable_conorm=nu,
-        displacement_bound=disp.sup_norm,
+        displacement_bound=sup_norm,
         tail_bound=tail_fn(depth),
-        tail_method=method,
         weights_unstable=w_u[:depth],
         weights_stable=w_s[:depth],
     )
@@ -349,10 +330,8 @@ class SpecialnessReport:
     """Defects H(x+e_j) - H(x) - e_j over samples, split along A's splitting."""
 
     max_defect: float
-    max_stable_component: float
     max_unstable_component: float
     u_sup_measured: float
-    threshold: float
     special: bool
     rows: tuple  # (point, direction j, defect, stable part, unstable part)
 
@@ -363,9 +342,7 @@ class SpecialnessReport:
         return out
 
 
-def specialness_defect(
-    ce: ConjugacyEvaluator, samples: int = 50, seed: int = 0, threshold: float = 1e-4
-) -> SpecialnessReport:
+def specialness_defect(ce: ConjugacyEvaluator, samples: int, seed: int, threshold: float) -> SpecialnessReport:
     """Max translation defect over samples x basis directions.
 
     `threshold` is relative to the measured sup of ||u||; the absolute
@@ -390,10 +367,8 @@ def specialness_defect(
     max_defect = float(norms.max())
     return SpecialnessReport(
         max_defect=max_defect,
-        max_stable_component=float(stable.max()),
         max_unstable_component=float(unstable.max()),
         u_sup_measured=u_sup,
-        threshold=threshold,
         special=max_defect <= threshold * max(u_sup, 1e-12),
         rows=rows,
     )
@@ -425,10 +400,9 @@ class DecayTable:
         return out
 
 
-def deep_translation_decay(
-    ce: ConjugacyEvaluator, m_max: int = 6, samples: int = 12, seed: int = 0
-) -> DecayTable:
-    """Measure D_m = max_x |H(x + n_m) - H(x) - n_m| for depth-m lattice vectors.
+def deep_translation_decay(ce: ConjugacyEvaluator, seed: int) -> DecayTable:
+    """Measure D_m = max_x |H(x + n_m) - H(x) - n_m| for depth-m lattice vectors,
+    m <= _DECAY_DEPTH, over _DECAY_SAMPLES points.
 
     n_m is a minimal-norm nonzero member of A^m Z^d. Deeper vectors admit more
     factors of A^{-1} inside the lattice, so D_m decays like the stable norm
@@ -436,7 +410,7 @@ def deep_translation_decay(
     is the same defect of H^-1; on product_T3 every row m >= 1 reads 4.4e-14,
     the precision of the orbit solve.
     """
-    d = ce.map.dim
+    d, m_max, samples = ce.map.dim, _DECAY_DEPTH, _DECAY_SAMPLES
     rng = np.random.default_rng(seed)
     x = rng.random((samples, d))
     vecs = [minimal_deep_vector(ce.model.matrix, m) for m in range(m_max + 1)]

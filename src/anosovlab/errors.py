@@ -35,7 +35,7 @@ class IncompleteEnumeration(AnosovLabError):
 class CertificationFailed(AnosovLabError):
     """Cone-field verification failed; the witness is attached."""
 
-    def __init__(self, message: str, witness: object = None):
+    def __init__(self, message: str, witness: dict):
         super().__init__(message)
         self.witness = witness
 
@@ -55,7 +55,7 @@ class GapTooSmall(AnosovLabError):
 class ObstructionNonzero(AnosovLabError):
     """Periodic averages rule out a coboundary; best fit is attached."""
 
-    def __init__(self, message: str, solution: object = None):
+    def __init__(self, message: str, solution: object):
         super().__init__(message)
         self.solution = solution
 

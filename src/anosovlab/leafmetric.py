@@ -30,7 +30,7 @@ from anosovlab.util import float_cell, grid_points, wrap
 # -- stable direction field ----------------------------------------------------
 
 
-def stable_direction_field(f: TorusMap, pts: np.ndarray, depth: int = 12) -> np.ndarray:
+def stable_direction_field(f: TorusMap, pts: np.ndarray, depth: int) -> np.ndarray:
     """Unit vectors (n, d) along the most-contracted stable direction; sign not normalized.
 
     Each reads a depth-long forward Jacobian chain from its point (see
@@ -57,7 +57,6 @@ class LeafPolyline:
 
     points: np.ndarray      # (n, d)
     arclength: np.ndarray   # (n,) cumulative from node 0
-    index: int              # 1 for the most-contracted stable leaf, 0 for an unstable leaf
     center_index: int       # node at the seed point
 
     def __len__(self) -> int:
@@ -74,9 +73,9 @@ def _cumulative_arclength(points: np.ndarray) -> np.ndarray:
 
 
 def pull_back_leaves(
-    f: TorusMap, starts, L: float = 0.4, depth: int = 12, unstable: bool = False
+    f: TorusMap, pts: np.ndarray, L: float, depth: int, unstable: bool = False
 ) -> list[LeafPolyline]:
-    """Leaf polylines through the lift points `starts`, each side of arclength >= L.
+    """Leaf polylines through the lift points `pts` (n, d), each side of arclength >= L.
 
     A stable leaf (the most-contracted one) comes from the graph transform
     (Hirsch, Pugh and Shub, LNM 583): walk `depth` forward steps from the
@@ -99,7 +98,6 @@ def pull_back_leaves(
     _MAX_STRETCH, since rounding on the segment grows by the same factor: on
     the A0 maps after 13 steps for unstable leaves and 30 for stable ones.
     """
-    pts = np.atleast_2d(np.asarray(starts, dtype=float))
     n, d = pts.shape
     model = f.model
     if unstable:
@@ -137,7 +135,7 @@ def pull_back_leaves(
     leaves = []
     for j in range(n):
         nodes = np.concatenate([sides[n + j, ::-1], pts[j : j + 1], sides[j]])
-        leaves.append(LeafPolyline(nodes, _cumulative_arclength(nodes), 0 if unstable else 1, m))
+        leaves.append(LeafPolyline(nodes, _cumulative_arclength(nodes), m))
     return leaves
 
 
@@ -198,11 +196,8 @@ def _mode_exponentials(pts: np.ndarray, modes: np.ndarray, order: int) -> np.nda
 
 @dataclass(frozen=True)
 class CocycleSolution:
-    """Mean + Fourier transfer function decomposition of an observable.
-
-    orientation "forward": phi - mean = psi(f x) - psi(x);
-    orientation "transfer": phi - mean = psi(x) - psi(f x).
-    """
+    """Mean + Fourier transfer function decomposition of an observable:
+    phi - mean = psi(f x) - psi(x), or psi(x) - psi(f x) once `negated`."""
 
     mean: float
     modes: np.ndarray
@@ -211,16 +206,14 @@ class CocycleSolution:
     fourier_order: int
     residual: float
     obstruction: float
-    orientation: str = "forward"
 
-    def transfer(self, x: np.ndarray) -> np.ndarray:
-        """psi at each point, axis by axis over a dense cube of coefficients.
+    def transfer(self, pts: np.ndarray) -> np.ndarray:
+        """psi at each point of pts (n, d), axis by axis over a dense cube of coefficients.
 
         psi(x) = Re sum_k (a_k - i b_k) e^(2 pi i k.x): the cube holds a_k - i b_k
         at k + order, the first axis table contracts with it in one product and
         each further axis in one row-wise reduction.
         """
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
         if self.modes.size == 0:
             return np.zeros(pts.shape[0])
         n, d = pts.shape
@@ -239,10 +232,7 @@ class CocycleSolution:
         return float(np.abs(self.cos_coeffs).sum() + np.abs(self.sin_coeffs).sum())
 
     def negated(self) -> "CocycleSolution":
-        flip = "transfer" if self.orientation == "forward" else "forward"
-        return replace(
-            self, cos_coeffs=-self.cos_coeffs, sin_coeffs=-self.sin_coeffs, orientation=flip
-        )
+        return replace(self, cos_coeffs=-self.cos_coeffs, sin_coeffs=-self.sin_coeffs)
 
     def csv_rows(self) -> list[list[str]]:
         return [
@@ -328,12 +318,7 @@ def _normal_equations(
 
 
 def livschitz_solve(
-    f: TorusMap,
-    phi,
-    inventory: OrbitInventory,
-    fourier_order: int | None = None,
-    obstruction_tol: float = 1e-4,
-    seed: int = 0,
+    f: TorusMap, phi, inventory: OrbitInventory, fourier_order: int | None, obstruction_tol: float, seed: int
 ) -> CocycleSolution:
     """Decompose phi = mean + psi(f x) - psi(x) by grid least squares.
 
@@ -402,7 +387,7 @@ def livschitz_solve(
     return sol
 
 
-def stable_log_norm_observable(f: TorusMap, depth: int = 12):
+def stable_log_norm_observable(f: TorusMap, depth: int):
     """phi(x) = log of the contraction factor of DF on E^s_1 at x.
 
     E^s_1 comes from a depth-long window. On a perturbed map phi also has a
@@ -410,7 +395,6 @@ def stable_log_norm_observable(f: TorusMap, depth: int = 12):
     `length` steps of the orbits from `starts`, by `bundles.stable_log_sums`.
     """
     def phi(pts):
-        pts = np.atleast_2d(pts)
         w = np.einsum("nij,nj->ni", f.jacobian(pts), stable_direction_field(f, pts, depth))
         return np.log(np.linalg.norm(w, axis=1))
 
@@ -493,43 +477,33 @@ def _segment_crossing(poly_u: np.ndarray, poly_s: np.ndarray) -> np.ndarray:
     raise NoIntersection("unstable leaf does not cross the target stable leaf")
 
 
-def unstable_holonomy(
-    f: TorusMap,
-    integrability: IntegrabilityReport,
-    x_prime,
-    y,
-    L: float = 0.5,
-    depth: int = 12,
-    target_leaf: LeafPolyline | list[LeafPolyline] | None = None,
-):
-    """Slide y along its unstable leaf to the stable leaf of x_prime.
+# arclength of each side of the unstable leaf a point slides along
+_SLIDE_LENGTH = 0.25
 
-    y must lie on the stable leaf of a point whose unstable leaf holds
-    x_prime. Rows of a batch y slide together, each to the stable leaf of its
-    row of x_prime, or to its entry of `target_leaf` when that is a list.
-    Refused unless `integrability` (the caller's scan of f) found the
-    unstable direction branch-independent, since otherwise the holonomy is
-    not well defined. Returns the intersection lift point(s), shaped like y.
+
+def unstable_holonomy(
+    f: TorusMap, integrability: IntegrabilityReport, y: np.ndarray, targets: list[LeafPolyline], depth: int
+) -> np.ndarray:
+    """Slide each row of y (n, d) along its unstable leaf to the stable leaf targets[i].
+
+    Row i of y must lie on the stable leaf of a point whose unstable leaf
+    crosses targets[i] within _SLIDE_LENGTH. Refused unless `integrability`
+    (the caller's scan of f) found the unstable direction branch-independent,
+    since otherwise the holonomy is not well defined. Returns the
+    intersection lift points (n, d).
     """
     if not integrability.integrable:
         raise RefusedNonIntegrable("unstable bundle not integrable; holonomy undefined")
     if f.dim != 2:
         raise ValueError("holonomy tracing implemented for the plane case")
-    ys = np.atleast_2d(np.asarray(y, dtype=float))
-    if target_leaf is None:
-        primes = np.broadcast_to(np.asarray(x_prime, dtype=float), ys.shape)
-        target_leaf = pull_back_leaves(f, primes, L, depth)
-    targets = target_leaf if isinstance(target_leaf, list) else [target_leaf] * ys.shape[0]
-    u_leaves = pull_back_leaves(f, ys, L, depth, unstable=True)
-    points = np.array([_segment_crossing(u.points, t.points) for u, t in zip(u_leaves, targets)])
-    return points.reshape(np.shape(y))
+    u_leaves = pull_back_leaves(f, y, _SLIDE_LENGTH, depth, unstable=True)
+    return np.array([_segment_crossing(u.points, t.points) for u, t in zip(u_leaves, targets)])
 
 
 @dataclass(frozen=True)
 class HolonomyIsometryReport:
     samples: int
     max_relative_defect: float
-    mean_relative_defect: float
     rows: tuple  # (sample, d_s_source, d_s_image, relative defect)
 
     def csv_rows(self) -> list[list[str]]:
@@ -540,12 +514,7 @@ class HolonomyIsometryReport:
 
 
 def holonomy_isometry_check(
-    f: TorusMap,
-    integrability: IntegrabilityReport,
-    psi: CocycleSolution,
-    samples: int = 50,
-    seed: int = 0,
-    depth: int = 12,
+    f: TorusMap, integrability: IntegrabilityReport, psi: CocycleSolution, samples: int, seed: int, depth: int
 ) -> HolonomyIsometryReport:
     """Measure |d^s(hol a, hol b) - d^s(a, b)| / d^s(a, b) over random slides.
 
@@ -570,9 +539,8 @@ def holonomy_isometry_check(
     # the nodes a, b of each base leaf, and their slides to its target leaf
     nodes = [[b.node_near_arc(b.arclength[b.center_index] + o) for o in off] for b, off in zip(bases, offs)]
     slid = unstable_holonomy(
-        f, integrability, np.repeat(primes, 2, axis=0),
-        np.concatenate([b.points[ab] for b, ab in zip(bases, nodes)]),
-        L=0.25, depth=depth, target_leaf=[t for t in targets for _ in (0, 1)],
+        f, integrability, np.concatenate([b.points[ab] for b, ab in zip(bases, nodes)]),
+        [t for t in targets for _ in (0, 1)], depth,
     ).reshape(samples, 2, f.dim)
 
     rows = []
@@ -581,12 +549,8 @@ def holonomy_isometry_check(
         d_src = affine_distance(base, a, b, psi)
         d_img = affine_distance(target, sa, sb, psi)
         rows.append((s, d_src, d_img, abs(d_img - d_src) / d_src))
-    rel = np.array([r[3] for r in rows])
     return HolonomyIsometryReport(
-        samples=samples,
-        max_relative_defect=float(rel.max()),
-        mean_relative_defect=float(rel.mean()),
-        rows=tuple(rows),
+        samples=samples, max_relative_defect=float(np.max([r[3] for r in rows])), rows=tuple(rows)
     )
 
 
@@ -609,12 +573,7 @@ class ConjugacyIsometryReport:
 
 
 def conjugacy_leaf_isometry_check(
-    f: TorusMap,
-    ce: ConjugacyEvaluator,
-    psi: CocycleSolution,
-    samples: int = 100,
-    seed: int = 0,
-    depth: int = 12,
+    f: TorusMap, ce: ConjugacyEvaluator, psi: CocycleSolution, samples: int, seed: int, depth: int
 ) -> ConjugacyIsometryReport:
     """Compare the affine leaf metric with Euclidean distance after conjugating.
 

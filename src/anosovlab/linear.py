@@ -23,6 +23,7 @@ _HYPERBOLIC_TOL = 1e-9  # unit-circle margin and eigen-residual tolerance of ana
 _SIGN_TOL = 1e-15  # target relative change of the matrix sign iteration
 _SIGN_MAX_ITER = 100
 _LLL_DELTA = 0.99  # Lovasz condition factor of the lattice basis reduction
+_COSET_CAP = 200_000  # most cosets coset_representatives enumerates
 
 
 @dataclass(frozen=True)
@@ -220,30 +221,19 @@ def analyze_matrix(matrix) -> LinearModel:
     return model
 
 
-@dataclass(frozen=True)
-class LatticeCoset:
-    """Transversal of Z^d / A Z^d, one representative per coset."""
-
-    matrix: IntMatrix
-    representatives: tuple[tuple[int, ...], ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.representatives)
-
-
-def coset_representatives(matrix, cap: int = 200_000) -> LatticeCoset:
-    """Deterministic transversal of Z^d / A Z^d.
+def coset_representatives(m: IntMatrix) -> np.ndarray:
+    """Deterministic transversal of Z^d / A Z^d, one representative per row,
+    shape (|det A|, d).
 
     Breadth-first search over the quotient group from 0 along the generators
     +-e_i; cosets are labelled by the exact invariant adj(A) v mod |det A|,
     whose kernel is precisely A Z^d. Always finds exactly |det A|
-    representatives, independent of matrix entry size.
+    representatives, independent of matrix entry size. More than _COSET_CAP
+    cosets raise ResourceLimit.
     """
-    m = matrix if isinstance(matrix, IntMatrix) else IntMatrix(matrix)
     absdet = abs(m.det)
-    if absdet > cap:
-        raise ResourceLimit(f"|det| = {absdet} cosets exceeds cap {cap}")
+    if absdet > _COSET_CAP:
+        raise ResourceLimit(f"A = {m} has |det A| = {absdet} cosets, above the cap {_COSET_CAP}")
     adj = il.int_adjugate(m.entries)
     d = m.dim
 
@@ -266,7 +256,7 @@ def coset_representatives(matrix, cap: int = 200_000) -> LatticeCoset:
                     break
     if len(reps) != absdet:
         raise ArithmeticError(f"coset search found {len(reps)} of {absdet} cosets")
-    return LatticeCoset(matrix=m, representatives=tuple(reps))
+    return np.array(reps, dtype=float)
 
 
 def _lll_basis(columns: il.IMatrix) -> list[list[int]]:
@@ -294,7 +284,7 @@ def _lll_basis(columns: il.IMatrix) -> list[list[int]]:
     return sorted(b, key=lambda v: sum(x * x for x in v))
 
 
-def preimage_covering_radius(matrix, k: int) -> float:
+def preimage_covering_radius(m: IntMatrix, k: int) -> float:
     """Measured covering radius of the k-th preimage lattice on the torus.
 
     Maximum over a uniform grid (64 points per axis in the plane, 32 above) of
@@ -309,7 +299,6 @@ def preimage_covering_radius(matrix, k: int) -> float:
     enumerated. Coordinate 1 enters only the first row of R, so rounding it is
     exact. A grid maximum can only underestimate the true covering radius.
     """
-    m = matrix if isinstance(matrix, IntMatrix) else IntMatrix(matrix)
     if k < 0:
         raise ValueError(f"preimage depth must be >= 0, got {k}")
     d = m.dim
@@ -337,13 +326,12 @@ def preimage_covering_radius(matrix, k: int) -> float:
     return float(np.sqrt(best.max()))
 
 
-def covering_radius_table(matrix, k_max: int) -> list[dict]:
+def covering_radius_table(m: IntMatrix, k_max: int) -> list[dict]:
     """Covering radii for k = 0..k_max plus the fitted density-law constant.
 
     The law r_k <= C |det|^{-k/d} with C fitted at k = 1 (C = r_1 |det|^{1/d});
     each row records the measured radius and the bound it is tested against.
     """
-    m = matrix if isinstance(matrix, IntMatrix) else IntMatrix(matrix)
     degree = abs(m.det)
     radii = [preimage_covering_radius(m, k) for k in range(k_max + 1)]
     c = radii[1] * degree ** (1.0 / m.dim) if k_max >= 1 else float("nan")
@@ -358,14 +346,13 @@ def covering_radius_table(matrix, k_max: int) -> list[dict]:
     return rows
 
 
-def deep_lattice_vectors(matrix, m: int, bound: float) -> tuple[tuple[int, ...], ...]:
+def deep_lattice_vectors(mm: IntMatrix, m: int, bound: float) -> tuple[tuple[int, ...], ...]:
     """All n in A^m Z^d with ||n||_2 <= bound, sorted by (norm, lex).
 
     Candidates are integer vectors in the Euclidean ball; membership is the
     exact adjugate congruence for A^m. Every returned vector is re-verified
     to satisfy A^{-i} n in Z^d for all 1 <= i <= m in exact arithmetic.
     """
-    mm = matrix if isinstance(matrix, IntMatrix) else IntMatrix(matrix)
     if m < 0:
         raise ValueError(f"lattice depth must be >= 0, got {m}")
     d = mm.dim
@@ -391,10 +378,9 @@ def deep_lattice_vectors(matrix, m: int, bound: float) -> tuple[tuple[int, ...],
     return tuple(kept)
 
 
-def minimal_deep_vector(matrix, m: int) -> tuple[int, ...]:
+def minimal_deep_vector(mm: IntMatrix, m: int) -> tuple[int, ...]:
     """Shortest nonzero vector of A^m Z^d (ties broken lexicographically,
     sign fixed so the first nonzero entry is positive)."""
-    mm = matrix if isinstance(matrix, IntMatrix) else IntMatrix(matrix)
     degree = abs(mm.det)
     bound = max(1.0, float(degree) ** (m / mm.dim))
     while True:

@@ -36,8 +36,10 @@ from anosovlab.util import grid_points, inv_batched, solve_batched, torus_distan
 # Newton solves for G^-1 and the trig lift inverse: relative residual of G^-1, iteration cap
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITER = 80
-# default relative residual of the lift inverse
+# relative residual of the lift inverse along orbit walks
 _INVERT_TOL = 1e-12
+# relative residual of `invert`, and the torus distance at which two preimages collide
+_PREIMAGE_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,13 +101,6 @@ class TrigField:
             for c, s in zip(self.cos_coeffs, self.sin_coeffs)
         ]
         return float(np.linalg.norm(per_coord))
-
-
-def _as_batch(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1:
-        return arr[None, :], True
-    return arr, False
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,20 +270,17 @@ class TorusMap:
         """Lift value F(x); batched."""
         return self.evaluate_with_displacement(x)[0]
 
-    def jacobian(self, x) -> np.ndarray:
-        xb, single = _as_batch(x)
-        jac = self._chart_jacobian(self._chart_inverse(xb))
-        return jac[0] if single else jac
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        return self._chart_jacobian(self._chart_inverse(x))
 
-    def evaluate_with_displacement(self, x) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate_with_displacement(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(F(x), phi(x)) from one chart inverse and one trig pass; batched."""
-        xb, single = _as_batch(x)
-        out, disp, _ = self._step(self._chart_inverse(xb), jacobian=False)
+        out, disp, _ = self._step(self._chart_inverse(x), jacobian=False)
         out = self._chart(out)
         if self.conjugator is not None:
-            # phi read off F, which the sup bound of `displacement_field` measures
-            disp = out - xb @ self.model.array.T
-        return (out[0], disp[0]) if single else (out, disp)
+            # phi read off F, which the sup bound of `displacement_sup` measures
+            disp = out - x @ self.model.array.T
+        return out, disp
 
     def displacement(self, x) -> np.ndarray:
         """phi(x) = F(x) - A x, Z^d-periodic."""
@@ -302,7 +294,7 @@ class TorusMap:
 
     def orbit_points(self, starts: np.ndarray, length: int) -> np.ndarray:
         """Torus orbit segments, shape (length, n, d); orbit_points[0] = wrap(starts)."""
-        starts = wrap(np.atleast_2d(np.asarray(starts, dtype=float)))
+        starts = wrap(starts)
         chart = np.empty((length,) + starts.shape)
         z = self._chart_inverse(starts)
         for t in range(length):
@@ -319,7 +311,7 @@ class TorusMap:
         differently. The walk runs on in the chart from block to block, so
         C^{-1} is solved once.
         """
-        z = self._chart_inverse(np.atleast_2d(np.asarray(starts, dtype=float)))
+        z = self._chart_inverse(starts)
         for lo in range(0, length, block):
             m = min(block, length - lo)
             chart, ds = np.empty((m + 1,) + z.shape), np.empty((m,) + z.shape + (self.dim,))
@@ -333,7 +325,7 @@ class TorusMap:
     def orbit_displacements(self, starts: np.ndarray, length: int) -> np.ndarray:
         """phi along torus orbits, shape (length, n, d): phi(t_j) for t_0 = wrap(starts)
         and t_{j+1} = wrap(F(t_j))."""
-        t = wrap(np.atleast_2d(np.asarray(starts, dtype=float)))
+        t = wrap(starts)
         chart, disp = np.empty((length + 1,) + t.shape), np.empty((length,) + t.shape)
         chart[0] = self._chart_inverse(t)
         for j in range(length):
@@ -344,10 +336,9 @@ class TorusMap:
     def preimage_displacements(self, y: np.ndarray, length: int) -> np.ndarray:
         """phi along lift backward orbits, shape (length, n, d): phi(x_j) for
         x_0 = y and x_j = F^{-1}(x_{j-1}), j = 1 .. length."""
-        yb = np.atleast_2d(np.asarray(y, dtype=float))
         # the backward orbit in forward time order: chart[length - j] is x_j in the chart
-        chart, disp = np.empty((length + 1,) + yb.shape), np.empty((length,) + yb.shape)
-        chart[length] = self._chart_inverse(yb)
+        chart, disp = np.empty((length + 1,) + y.shape), np.empty((length,) + y.shape)
+        chart[length] = self._chart_inverse(y)
         for j in range(length, 0, -1):
             chart[j - 1], disp[j - 1] = self._step_inverse(chart[j], _INVERT_TOL)
         return self._displacements(chart, disp)[::-1]
@@ -369,9 +360,8 @@ class TorusMap:
 
     def iterate_with_jacobian(self, x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         """(F^n(x), DF^n(x)) on the lift, batched."""
-        xb = np.asarray(x, dtype=float)
-        z = w = self._chart_inverse(xb)
-        acc = np.broadcast_to(np.eye(self.dim), xb.shape + (self.dim,))
+        z = w = self._chart_inverse(x)
+        acc = np.broadcast_to(np.eye(self.dim), x.shape + (self.dim,))
         for _ in range(n):
             w, _, ds = self._step(w, jacobian=True)
             acc = ds @ acc
@@ -396,9 +386,8 @@ class TorusMap:
         Returns the end points in [0, 1)^d and the integer offsets, (steps, n, d):
         offsets[j] = floor(y_j), and the next step starts from y_j - offsets[j].
         """
-        ends = np.asarray(starts, dtype=float)
-        offsets = np.empty((steps,) + ends.shape)
-        z = self._chart_inverse(ends)
+        ends, offsets = starts, np.empty((steps,) + starts.shape)
+        z = self._chart_inverse(starts)
         for j in range(steps):
             z = self._step_inverse(z, _INVERT_TOL)[0] if inverse else self._step(z, jacobian=False)[0]
             y = self._chart(z)
@@ -420,52 +409,46 @@ class TorusMap:
 
     # -- lift inversion ------------------------------------------------------
 
-    def invert(self, y, tol: float = _INVERT_TOL) -> np.ndarray:
-        """Solve F(x) = y on the lift; unique since the lift is a diffeo."""
-        return self.invert_with_displacement(y, tol)[0]
-
-    def invert_with_displacement(self, y, tol: float = _INVERT_TOL) -> tuple[np.ndarray, np.ndarray]:
-        """(x, phi(x)) with F(x) = y on the lift; batched.
+    def invert(self, y: np.ndarray) -> np.ndarray:
+        """Solve F(x) = y on the lift to _PREIMAGE_TOL; unique since the lift is a diffeo.
 
         A trig step verifies its Newton residual row by row (`_step_inverse`).
         A linear step is exact algebra, so the round trip through F verifies
         it, each row against its own scale so that its verdict does not depend
-        on its batch; for a conjugated map that also gives phi(x).
+        on its batch.
         """
-        yb, single = _as_batch(y)
-        z, disp = self._step_inverse(self._chart_inverse(yb), tol)
-        x = self._chart(z)
+        x = self._chart(self._step_inverse(self._chart_inverse(y), _PREIMAGE_TOL)[0])
         if not self._perturbed:
-            fx, disp = self.evaluate_with_displacement(x)
-            scale = np.maximum(1.0, np.abs(yb).max(axis=1))
-            worst = float((np.abs(fx - yb).max(axis=1) / scale).max())
-            if worst > 100.0 * tol:
+            scale = np.maximum(1.0, np.abs(y).max(axis=1))
+            worst = float((np.abs(self.evaluate(x) - y).max(axis=1) / scale).max())
+            if worst > 100.0 * _PREIMAGE_TOL:
                 raise NoConvergence(f"lift inversion verified residual {worst:.3e} exceeds tolerance")
-        return (x[0], disp[0]) if single else (x, disp)
+        return x
 
-    def preimages(self, t: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    def preimages(self, t: np.ndarray) -> np.ndarray:
         """All degree-many torus preimages of each point; shape (n, degree, d).
 
         Branch j corresponds to target lift t + r_j over the fixed coset
         transversal; the ordering is therefore deterministic.
         """
-        tb, single = _as_batch(t)
-        reps = np.array(coset_representatives(self.model.matrix).representatives, dtype=float)
-        n, deg, d = tb.shape[0], reps.shape[0], self.dim
-        targets = (tb[:, None, :] + reps[None, :, :]).reshape(n * deg, d)
+        reps = coset_representatives(self.model.matrix)
+        n, deg, d = t.shape[0], reps.shape[0], self.dim
+        targets = (t[:, None, :] + reps[None, :, :]).reshape(n * deg, d)
         try:
-            pre = wrap(self.invert(targets, tol=tol))
+            pre = wrap(self.invert(targets))
         except (NoConvergence, NotLocalDiffeo) as exc:
             raise IncompleteEnumeration(f"preimage solve failed: {exc}") from exc
         pre = pre.reshape(n, deg, d)
         first, second = np.triu_indices(deg, 1)
-        collided = torus_distance(pre[:, first], pre[:, second]) < tol
+        collided = torus_distance(pre[:, first], pre[:, second]) < _PREIMAGE_TOL
         if collided.any():
             # the first collision in (row, i, j) order
             row, pair = divmod(int(np.argmax(collided)), first.size)
             i, j = first[pair], second[pair]
-            raise IncompleteEnumeration(f"branches {i} and {j} collided at {pre[row, i]} (distance < {tol})")
-        return pre[0] if single else pre
+            raise IncompleteEnumeration(
+                f"branches {i} and {j} collided at {pre[row, i]} (distance < {_PREIMAGE_TOL})"
+            )
+        return pre
 
 
 def local_diffeo_margin(f: TorusMap) -> tuple[float, np.ndarray]:
@@ -497,7 +480,6 @@ class ConeCertificate:
     backward_expansion_min: float
     backward_slope_margin_min: float
     grid_sensitivity: float
-    witness: dict | None = None
 
 
 def _sphere_mesh(dim: int, n_dirs: int) -> np.ndarray:
@@ -521,7 +503,7 @@ def _cone_directions(model: LinearModel, slope: float, n_dirs: int, unstable: bo
     return np.concatenate(dirs, axis=0)
 
 
-def _chain_backward(f: TorusMap, pts: np.ndarray, n: int, tol: float) -> np.ndarray:
+def _chain_backward(f: TorusMap, pts: np.ndarray, n: int) -> np.ndarray:
     """DF^n at the depth-n principal-branch preimage of each point.
 
     With z_0 = pts and z_k the branch preimage of z_{k-1}, the chain rule
@@ -530,7 +512,7 @@ def _chain_backward(f: TorusMap, pts: np.ndarray, n: int, tol: float) -> np.ndar
     orbit = [pts]
     t = pts
     for _ in range(n):
-        t = f.preimages(t, tol=tol)[:, 0, :]
+        t = f.preimages(t)[:, 0, :]
         orbit.append(t)
     acc = np.broadcast_to(np.eye(f.dim), (pts.shape[0], f.dim, f.dim)).copy()
     for z in orbit[1:]:
@@ -538,12 +520,10 @@ def _chain_backward(f: TorusMap, pts: np.ndarray, n: int, tol: float) -> np.ndar
     return acc
 
 
-# cone-field certificate: cone slope, iterations of DF, directions per sphere mesh,
-# and the preimage tolerance of the backward chain
+# cone-field certificate: cone slope, iterations of DF, directions per sphere mesh
 _CONE_SLOPE = 1.0
 _CONE_ITERATIONS = 1
 _CONE_DIRECTIONS = 12
-_PREIMAGE_TOL = 1e-10
 
 
 def anosov_certificate(f: TorusMap) -> ConeCertificate:
@@ -591,7 +571,7 @@ def anosov_certificate(f: TorusMap) -> ConeCertificate:
     if witness is None:
         s_dirs = _cone_directions(model, _CONE_SLOPE, _CONE_DIRECTIONS, unstable=False)
         try:
-            back = np.linalg.inv(_chain_backward(f, pts, _CONE_ITERATIONS, _PREIMAGE_TOL))
+            back = np.linalg.inv(_chain_backward(f, pts, _CONE_ITERATIONS))
         except (IncompleteEnumeration, np.linalg.LinAlgError) as exc:
             raise CertificationFailed(
                 f"backward branch construction failed: {exc}",
@@ -614,8 +594,10 @@ def anosov_certificate(f: TorusMap) -> ConeCertificate:
     for axis in range(f.dim):
         sens = max(sens, float(np.abs(np.diff(per_point, axis=axis)).max()))
 
-    record = ConeCertificate(
-        certified=witness is None,
+    if witness is not None:
+        raise CertificationFailed(f"cone check failed on the {witness['side']} side", witness=witness)
+    return ConeCertificate(
+        certified=True,
         grid_n=grid_n,
         iterations=_CONE_ITERATIONS,
         cone_slope=_CONE_SLOPE,
@@ -624,13 +606,7 @@ def anosov_certificate(f: TorusMap) -> ConeCertificate:
         backward_expansion_min=s_exp_min,
         backward_slope_margin_min=s_margin_min,
         grid_sensitivity=sens,
-        witness=witness,
     )
-    if witness is not None:
-        exc = CertificationFailed(f"cone check failed on the {witness['side']} side", witness=witness)
-        exc.record = record
-        raise exc
-    return record
 
 
 # -- fixture catalog ----------------------------------------------------------
@@ -654,7 +630,7 @@ FIXTURE_NAMES = (*_CATALOG, "custom")
 _CUSTOM_KEYS = ("matrix", "terms", "conjugator_terms", "label")
 
 
-def check_fixture(name: str, epsilon: float = 0.0, custom: dict | None = None) -> int:
+def check_fixture(name: str, epsilon: float, custom: dict | None = None) -> int:
     """Torus dimension of the map `fixture_catalog(name, epsilon, custom)` builds, or
     ValueError saying why fixture_catalog refuses those arguments. A named fixture
     is answered from the catalog table without analysing its matrix; a custom one
@@ -663,13 +639,16 @@ def check_fixture(name: str, epsilon: float = 0.0, custom: dict | None = None) -
         return _custom_fixture(epsilon, custom).dim
     if name not in _CATALOG:
         raise UnknownFixture(f"no fixture named {name!r}; known: {', '.join(FIXTURE_NAMES)}")
+    if custom is not None:
+        raise ValueError(f"{name} is a named fixture and would ignore this mapping; "
+                         "only fixture.name: custom is built from one")
     matrix, kind, _ = _CATALOG[name]
     if kind is None and epsilon != 0.0:
         raise ValueError(f"{name} takes no perturbation scale")
     return len(matrix)
 
 
-def fixture_catalog(name: str, epsilon: float = 0.0, custom: dict | None = None) -> TorusMap:
+def fixture_catalog(name: str, epsilon: float, custom: dict | None = None) -> TorusMap:
     """Construct a named fixture map; ValueError when check_fixture refuses it.
 
     linear_A0         the 2x2 linear model, eigenvalues 2 +- sqrt(2)
@@ -681,7 +660,7 @@ def fixture_catalog(name: str, epsilon: float = 0.0, custom: dict | None = None)
     """
     if name == "custom":
         return _custom_fixture(epsilon, custom)
-    check_fixture(name, epsilon)
+    check_fixture(name, epsilon, custom)
     matrix, kind, terms = _CATALOG[name]
     model = _model_in_scope(matrix)
     if kind is None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from anosovlab.errors import NoConvergence, ResourceLimit, SingularJacobian
+from anosovlab.errors import NoConvergence, SingularJacobian
 from anosovlab.intlinalg import identity, int_add, int_pow, int_scale
 from anosovlab.linear import IntMatrix, LinearModel, coset_representatives
 from anosovlab.maps import TorusMap
@@ -50,15 +50,16 @@ def _power_minus_identity(matrix: IntMatrix, n: int) -> IntMatrix:
     return IntMatrix(rows)
 
 
-def linear_periodic_points(model: LinearModel, n: int, cap: int = 200_000) -> np.ndarray:
-    """All torus points with A^n x = x mod Z^d, exactly |det(A^n - I)| of them."""
+def linear_periodic_points(model: LinearModel, n: int) -> np.ndarray:
+    """All torus points with A^n x = x mod Z^d, exactly |det(A^n - I)| of them.
+
+    They are A^n - I's coset representatives mapped back, so a period with more
+    points than `coset_representatives` enumerates raises ResourceLimit.
+    """
     if n < 1:
         raise ValueError("period must be >= 1")
     b = _power_minus_identity(model.matrix, n)
-    if abs(b.det) > cap:
-        raise ResourceLimit(f"period {n} has {abs(b.det)} linear periodic points, cap {cap}")
-    reps = np.array(coset_representatives(b, cap=cap).representatives, dtype=float)
-    return wrap(np.linalg.solve(b.array, reps.T).T)
+    return wrap(np.linalg.solve(b.array, coset_representatives(b).T).T)
 
 
 def _refine_batch(
@@ -268,11 +269,8 @@ class RigidityReport:
 
     inventory: OrbitInventory
     linear_exponents: tuple[float, ...]
-    per_index_deviation: tuple[float, ...]
-    per_index_spread: tuple[float, ...]
     max_deviation: float
     max_spread: float
-    threshold: float
     rigid: bool
 
     def csv_rows(self) -> list[list[str]]:
@@ -300,8 +298,9 @@ class RigidityReport:
         return rows
 
 
-def rigidity_report(f: TorusMap, inventory: OrbitInventory, threshold: float = 5e-4) -> RigidityReport:
-    """Stable exponents of the orbits in `inventory` against f's linear model."""
+def rigidity_report(f: TorusMap, inventory: OrbitInventory, threshold: float) -> RigidityReport:
+    """Stable exponents of the orbits in `inventory` against f's linear model;
+    rigid when no exponent deviates from the linear one by more than threshold."""
     linear = tuple(float(v) for v in f.model.stable_exponents)
     k = len(linear)
     table = np.array([o.stable_exponents for o in inventory.orbits])
@@ -314,10 +313,7 @@ def rigidity_report(f: TorusMap, inventory: OrbitInventory, threshold: float = 5
     return RigidityReport(
         inventory=inventory,
         linear_exponents=linear,
-        per_index_deviation=dev,
-        per_index_spread=spread,
         max_deviation=max_dev,
         max_spread=max(spread) if spread else 0.0,
-        threshold=threshold,
         rigid=max_dev <= threshold,
     )

@@ -200,29 +200,23 @@ def _parse_yaml(text: str):
 
 
 def load_scenario(source) -> Scenario:
-    """Parse and validate a config (path to YAML, YAML string, or dict).
+    """Parse and validate a config: the path of a YAML file, or the mapping it parses to.
 
     Raises ConfigInvalid listing every problem found, with field paths.
     """
     if isinstance(source, dict):
         cfg = source
     else:
-        path = Path(source)
         try:
-            is_file = path.exists()
-        except OSError:  # e.g. ENAMETOOLONG: YAML text with a long line names no file
-            is_file = False
-        try:
-            text = path.read_text() if is_file else str(source)
+            text = Path(source).read_text()
+        except FileNotFoundError as exc:
+            raise ConfigInvalid([f"config file {source} does not exist"]) from exc
         except OSError as exc:
             raise ConfigInvalid([f"cannot read config: {exc}"]) from exc
         try:
             cfg = _parse_yaml(text)
         except yaml.YAMLError as exc:
             raise ConfigInvalid([f"not valid YAML: {exc}"]) from exc
-        if isinstance(cfg, str) and not is_file:
-            # a lone scalar is a path that names no file, not YAML text
-            raise ConfigInvalid([f"config file {source} does not exist"])
     if not isinstance(cfg, dict):
         raise ConfigInvalid(["config root must be a mapping"])
 
@@ -272,7 +266,8 @@ def load_scenario(source) -> Scenario:
         try:
             dim = check_fixture(sc.fixture, sc.epsilon, sc.custom)
         except (ValueError, AnosovLabError) as exc:
-            refuse(f"fixture.{'custom' if sc.fixture == 'custom' else 'epsilon'}", str(exc))
+            custom = sc.fixture == "custom" or sc.custom is not None
+            refuse(f"fixture.{'custom' if custom else 'epsilon'}", str(exc))
         else:
             problem = sc.fourier_order and fourier_order_problem(dim, sc.fourier_order)
             if problem:
@@ -418,9 +413,7 @@ class RunContext:
 
     @cached_property
     def evaluator(self) -> ConjugacyEvaluator:
-        return conjugacy_evaluator(
-            self.f, residual_target=self.sc.residual_target, depth=self.sc.series_depth
-        )
+        return conjugacy_evaluator(self.f, self.sc.residual_target, self.sc.series_depth)
 
     @cached_property
     def inventory(self) -> OrbitInventory:
@@ -429,25 +422,18 @@ class RunContext:
     @cached_property
     def specialness(self) -> SpecialnessReport:
         sc = self.sc
-        return specialness_defect(
-            self.evaluator, samples=sc.points, seed=sc.seed + 11, threshold=sc.specialness_threshold
-        )
+        return specialness_defect(self.evaluator, sc.points, sc.seed + 11, sc.specialness_threshold)
 
     @cached_property
     def integrability(self) -> IntegrabilityReport:
         sc = self.sc
         return integrability_verdict(
-            self.f,
-            samples=sc.points,
-            codes_per_point=sc.codes_per_point,
-            depth=sc.branch_depth,
-            tol=sc.spread_tol,
-            seed=sc.seed + 13,
+            self.f, sc.points, sc.codes_per_point, sc.branch_depth, sc.spread_tol, sc.seed + 13
         )
 
     @cached_property
     def rigidity(self) -> RigidityReport:
-        return rigidity_report(self.f, self.inventory, threshold=self.sc.rigidity_threshold)
+        return rigidity_report(self.f, self.inventory, self.sc.rigidity_threshold)
 
 
 # -- stages ----------------------------------------------------------------------
@@ -529,7 +515,7 @@ def _stage_conjugacy(run: RunContext) -> StageOutcome:
     y = rng.random((32, f.dim))
     roundtrip = float(np.abs(ce.apply_inverse(ce.apply(y)) - y).max())
     rep = run.specialness
-    decay = deep_translation_decay(ce, m_max=6, samples=12, seed=sc.seed + 31)
+    decay = deep_translation_decay(ce, sc.seed + 31)
 
     findings = []
     if not rep.special:
@@ -598,18 +584,11 @@ def _stage_branches(run: RunContext) -> StageOutcome:
 def _stage_metric(run: RunContext) -> StageOutcome:
     f, sc = run.f, run.sc
     findings: list = []
-    phi = stable_log_norm_observable(f, depth=sc.branch_depth)
+    phi = stable_log_norm_observable(f, sc.branch_depth)
     lam = f.model.stable_exponents[0]
     psi = None
     try:
-        sol = livschitz_solve(
-            f,
-            phi,
-            run.inventory,
-            fourier_order=sc.fourier_order,
-            obstruction_tol=sc.obstruction_tol,
-            seed=sc.seed + 17,
-        )
+        sol = livschitz_solve(f, phi, run.inventory, sc.fourier_order, sc.obstruction_tol, sc.seed + 17)
     except ObstructionNonzero as exc:
         sol = exc.solution
         findings.append(
@@ -642,9 +621,7 @@ def _stage_metric(run: RunContext) -> StageOutcome:
             rows=(),
         )
     else:
-        iso = conjugacy_leaf_isometry_check(
-            f, run.evaluator, psi, samples=sc.pairs, seed=sc.seed + 19, depth=sc.branch_depth
-        )
+        iso = conjugacy_leaf_isometry_check(f, run.evaluator, psi, sc.pairs, sc.seed + 19, sc.branch_depth)
         if iso.max_relative_deviation > sc.isometry_tol:
             findings.append(
                 f"conjugacy is not a leaf isometry after scaling: worst deviation "
@@ -660,9 +637,7 @@ def _stage_metric(run: RunContext) -> StageOutcome:
 
     if psi is not None and f.dim == 2:
         try:
-            hol = holonomy_isometry_check(
-                f, run.integrability, psi, samples=sc.points, seed=sc.seed + 23, depth=sc.branch_depth
-            )
+            hol = holonomy_isometry_check(f, run.integrability, psi, sc.points, sc.seed + 23, sc.branch_depth)
         except RefusedNonIntegrable:
             findings.append("unstable holonomy refused: branch-dependent unstable directions")
             pairs.append(("holonomy_status", "refused_non_integrable"))
@@ -782,8 +757,6 @@ def dichotomy_sweep(family: str, epsilons, sc: Scenario) -> DichotomyReport:
 def _stage_dichotomy(run: RunContext) -> StageOutcome:
     """The epsilon sweep configured in the scenario's dichotomy section."""
     sc = run.sc
-    if sc.dichotomy_family is None:
-        raise ConfigInvalid(["dichotomy: section required for the dichotomy verb"])
     report = dichotomy_sweep(sc.dichotomy_family, sc.dichotomy_epsilons, sc)
     findings = []
     if report.irreducible and not report.all_agree:
@@ -872,10 +845,12 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     Exit code 0: clean; 2: verdict-level findings (non-special, non-rigid,
     branch-dependent directions, failed certification, metric obstructions,
     disagreeing sweep verdicts); 1: infrastructure error (reported in the
-    summary, partial files kept). An output directory or stage cache
-    (`ANOSOVLAB_CACHE`) that cannot be a directory raises ConfigInvalid before
-    any stage runs.
+    summary, partial files kept). The sweep without a dichotomy section, or an
+    output directory or stage cache (`ANOSOVLAB_CACHE`) that cannot be a
+    directory, raises ConfigInvalid before any stage runs or file is written.
     """
+    if "dichotomy" in sc.stages and sc.dichotomy_family is None:
+        raise ConfigInvalid(["dichotomy: section required for the dichotomy verb"])
     started = time.time()
     run = RunContext(sc)
     out = Path(sc.out_dir)

@@ -19,7 +19,7 @@ def _isolated_cache(tmp_path_factory, monkeypatch):
 
 @pytest.fixture(scope="session")
 def linear_map():
-    return fixture_catalog("linear_A0")
+    return fixture_catalog("linear_A0", 0.0)
 
 
 @pytest.fixture(scope="session")
@@ -44,7 +44,7 @@ def product05():
 
 @pytest.fixture(scope="session")
 def cubic():
-    return fixture_catalog("cubic_companion")
+    return fixture_catalog("cubic_companion", 0.0)
 
 
 @pytest.fixture(scope="session")
@@ -53,8 +53,8 @@ def conjugated_psi(conjugated05):
     from anosovlab.leafmetric import livschitz_solve, stable_log_norm_observable
     from anosovlab.orbits import enumerate_orbits
 
-    phi = stable_log_norm_observable(conjugated05)
-    return livschitz_solve(conjugated05, phi, enumerate_orbits(conjugated05, 3)).negated()
+    phi = stable_log_norm_observable(conjugated05, 12)
+    return livschitz_solve(conjugated05, phi, enumerate_orbits(conjugated05, 3), None, 1e-4, 0).negated()
 
 
 @pytest.fixture()

@@ -30,7 +30,7 @@ def tangency_residual(leaf, field) -> float:
 def leaf_invariance_defect(f, leaf, depth: int = 12) -> float:
     """Hausdorff-style defect: image nodes against a fresh leaf at the image center."""
     image = map_polyline(f, leaf)
-    [fresh] = pull_back_leaves(f, image.points[image.center_index], depth=depth)
+    [fresh] = pull_back_leaves(f, image.points[[image.center_index]], 0.4, depth)
     span = fresh.arclength[-1]
     arc = np.abs(image.arclength - image.arclength[image.center_index])
     keep = arc <= 0.9 * span / 2.0

@@ -23,7 +23,7 @@ from anosovlab.leafmetric import (
     livschitz_solve,
     pull_back_leaves,
 )
-from anosovlab.linear import analyze_matrix, covering_radius_table
+from anosovlab.linear import IntMatrix, analyze_matrix, covering_radius_table
 from anosovlab.orbits import enumerate_orbits, rigidity_report
 from anosovlab.scenarios import Scenario, dichotomy_sweep, run_scenario
 from leafchecks import map_polyline
@@ -41,7 +41,7 @@ def _verdict(num: int, label: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def ce_shear05(shear05):
-    return conjugacy_evaluator(shear05)
+    return conjugacy_evaluator(shear05, 1e-9, None)
 
 
 def test_01_linear_oracle_suite(linear_map):
@@ -63,13 +63,13 @@ def test_01_linear_oracle_suite(linear_map):
 
 
 def test_02_conjugacy_contract(linear_map, shear02):
-    ce = conjugacy_evaluator(shear02)
+    ce = conjugacy_evaluator(shear02, 1e-9, None)
     rng = np.random.default_rng(12)
     x = rng.random((128, 2)) * 2.0 - 0.5
     residual = float(np.abs(ce.apply(x) @ ce.model.array.T - ce.apply(shear02.evaluate(x))).max())
     y = rng.random((64, 2))
     roundtrip = float(np.abs(ce.apply_inverse(ce.apply(y)) - y).max())
-    ce_lin = conjugacy_evaluator(linear_map)
+    ce_lin = conjugacy_evaluator(linear_map, 1e-9, None)
     identity = bool(np.array_equal(ce_lin.apply(y), y))
     ok = residual <= 1e-6 and roundtrip <= 1e-8 and identity
     _verdict(
@@ -80,8 +80,8 @@ def test_02_conjugacy_contract(linear_map, shear02):
 
 
 def test_03_translation_defect_decay(ce_shear05):
-    rep = specialness_defect(ce_shear05, samples=40, seed=3)
-    decay = deep_translation_decay(ce_shear05, m_max=6, samples=12, seed=4)
+    rep = specialness_defect(ce_shear05, samples=40, seed=3, threshold=1e-4)
+    decay = deep_translation_decay(ce_shear05, 4)
     slope_err = abs(decay.fitted_rate - LOG_MU_S) / abs(LOG_MU_S)
     ok = rep.max_unstable_component <= 1e-6 and slope_err <= 0.15
     _verdict(
@@ -92,7 +92,7 @@ def test_03_translation_defect_decay(ce_shear05):
 
 
 def test_04_preimage_covering_law():
-    table = covering_radius_table(A0, 8)
+    table = covering_radius_table(IntMatrix(A0), 8)
     radii = [row["radius"] for row in table]
     law = all(row["radius"] <= row["bound"] * (1 + 1e-9) for row in table[1:])
     ratios = [radii[k + 2] / radii[k] for k in range(len(radii) - 2)]
@@ -106,9 +106,9 @@ def test_04_preimage_covering_law():
 
 
 def test_05_integrability_rigidity_dichotomy(conjugated05, shear05, ce_shear05):
-    ce_c = conjugacy_evaluator(conjugated05)
-    spec_c = specialness_defect(ce_c, samples=30, seed=5)
-    branch_c = integrability_verdict(conjugated05, samples=12, codes_per_point=6, seed=5)
+    ce_c = conjugacy_evaluator(conjugated05, 1e-9, None)
+    spec_c = specialness_defect(ce_c, samples=30, seed=5, threshold=1e-4)
+    branch_c = integrability_verdict(conjugated05, samples=12, codes_per_point=6, depth=12, tol=1e-3, seed=5)
     rig_c = rigidity_report(conjugated05, enumerate_orbits(conjugated05, 6), threshold=5e-4)
     positive = (
         spec_c.max_defect <= 1e-6
@@ -117,8 +117,8 @@ def test_05_integrability_rigidity_dichotomy(conjugated05, shear05, ce_shear05):
         and rig_c.max_deviation <= 5e-4
     )
 
-    spec_s = specialness_defect(ce_shear05, samples=30, seed=5)
-    branch_s = integrability_verdict(shear05, samples=12, codes_per_point=6, seed=5)
+    spec_s = specialness_defect(ce_shear05, samples=30, seed=5, threshold=1e-4)
+    branch_s = integrability_verdict(shear05, samples=12, codes_per_point=6, depth=12, tol=1e-3, seed=5)
     rig_s = rigidity_report(shear05, enumerate_orbits(shear05, 3), threshold=5e-4)
     negative = (
         spec_s.max_defect > 1e-6
@@ -141,9 +141,9 @@ def test_05_integrability_rigidity_dichotomy(conjugated05, shear05, ce_shear05):
 
 
 def test_06_reducible_counterexample(product05):
-    ce = conjugacy_evaluator(product05)
-    spec = specialness_defect(ce, samples=20, seed=6)
-    branch = integrability_verdict(product05, samples=10, codes_per_point=4, seed=6)
+    ce = conjugacy_evaluator(product05, 1e-9, None)
+    spec = specialness_defect(ce, samples=20, seed=6, threshold=1e-4)
+    branch = integrability_verdict(product05, samples=10, codes_per_point=4, depth=12, tol=1e-3, seed=6)
     rig = rigidity_report(product05, enumerate_orbits(product05, 4), threshold=5e-4)
     ok = (
         spec.special
@@ -161,25 +161,23 @@ def test_06_reducible_counterexample(product05):
 
 def test_07_cocycle_solver_suite(shear05, conjugated_psi):
     def psi_true(pts):
-        pts = np.atleast_2d(pts)
         return 0.3 * np.cos(2 * np.pi * (pts[:, 0] + pts[:, 1])) - 0.2 * np.sin(
             2 * np.pi * pts[:, 0]
         )
 
     def phi(pts):
-        pts = np.atleast_2d(pts)
         return -0.4 + psi_true(shear05.torus_step(pts)) - psi_true(pts)
 
     inventory = enumerate_orbits(shear05, 3)
-    sol = livschitz_solve(shear05, phi, inventory, fourier_order=16, seed=1)
+    sol = livschitz_solve(shear05, phi, inventory, fourier_order=16, obstruction_tol=1e-4, seed=1)
     grid = np.random.default_rng(2).random((400, 2))
     got = sol.transfer(grid)
     want = psi_true(grid)
     recovery = float(np.abs((got - got.mean()) - (want - want.mean())).max())
 
     with pytest.raises(ObstructionNonzero) as exc_info:
-        livschitz_solve(shear05, lambda p: np.cos(2 * np.pi * np.atleast_2d(p)[:, 0]),
-                        inventory, fourier_order=8, seed=1)
+        livschitz_solve(shear05, lambda p: np.cos(2 * np.pi * p[:, 0]),
+                        inventory, fourier_order=8, obstruction_tol=1e-4, seed=1)
     flagged = exc_info.value.solution.obstruction > 1e-4
 
     lam_err = abs(conjugated_psi.mean - LOG_MU_S)
@@ -200,7 +198,7 @@ def test_07_cocycle_solver_suite(shear05, conjugated_psi):
 
 def test_08_affine_leaf_metric(conjugated05, conjugated_psi):
     starts = np.random.default_rng(11).random((25, 2))
-    leaves = pull_back_leaves(conjugated05, starts, L=0.2)
+    leaves = pull_back_leaves(conjugated05, starts, L=0.2, depth=12)
     k_bound = float(np.exp(conjugated_psi.sup_transfer))
     offsets = [(-0.12, -0.04), (-0.04, 0.04), (0.04, 0.12), (-0.08, 0.08)]  # arclength
     worst_ratio = 0.0
@@ -219,8 +217,8 @@ def test_08_affine_leaf_metric(conjugated05, conjugated_psi):
             count += 1
     assert count == 100
 
-    scan = integrability_verdict(conjugated05, samples=10, codes_per_point=4, depth=10)
-    hol = holonomy_isometry_check(conjugated05, scan, conjugated_psi, samples=8, seed=23)
+    scan = integrability_verdict(conjugated05, samples=10, codes_per_point=4, depth=10, tol=1e-3, seed=0)
+    hol = holonomy_isometry_check(conjugated05, scan, conjugated_psi, samples=8, seed=23, depth=12)
     ok = worst_ratio <= 1e-3 and k_ok and hol.max_relative_defect <= 1e-3
     _verdict(
         8, "affine leaf metric", ok,
@@ -231,8 +229,8 @@ def test_08_affine_leaf_metric(conjugated05, conjugated_psi):
 
 
 def test_09_conjugacy_leaf_isometry(conjugated05, conjugated_psi):
-    ce = conjugacy_evaluator(conjugated05)
-    rep = conjugacy_leaf_isometry_check(conjugated05, ce, conjugated_psi, samples=100, seed=2)
+    ce = conjugacy_evaluator(conjugated05, 1e-9, None)
+    rep = conjugacy_leaf_isometry_check(conjugated05, ce, conjugated_psi, samples=100, seed=2, depth=12)
     ok = rep.status == "ok" and rep.pairs == 100 and rep.max_relative_deviation <= 1e-3
     _verdict(
         9, "conjugacy leaf isometry", ok,

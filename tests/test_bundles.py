@@ -41,21 +41,21 @@ class TestStableSplitting:
     def test_linear_directions_exact(self, linear_map):
         a = linear_map.model.array
         pt = np.array([[0.3, 0.7]])
-        assert _line_angles(stable_direction_field(linear_map, pt), _unit_eigvec(a, 0)[None])[0] < 1e-12
+        assert _line_angles(stable_direction_field(linear_map, pt, 12), _unit_eigvec(a, 0)[None])[0] < 1e-12
         v_u = linear_map.model.unstable_subspace[:, 0]
         assert _line_angles(v_u[None], _unit_eigvec(a, 1)[None])[0] < 1e-12
 
     def test_shear_field_is_invariant(self, shear05, rng):
         """Df(x) e_s(x) must line up with e_s(f x)."""
         x = rng.random((6, 2))
-        v = np.einsum("nij,nj->ni", shear05.jacobian(x), stable_direction_field(shear05, x))
-        there = stable_direction_field(shear05, shear05.torus_step(x))
+        v = np.einsum("nij,nj->ni", shear05.jacobian(x), stable_direction_field(shear05, x, 12))
+        there = stable_direction_field(shear05, shear05.torus_step(x), 12)
         assert _line_angles(v, there).max() < 1e-6
 
     def test_product_stable_avoids_circle_factor(self, product05):
         """The third coordinate is a doubling factor; the stable direction
         lives entirely in the invertible block."""
-        v = stable_direction_field(product05, np.array([[0.3, 0.6, 0.1]]))
+        v = stable_direction_field(product05, np.array([[0.3, 0.6, 0.1]]), 12)
         assert abs(v[0, 2]) < 1e-9
 
     def test_convergence_gap_decays_at_spectral_ratio(self, conjugated05):
@@ -86,13 +86,13 @@ class TestBranchDirections:
         assert pairwise_principal_angles(bases).max() < 1e-12
 
     def test_conjugated_integrable(self, conjugated05):
-        rep = integrability_verdict(conjugated05, samples=12, codes_per_point=5, seed=3)
+        rep = integrability_verdict(conjugated05, samples=12, codes_per_point=5, depth=12, tol=1e-3, seed=3)
         assert rep.integrable
         assert rep.max_spread <= 1e-3
         assert rep.witness is None
 
     def test_shear_not_integrable_with_witness(self, shear05):
-        rep = integrability_verdict(shear05, samples=12, codes_per_point=5, seed=3)
+        rep = integrability_verdict(shear05, samples=12, codes_per_point=5, depth=12, tol=1e-3, seed=3)
         assert not rep.integrable
         assert rep.max_spread > 1e-2
         w = rep.witness
@@ -104,16 +104,16 @@ class TestBranchDirections:
         assert again == pytest.approx(w["angle"], abs=1e-9)
 
     def test_product_integrable(self, product05):
-        rep = integrability_verdict(product05, samples=8, codes_per_point=4, seed=3)
+        rep = integrability_verdict(product05, samples=8, codes_per_point=4, depth=12, tol=1e-3, seed=3)
         assert rep.integrable
         assert rep.max_spread <= 1e-3
 
     def test_one_code_per_point_refused(self, shear05):
         with pytest.raises(ValueError, match="no branch pair"):
-            integrability_verdict(shear05, samples=3, codes_per_point=1)
+            integrability_verdict(shear05, samples=3, codes_per_point=1, depth=12, tol=1e-3, seed=0)
 
     def test_csv_rows(self, shear05):
-        rep = integrability_verdict(shear05, samples=3, codes_per_point=3, seed=3)
+        rep = integrability_verdict(shear05, samples=3, codes_per_point=3, depth=12, tol=1e-3, seed=3)
         rows = rep.csv_rows()
         assert rows[0] == ["point", "code_a", "code_b", "angle"]
         assert len(rows) == 1 + 3 * 3  # 3 points x C(3,2) pairs
@@ -137,7 +137,7 @@ class TestBatchedAngles:
         assert pairwise_principal_angles(bases).ravel().tolist() == loop
 
     def test_verdict_rows_and_witness_match_pair_loop(self, shear05):
-        rep = integrability_verdict(shear05, samples=6, codes_per_point=5, seed=3)
+        rep = integrability_verdict(shear05, samples=6, codes_per_point=5, depth=12, tol=1e-3, seed=3)
         rng = np.random.default_rng(3)
         pts = rng.random((6, 2))
         codes = _sample_codes(rng, shear05.degree, 5, 12)

@@ -192,9 +192,13 @@ class TestRunVerbs:
 
 class TestDichotomyVerb:
     def test_requires_section(self, tmp_path, capsys):
+        """One config error line and no output directory, as for any config problem."""
         cfg = _config(tmp_path, LINEAR_YAML)
         assert main(["dichotomy", "--config", cfg]) == 1
-        assert "dichotomy" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err == "config error: dichotomy: section required for the dichotomy verb\n"
+        assert captured.out == ""
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("family, field", [
         ("custom", "dichotomy.family"),

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from anosovlab import bundles
 from anosovlab.bundles import (
     _branch_walk_directions,
     _generic_frame,
@@ -40,16 +41,18 @@ from anosovlab.util import grid_points, qr_pos
 from leafchecks import leaf_invariance_defect, map_polyline, tangency_residual
 
 MU_S = 2.0 - np.sqrt(2.0)
+X0 = np.array([[0.3, 0.4]])  # one lift point, as a (1, d) batch
 
 
 def _stable_psi(f):
     """Transfer function of the stable log-contraction cocycle, as the metric stage solves it."""
-    return livschitz_solve(f, stable_log_norm_observable(f), enumerate_orbits(f, 3)).negated()
+    phi = stable_log_norm_observable(f, 12)
+    return livschitz_solve(f, phi, enumerate_orbits(f, 3), None, 1e-4, 0).negated()
 
 
 def _quick_scan(f):
     """A small branch-spread scan, the verdict the holonomy functions trust."""
-    return integrability_verdict(f, samples=10, codes_per_point=4, depth=10)
+    return integrability_verdict(f, samples=10, codes_per_point=4, depth=10, tol=1e-3, seed=0)
 
 
 def _eig_dirs(a: np.ndarray):
@@ -62,8 +65,9 @@ def _eig_dirs(a: np.ndarray):
 
 class TestTraces:
     def test_linear_leaf_is_straight(self, linear_map):
-        [leaf] = pull_back_leaves(linear_map, [0.3, 0.4], L=0.3)
-        assert tangency_residual(leaf, functools.partial(stable_direction_field, linear_map)) < 1e-14
+        [leaf] = pull_back_leaves(linear_map, X0, 0.3, 12)
+        field = functools.partial(stable_direction_field, linear_map, depth=12)
+        assert tangency_residual(leaf, field) < 1e-14
         v_s, _ = _eig_dirs(linear_map.model.array)
         rel = leaf.points - leaf.points[leaf.center_index]
         cross = rel[:, 0] * v_s[1] - rel[:, 1] * v_s[0]
@@ -73,30 +77,29 @@ class TestTraces:
         assert np.abs(chord - leaf.arclength).max() < 1e-9
 
     def test_linear_image_contracts_at_eigenrate(self, linear_map):
-        [leaf] = pull_back_leaves(linear_map, [0.3, 0.4], L=0.3)
+        [leaf] = pull_back_leaves(linear_map, X0, 0.3, 12)
         image = map_polyline(linear_map, leaf)
         assert image.arclength[-1] / leaf.arclength[-1] == pytest.approx(MU_S, abs=1e-12)
 
     def test_shear_leaf_tangent_and_invariant(self, shear05):
-        [leaf] = pull_back_leaves(shear05, [0.3, 0.4], L=0.3)
-        assert tangency_residual(leaf, functools.partial(stable_direction_field, shear05)) < 1e-6
+        [leaf] = pull_back_leaves(shear05, X0, 0.3, 12)
+        assert tangency_residual(leaf, functools.partial(stable_direction_field, shear05, depth=12)) < 1e-6
         assert leaf_invariance_defect(shear05, leaf) < 1e-6
 
     def test_conjugated_contraction_near_eigenrate(self, conjugated05):
-        [leaf] = pull_back_leaves(conjugated05, [0.3, 0.4], L=0.3)
+        [leaf] = pull_back_leaves(conjugated05, X0, 0.3, 12)
         ratio = map_polyline(conjugated05, leaf).arclength[-1] / leaf.arclength[-1]
         assert abs(ratio - MU_S) < 0.05
 
     def test_batched_traces_match_single(self, shear05):
         starts = np.array([[0.2, 0.6], [0.7, 0.1]])
-        batch = pull_back_leaves(shear05, starts, L=0.1)
+        batch = pull_back_leaves(shear05, starts, 0.1, 12)
         for row, leaf in enumerate(batch):
-            [single] = pull_back_leaves(shear05, starts[row], L=0.1)
+            [single] = pull_back_leaves(shear05, starts[row : row + 1], 0.1, 12)
             assert np.array_equal(leaf.points, single.points)
 
     def test_linear_unstable_trace(self, linear_map):
-        [leaf] = pull_back_leaves(linear_map, [0.3, 0.4], L=0.2, unstable=True)
-        assert leaf.index == 0
+        [leaf] = pull_back_leaves(linear_map, X0, 0.2, 12, unstable=True)
         assert tangency_residual(leaf, lambda mids: linear_map.model.unstable_subspace[:, 0]) < 1e-12
         _, v_u = _eig_dirs(linear_map.model.array)
         rel = leaf.points - leaf.points[leaf.center_index]
@@ -106,8 +109,8 @@ class TestTraces:
     def test_conjugated_unstable_leaf_follows_the_zero_branch(self, conjugated05):
         """An unstable leaf is pushed along the wrapped lift preimage orbit, which
         is the branch of the all-zero code: representative 0 is the zero vector."""
-        assert coset_representatives(conjugated05.model.matrix).representatives[0] == (0, 0)
-        [leaf] = pull_back_leaves(conjugated05, [0.3, 0.4], L=0.2, unstable=True)
+        assert np.array_equal(coset_representatives(conjugated05.model.matrix)[0], [0.0, 0.0])
+        [leaf] = pull_back_leaves(conjugated05, X0, 0.2, 12, unstable=True)
         codes = np.zeros((1, 12), dtype=int)
 
         def zero_branch(mids):
@@ -127,11 +130,11 @@ class TestTraces:
             assert (np.linalg.norm(np.diff(leaf.points, axis=0), axis=1) > 0).all()
             center = leaf.arclength[leaf.center_index]
             assert center >= L and leaf.arclength[-1] - center >= L
-            assert tangency_residual(leaf, functools.partial(stable_direction_field, f)) < 1e-6
+            assert tangency_residual(leaf, functools.partial(stable_direction_field, f, depth=12)) < 1e-6
             assert leaf_invariance_defect(f, leaf, depth=depth) < 1e-6
 
     def test_node_near_arc(self, linear_map):
-        [leaf] = pull_back_leaves(linear_map, [0.3, 0.4], L=0.1)
+        [leaf] = pull_back_leaves(linear_map, X0, 0.1, 12)
         assert leaf.node_near_arc(0.0) == 0
         assert leaf.node_near_arc(float(leaf.arclength[-1])) == len(leaf) - 1
 
@@ -194,18 +197,20 @@ class TestStableKernel:
         assert error(kernel) < 1e-10
         assert error(kernel) < error(_ascending_frame(jacs, 12)[..., 2])
 
-    def test_gap_reads_the_linear_spectrum(self, product05, rng):
+    def test_gap_reads_the_linear_spectrum(self, product05, rng, monkeypatch):
         """The middle and smallest rates sit near log 2 and log((3 - 5^0.5) / 2), 1.66 apart."""
         jacs = _orbit_jacobians(product05, rng, 5, 30)
-        first_stable_direction(product05, jacs, 12, min_gap=1.4)
+        monkeypatch.setattr(bundles, "_MIN_GAP", 1.4)
+        first_stable_direction(product05, jacs, 12)
+        monkeypatch.setattr(bundles, "_MIN_GAP", 2.0)
         with pytest.raises(GapTooSmall):
-            first_stable_direction(product05, jacs, 12, min_gap=2.0)
+            first_stable_direction(product05, jacs, 12)
 
     def test_four_dimensions_refused(self):
         """The kernels stop at d = 3, so no 4x4 map is built for them."""
         matrix = ((2, 1, 0, 0), (1, 1, 0, 0), (0, 0, 2, 1), (0, 0, 1, 1))
         with pytest.raises(ValueError, match="4x4; the kernels support 2x2 and 3x3"):
-            fixture_catalog("custom", custom={"matrix": matrix})
+            fixture_catalog("custom", 0.0, custom={"matrix": matrix})
 
 
 class TestOrbitForm:
@@ -239,17 +244,19 @@ class TestOrbitForm:
         for t in range(9):
             assert np.array_equal(windows[t], stable_direction_field(shear05, orbit[t], 12))
 
-    def test_gap_still_checked(self, product05, rng):
+    def test_gap_still_checked(self, product05, rng, monkeypatch):
         """Every depth-window of the 3-D segment path is checked, across block ends: the
         middle and smallest rates sit 1.66 apart."""
         starts = rng.random((3, 3))
-        stable_log_sums(product05, product05.orbit_jacobians(starts, 40, 16), 12, min_gap=1.4)
+        monkeypatch.setattr(bundles, "_MIN_GAP", 1.4)
+        stable_log_sums(product05, product05.orbit_jacobians(starts, 40, 16), 12)
+        monkeypatch.setattr(bundles, "_MIN_GAP", 2.0)
         with pytest.raises(GapTooSmall):
-            stable_log_sums(product05, product05.orbit_jacobians(starts, 40, 16), 12, min_gap=2.0)
+            stable_log_sums(product05, product05.orbit_jacobians(starts, 40, 16), 12)
 
     def test_linear_map_has_no_orbit_form(self, linear_map):
         """Its phi is constant; the solver never walks orbits for it."""
-        assert not hasattr(stable_log_norm_observable(linear_map), "orbit_sums")
+        assert not hasattr(stable_log_norm_observable(linear_map, 12), "orbit_sums")
 
     @pytest.mark.parametrize("name", ["shear05", "conjugated05", "product05"])
     def test_segment_mean_matches_deep_windows(self, name, request):
@@ -271,16 +278,14 @@ class TestOrbitForm:
 class TestCocycleSolver:
     def test_recovers_manufactured_coboundary(self, shear05, rng):
         def psi_true(p):
-            p = np.atleast_2d(p)
             return 0.3 * np.cos(2 * np.pi * (p[:, 0] + p[:, 1])) - 0.2 * np.sin(
                 2 * np.pi * p[:, 0]
             )
 
         def phi(p):
-            p = np.atleast_2d(p)
             return -0.4 + psi_true(shear05.torus_step(p)) - psi_true(p)
 
-        sol = livschitz_solve(shear05, phi, enumerate_orbits(shear05, 3), fourier_order=8)
+        sol = livschitz_solve(shear05, phi, enumerate_orbits(shear05, 3), 8, 1e-4, 0)
         assert abs(sol.mean + 0.4) < 1e-3
         assert sol.residual < 1e-3
         assert sol.obstruction < 1e-4
@@ -290,16 +295,14 @@ class TestCocycleSolver:
     def test_recovers_manufactured_coboundary_in_three_dimensions(self, product05, rng):
         """The d = 3 design and transfer, with the order clamped to 6 on the 20^3 grid."""
         def psi_true(p):
-            p = np.atleast_2d(p)
             return 0.3 * np.cos(2 * np.pi * (p[:, 0] - 2 * p[:, 2])) + 0.2 * np.sin(
                 2 * np.pi * (p[:, 1] + 6 * p[:, 2])
             )
 
         def phi(p):
-            p = np.atleast_2d(p)
             return -0.4 + psi_true(product05.torus_step(p)) - psi_true(p)
 
-        sol = livschitz_solve(product05, phi, enumerate_orbits(product05, 2))
+        sol = livschitz_solve(product05, phi, enumerate_orbits(product05, 2), None, 1e-4, 0)
         assert sol.fourier_order == 6
         assert abs(sol.mean + 0.4) < 1e-3
         assert sol.residual < 1e-3
@@ -321,7 +324,7 @@ class TestCocycleSolver:
         """The blocked Cholesky solve against an SVD least squares on the whole cos/sin design."""
         phi = stable_log_norm_observable(shear05, depth=12)
         with pytest.raises(ObstructionNonzero) as exc_info:
-            livschitz_solve(shear05, phi, enumerate_orbits(shear05, 3), fourier_order=8)
+            livschitz_solve(shear05, phi, enumerate_orbits(shear05, 3), 8, 1e-4, 0)
         sol = exc_info.value.solution
         grid = grid_points(2, 64)
 
@@ -338,28 +341,28 @@ class TestCocycleSolver:
     def test_order_that_aliases_on_the_grid_is_refused(self, shear05):
         """Order 32 puts 4224 unknowns on 4096 points, where k and k + 64 e_j coincide."""
         def phi(p):
-            return np.zeros(np.atleast_2d(p).shape[0])
+            return np.zeros(p.shape[0])
 
         inventory = enumerate_orbits(shear05, 1)
-        assert livschitz_solve(shear05, phi, inventory, fourier_order=31).fourier_order == 31
+        assert livschitz_solve(shear05, phi, inventory, 31, 1e-4, 0).fourier_order == 31
         with pytest.raises(ValueError, match="alias on the 64\\^2 cocycle grid"):
-            livschitz_solve(shear05, phi, inventory, fourier_order=32)
+            livschitz_solve(shear05, phi, inventory, 32, 1e-4, 0)
 
     def test_order_above_six_in_three_dimensions_is_refused(self, product05):
         """The 20^3 grid takes orders up to 6; a higher order is an error, not a silent clamp."""
         def phi(p):
-            return np.zeros(np.atleast_2d(p).shape[0])
+            return np.zeros(p.shape[0])
 
         inventory = enumerate_orbits(product05, 1)
-        assert livschitz_solve(product05, phi, inventory, fourier_order=6).fourier_order == 6
+        assert livschitz_solve(product05, phi, inventory, 6, 1e-4, 0).fourier_order == 6
         with pytest.raises(ValueError, match="fourier_order 16: must be <= 6 in 3-D; on the 20\\^3 cocycle grid"):
-            livschitz_solve(product05, phi, inventory, fourier_order=16)
+            livschitz_solve(product05, phi, inventory, 16, 1e-4, 0)
 
     @pytest.mark.parametrize("order", [0, -3])
     def test_order_below_one_is_refused(self, shear05, order):
-        phi = stable_log_norm_observable(shear05)
+        phi = stable_log_norm_observable(shear05, 12)
         with pytest.raises(ValueError, match=f"fourier_order {order}: must be >= 1"):
-            livschitz_solve(shear05, phi, enumerate_orbits(shear05, 1), fourier_order=order)
+            livschitz_solve(shear05, phi, enumerate_orbits(shear05, 1), order, 1e-4, 0)
 
     @pytest.mark.parametrize("name, order", [("shear05", None), ("conjugated05", 16)])
     def test_working_set_bounded(self, name, order, request):
@@ -380,10 +383,10 @@ class TestCocycleSolver:
 
     def test_non_coboundary_raises_with_best_fit(self, shear05):
         def phi(p):
-            return np.cos(2 * np.pi * np.atleast_2d(p)[:, 0])
+            return np.cos(2 * np.pi * p[:, 0])
 
         with pytest.raises(ObstructionNonzero) as exc_info:
-            livschitz_solve(shear05, phi, enumerate_orbits(shear05, 3), fourier_order=8)
+            livschitz_solve(shear05, phi, enumerate_orbits(shear05, 3), 8, 1e-4, 0)
         sol = exc_info.value.solution
         assert sol is not None
         assert sol.obstruction > 0.5
@@ -393,7 +396,6 @@ class TestCocycleSolver:
         assert psi.mean == pytest.approx(np.log(MU_S), abs=1e-12)
         assert psi.sup_transfer == 0.0
         assert psi.obstruction < 1e-12
-        assert psi.orientation == "transfer"
 
     def test_cubic_constant(self, cubic):
         psi = _stable_psi(cubic)
@@ -405,11 +407,9 @@ class TestCocycleSolver:
         assert abs(psi.mean - np.log(MU_S)) < 1e-4
         assert psi.residual < 2e-3
         assert psi.obstruction < 1e-4
-        assert psi.orientation == "transfer"
 
     def test_negated_flips(self, conjugated_psi, rng):
         back = conjugated_psi.negated()
-        assert back.orientation == "forward"
         pts = rng.random((20, 2))
         assert np.array_equal(back.transfer(pts), -conjugated_psi.transfer(pts))
 
@@ -421,7 +421,7 @@ class TestCocycleSolver:
 
 class TestAffineDistance:
     def test_plain_arclength(self, linear_map):
-        [leaf] = pull_back_leaves(linear_map, [0.3, 0.4], L=0.1)
+        [leaf] = pull_back_leaves(linear_map, X0, 0.1, 12)
         total = affine_distance(leaf, 0, len(leaf) - 1, None)
         assert total == pytest.approx(float(leaf.arclength[-1]), abs=1e-12)
         # order does not matter, fractional endpoints interpolate
@@ -436,7 +436,7 @@ class TestAffineDistance:
             affine_distance(leaf, -1, 2, None)
 
     def test_weight_bounds(self, conjugated05, conjugated_psi):
-        [leaf] = pull_back_leaves(conjugated05, [0.3, 0.4], L=0.1)
+        [leaf] = pull_back_leaves(conjugated05, X0, 0.1, 12)
         plain = affine_distance(leaf, 0, len(leaf) - 1, None)
         weighted = affine_distance(leaf, 0, len(leaf) - 1, conjugated_psi)
         hi = float(np.exp(conjugated_psi.sup_transfer))
@@ -446,40 +446,37 @@ class TestAffineDistance:
 class TestHolonomy:
     def test_linear_slide_exact(self, linear_map):
         v_s, v_u = _eig_dirs(linear_map.model.array)
-        x = np.array([0.3, 0.4])
-        y = x + 0.06 * v_s
-        xp = x + 0.07 * v_u
-        got = unstable_holonomy(linear_map, _quick_scan(linear_map), xp, y)
-        assert np.abs(got - (x + 0.07 * v_u + 0.06 * v_s)).max() < 1e-9
+        y = X0 + 0.06 * v_s
+        xp = X0 + 0.07 * v_u
+        targets = pull_back_leaves(linear_map, xp, 0.5, 12)
+        got = unstable_holonomy(linear_map, _quick_scan(linear_map), y, targets, 12)
+        assert np.abs(got - (X0 + 0.07 * v_u + 0.06 * v_s)).max() < 1e-9
 
     def test_no_intersection_when_target_too_short(self, linear_map):
         v_s, v_u = _eig_dirs(linear_map.model.array)
-        x = np.array([0.3, 0.4])
-        y = x + 0.45 * v_s
-        xp = x + 0.07 * v_u
-        [short] = pull_back_leaves(linear_map, xp, L=0.1)
+        y = X0 + 0.45 * v_s
+        short = pull_back_leaves(linear_map, X0 + 0.07 * v_u, 0.1, 12)
         with pytest.raises(NoIntersection):
-            unstable_holonomy(linear_map, _quick_scan(linear_map), xp, y, target_leaf=short)
+            unstable_holonomy(linear_map, _quick_scan(linear_map), y, short, 12)
 
     def test_refused_on_non_integrable(self, shear05):
         scan = _quick_scan(shear05)
         assert not scan.integrable
-        x = np.array([0.3, 0.4])
+        targets = pull_back_leaves(shear05, X0 + 0.01, 0.5, 12)
         with pytest.raises(RefusedNonIntegrable):
-            unstable_holonomy(shear05, scan, x + 0.01, x + 0.02)
+            unstable_holonomy(shear05, scan, X0 + 0.02, targets, 12)
         with pytest.raises(RefusedNonIntegrable):
-            holonomy_isometry_check(shear05, scan, None, samples=2, seed=0)
+            holonomy_isometry_check(shear05, scan, None, samples=2, seed=0, depth=12)
 
     def test_plane_only(self, cubic):
         with pytest.raises(ValueError):
-            unstable_holonomy(cubic, _quick_scan(cubic), np.zeros(3), np.zeros(3))
+            unstable_holonomy(cubic, _quick_scan(cubic), np.zeros((1, 3)), [], 12)
 
     def test_isometry_on_conjugated(self, conjugated05, conjugated_psi):
         rep = holonomy_isometry_check(
-            conjugated05, _quick_scan(conjugated05), conjugated_psi, samples=8, seed=23
+            conjugated05, _quick_scan(conjugated05), conjugated_psi, samples=8, seed=23, depth=12
         )
         assert rep.max_relative_defect < 1e-4
-        assert rep.mean_relative_defect <= rep.max_relative_defect
         assert len(rep.rows) == 8
         assert rep.csv_rows()[0] == ["sample", "d_s_source", "d_s_image", "relative_defect"]
 
@@ -487,15 +484,16 @@ class TestHolonomy:
 class TestConjugacyIsometry:
     def test_linear_exact(self, linear_map):
         psi = _stable_psi(linear_map)
-        ce = conjugacy_evaluator(linear_map)
-        rep = conjugacy_leaf_isometry_check(linear_map, ce, psi, samples=20, seed=19)
+        ce = conjugacy_evaluator(linear_map, 1e-9, None)
+        rep = conjugacy_leaf_isometry_check(linear_map, ce, psi, samples=20, seed=19, depth=12)
         assert rep.status == "ok"
         assert rep.scale == pytest.approx(1.0, abs=1e-12)
         assert rep.max_relative_deviation < 1e-12
 
     def test_conjugated_isometric_after_scale(self, conjugated05, conjugated_psi):
         rep = conjugacy_leaf_isometry_check(
-            conjugated05, conjugacy_evaluator(conjugated05), conjugated_psi, samples=25, seed=19
+            conjugated05, conjugacy_evaluator(conjugated05, 1e-9, None), conjugated_psi, samples=25, seed=19,
+            depth=12,
         )
         assert rep.status == "ok"
         assert rep.scale == pytest.approx(1.0, abs=1e-2)

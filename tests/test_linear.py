@@ -20,6 +20,7 @@ from anosovlab.linear import (
 from anosovlab.util import grid_points, torus_delta, torus_distance, wrap
 
 A0 = ((3, 1), (1, 1))
+M0 = IntMatrix(A0)  # the linear API takes an IntMatrix
 MU_S = 2.0 - np.sqrt(2.0)
 
 
@@ -31,7 +32,7 @@ def preimage_points(rows, k: int) -> np.ndarray:
     under A^{-k}, wrapped to [0,1)^d.
     """
     m = IntMatrix(rows)
-    reps = np.array(coset_representatives(m).representatives, dtype=float)
+    reps = coset_representatives(m)
     pts = np.zeros((1, m.dim))
     for _ in range(k):
         pts = (reps[:, None, :] + pts[None, :, :] @ m.array.T).reshape(-1, m.dim)
@@ -91,8 +92,7 @@ class TestAnalyzeMatrix:
 
 class TestLattice:
     def test_coset_count_matches_degree(self):
-        coset = coset_representatives(A0)
-        assert coset.degree == 2
+        assert coset_representatives(M0).shape == (2, 2)
 
     def test_preimage_point_counts(self):
         for k in range(0, 5):
@@ -111,14 +111,14 @@ class TestLattice:
     def test_deep_vectors_live_in_deep_lattice(self):
         a = np.array(A0, dtype=float)
         for m in range(1, 7):
-            vec = np.array(minimal_deep_vector(A0, m), dtype=float)
+            vec = np.array(minimal_deep_vector(M0, m), dtype=float)
             pre = vec.copy()
             for _ in range(m):
                 pre = np.linalg.solve(a, pre)
             assert np.allclose(pre, np.round(pre), atol=1e-9)
 
     def test_deep_vectors_bounded_enumeration(self):
-        vecs = deep_lattice_vectors(A0, 2, 10.0)
+        vecs = deep_lattice_vectors(M0, 2, 10.0)
         assert (0, 0) in vecs
         assert any(any(c != 0 for c in v) for v in vecs)
         for v in vecs:
@@ -203,28 +203,28 @@ class TestCoveringRadius:
     def test_closest_vector_search_matches_brute_force(self, rows, k_max):
         for k in range(k_max + 1):
             want = _brute_force_radius(rows, k)
-            assert preimage_covering_radius(rows, k) == pytest.approx(want, rel=1e-10, abs=0.0)
+            assert preimage_covering_radius(IntMatrix(rows), k) == pytest.approx(want, rel=1e-10, abs=0.0)
 
     def test_k0_is_half_diagonal(self):
         # the only preimage at k=0 is the origin itself
-        r0 = preimage_covering_radius(A0, 0)
+        r0 = preimage_covering_radius(M0, 0)
         assert abs(r0 - np.sqrt(2.0) / 2.0) <= 1e-12
 
     def test_density_law_to_depth_8(self):
-        table = covering_radius_table(A0, 8)
+        table = covering_radius_table(M0, 8)
         assert len(table) == 9
         for entry in table[1:]:
             assert entry["radius"] <= entry["bound"] * (1 + 1e-9)
 
     def test_two_step_ratio_window(self):
-        table = covering_radius_table(A0, 8)
+        table = covering_radius_table(M0, 8)
         radii = [e["radius"] for e in table]
         for k in range(len(radii) - 2):
             ratio = radii[k + 2] / radii[k]
             assert 0.4 <= ratio <= 0.65
 
     def test_radii_decrease(self):
-        radii = [e["radius"] for e in covering_radius_table(A0, 6)]
+        radii = [e["radius"] for e in covering_radius_table(M0, 6)]
         assert all(b <= a + 1e-12 for a, b in zip(radii, radii[1:]))
 
 
@@ -241,10 +241,9 @@ small_int_matrices = st.lists(
 @given(small_int_matrices)
 def test_coset_representatives_complete(rows):
     """Representatives cover Z^2 / A Z^2 exactly once."""
-    coset = coset_representatives(rows)
+    reps = coset_representatives(IntMatrix(rows))
     det = abs(rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0])
-    assert coset.degree == det
-    reps = np.array(coset.representatives, dtype=float)
+    assert reps.shape == (det, 2)
     a_inv_reps = np.linalg.solve(np.array(rows, dtype=float), reps.T).T
     # entries of A^{-1} r are exact multiples of 1/det
     scaled = a_inv_reps * det

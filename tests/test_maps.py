@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from anosovlab import maps
 from anosovlab.errors import (
     CertificationFailed,
     IncompleteEnumeration,
@@ -15,19 +16,15 @@ from anosovlab.util import pairwise_principal_angles, qr_pos, torus_distance, wr
 
 
 def _fd_jacobian(f, x, eps=1e-6):
-    d = x.shape[0]
-    cols = []
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = eps
-        cols.append((f.evaluate(x + e) - f.evaluate(x - e)) / (2 * eps))
-    return np.stack(cols, axis=-1)
+    """Central differences of F at the rows of x (n, d), shape (n, d, d)."""
+    steps = eps * np.eye(x.shape[1])
+    return np.stack([(f.evaluate(x + e) - f.evaluate(x - e)) / (2 * eps) for e in steps], axis=-1)
 
 
 class TestCatalog:
     def test_unknown_name(self):
         with pytest.raises(UnknownFixture):
-            fixture_catalog("does_not_exist")
+            fixture_catalog("does_not_exist", 0.0)
 
     def test_linear_rejects_epsilon(self):
         with pytest.raises(ValueError):
@@ -62,10 +59,8 @@ class TestLiftStructure:
 
     def test_jacobian_matches_finite_differences(self, shear05, conjugated05, rng):
         for f in (shear05, conjugated05):
-            for x in rng.random((5, 2)):
-                jac = f.jacobian(x)
-                fd = _fd_jacobian(f, x)
-                assert np.max(np.abs(jac - fd)) < 1e-6
+            x = rng.random((5, 2))
+            assert np.max(np.abs(f.jacobian(x) - _fd_jacobian(f, x))) < 1e-6
 
     def test_orbit_jacobians_consistent(self, conjugated05, rng):
         """DF along the chart walk against DF at the points of the torus orbit."""
@@ -93,19 +88,18 @@ class TestLiftStructure:
 
 
 class TestInverseWithData:
-    """invert_with_displacement hands back phi from its last pass."""
+    """The lift inverse, and F and phi at its points."""
 
     @pytest.mark.parametrize("name", ["shear05", "product05", "conjugated05"])
     def test_matches_separate_calls(self, name, request, rng):
+        """evaluate_with_displacement at the inverse's points gives F and phi of evaluate and
+        displacement, and F lands back on the targets."""
         f = request.getfixturevalue(name)
         y = rng.random((33, f.dim)) * 4 - 2
-        x, disp = f.invert_with_displacement(y)
-        assert np.array_equal(x, f.invert(y))
-        assert np.array_equal(disp, f.displacement(x))
-        x1, disp1 = f.invert_with_displacement(y[3])
-        assert np.array_equal(x1, f.invert(y[3])) and np.array_equal(disp1, f.displacement(x1))
+        x = f.invert(y)
         image, disp = f.evaluate_with_displacement(x)
         assert np.array_equal(image, f.evaluate(x)) and np.array_equal(disp, f.displacement(x))
+        assert np.abs(image - y).max() < 1e-9
 
     def test_residual_verified_row_by_row(self, conjugated05, monkeypatch):
         """A row off its own tolerance fails whatever rows share its batch: next to
@@ -114,7 +108,7 @@ class TestInverseWithData:
 
         def spoiled(self, y):
             z = chart_inverse(self, y)
-            z[0] += 1e-9
+            z[0] += 1e3 * maps._PREIMAGE_TOL  # ten times the verified bound
             return z
 
         monkeypatch.setattr(type(conjugated05), "_chart_inverse", spoiled)
@@ -130,14 +124,15 @@ class TestInverseWithData:
         terms = {1: [((1, 0), 0.0, 1.0), ((0, 0), 1.0, 0.0)]}
         f = fixture_catalog("custom", epsilon=1.0 / np.pi, custom={"matrix": ((3, 1), (1, 1)), "terms": terms})
         with pytest.raises(NotLocalDiffeo, match="determinant"):
-            f.invert(f.model.array @ np.array([0.0, 0.5]))
+            f.invert(np.array([[0.0, 0.5]]) @ f.model.array.T)
 
-    def test_no_convergence(self, shear05, conjugated05, rng):
+    def test_no_convergence(self, shear05, conjugated05, rng, monkeypatch):
+        monkeypatch.setattr(maps, "_PREIMAGE_TOL", 1e-30)
         y = rng.random((4, 2)) * 4 - 2
         with pytest.raises(NoConvergence, match="stalled"):
-            shear05.invert(y, tol=1e-30)
+            shear05.invert(y)
         with pytest.raises(NoConvergence, match="verified residual"):
-            conjugated05.invert(y, tol=1e-30)
+            conjugated05.invert(y)
 
 
 def _stepwise_orbit_displacements(f, starts, length):
@@ -152,8 +147,8 @@ def _stepwise_orbit_displacements(f, starts, length):
 def _stepwise_preimage_displacements(f, y, length):
     out = []
     for _ in range(length):
-        y, disp = f.invert_with_displacement(y)
-        out.append(disp)
+        y = f.invert(y)
+        out.append(f.displacement(y))
     return np.stack(out)
 
 
@@ -172,10 +167,10 @@ def _stepwise_orbit_jacobians(f, starts, length):
     return np.stack(out)
 
 
-def _stepwise_branch_jacobians(f, starts, shifts, tol):
+def _stepwise_branch_jacobians(f, starts, shifts):
     t, out = starts, []
     for shift in shifts:
-        t = wrap(f.invert(t + shift, tol=tol))
+        t = wrap(f.invert(t + shift))
         out.append(f.jacobian(t))
     return np.stack(out)
 
@@ -210,7 +205,12 @@ class TestOrbitWalks:
     """Each orbit walk against its per-step loop: a map with the identity chart
     (linear or trig) runs that loop, bit for bit; a conjugated map walks in
     the chart G, and rounding that the hyperbolic steps amplify keeps the
-    comparison to a few steps."""
+    comparison to a few steps. The loops step back with `invert`, here at the
+    walks' own lift-inverse tolerance."""
+
+    @pytest.fixture(autouse=True)
+    def _walk_tolerance(self, monkeypatch):
+        monkeypatch.setattr(maps, "_PREIMAGE_TOL", maps._INVERT_TOL)
 
     @staticmethod
     def _agree(f, got, want, tol=1e-12):
@@ -249,8 +249,8 @@ class TestOrbitWalks:
         f = request.getfixturevalue(name)
         starts = rng.random((10, f.dim))
         shifts = rng.integers(0, 2, (12, 10, f.dim)).astype(float)
-        got = f.branch_jacobians(starts, shifts, 1e-11)
-        want = _stepwise_branch_jacobians(f, starts, shifts, 1e-11)
+        got = f.branch_jacobians(starts, shifts, maps._INVERT_TOL)
+        want = _stepwise_branch_jacobians(f, starts, shifts)
         if f.conjugator is None:
             assert np.array_equal(got, want)
         else:
@@ -279,11 +279,10 @@ class TestPreimages:
     ])
     def test_full_preimage_set(self, name, eps, rng):
         f = fixture_catalog(name, eps)
-        x = rng.random(2)
-        pre = f.preimages(x)
+        x = rng.random((1, 2))
+        [pre] = f.preimages(x)
         assert pre.shape == (f.degree, 2)
-        for p in pre:
-            assert torus_distance(wrap(f.evaluate(p)), x) < 1e-8
+        assert torus_distance(wrap(f.evaluate(pre)), x).max() < 1e-8
         # distinct branches
         gaps = [
             torus_distance(pre[i], pre[j])
@@ -294,18 +293,18 @@ class TestPreimages:
 
     def test_product_has_degree_two(self, product05):
         assert product05.degree == 2
-        pre = product05.preimages(np.array([0.3, 0.4, 0.5]))
-        assert pre.shape == (2, 3)
+        pre = product05.preimages(np.array([[0.3, 0.4, 0.5]]))
+        assert pre.shape == (1, 2, 3)
 
     def test_first_collision_named(self, monkeypatch):
         """Branches that coincide are refused, naming the first colliding pair in
         (row, i, j) order: here row 0's pair (1, 2) before row 1's pair (0, 1)."""
-        f = fixture_catalog("custom", custom={"matrix": ((4, 1), (1, 1))})
+        f = fixture_catalog("custom", 0.0, custom={"matrix": ((4, 1), (1, 1))})
         assert f.degree == 3
         invert = TorusMap.invert
 
-        def collide(self, y, tol=1e-12):
-            x = invert(self, y, tol).reshape(-1, 3, 2)
+        def collide(self, y):
+            x = invert(self, y).reshape(-1, 3, 2)
             x[0, 2] = x[0, 1] + 1.0  # the same torus point
             x[1, 1] = x[1, 0]
             return x.reshape(-1, 2)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from anosovlab import linear
 from anosovlab.errors import ResourceLimit
 from anosovlab.intlinalg import int_pow
 from anosovlab.linear import IntMatrix
@@ -38,9 +39,12 @@ class TestLinearEnumeration:
             assert pts.shape[0] == _expected_count(cubic.model, n)
         assert linear_periodic_points(cubic.model, 1).shape[0] == 4
 
-    def test_cap_enforced(self, linear_map):
-        with pytest.raises(ResourceLimit):
-            linear_periodic_points(linear_map.model, 6, cap=100)
+    def test_cap_enforced(self, linear_map, monkeypatch):
+        monkeypatch.setattr(linear, "_COSET_CAP", 119)
+        assert linear_periodic_points(linear_map.model, 4).shape == (119, 2)
+        monkeypatch.setattr(linear, "_COSET_CAP", 118)
+        with pytest.raises(ResourceLimit, match="above the cap 118"):
+            linear_periodic_points(linear_map.model, 4)
         with pytest.raises(ValueError):
             linear_periodic_points(linear_map.model, 0)
 
@@ -53,7 +57,7 @@ class TestLinearEnumeration:
         assert len(inv) == 42
 
     def test_linear_spectra_exact(self, linear_map):
-        rep = rigidity_report(linear_map, enumerate_orbits(linear_map, 4))
+        rep = rigidity_report(linear_map, enumerate_orbits(linear_map, 4), 5e-4)
         lam = np.log(2.0 - np.sqrt(2.0))
         assert rep.linear_exponents == pytest.approx((lam,), abs=1e-14)
         assert rep.rigid
@@ -67,9 +71,8 @@ class TestCycleStructure:
         assert inv.complete
         for o in inv:
             assert o.points.shape == (o.period, 2)
-            for k in range(o.period):
-                step = conjugated05.torus_step(o.points[k])
-                assert torus_distance(step, o.points[(k + 1) % o.period]) < 1e-9
+            step = conjugated05.torus_step(o.points)
+            assert torus_distance(step, np.roll(o.points, -1, axis=0)).max() < 1e-9
             assert o.residual <= 1e-11
 
     def test_minimal_periods(self, conjugated05):
@@ -83,10 +86,10 @@ class TestCycleStructure:
         f = request.getfixturevalue(name)
         inv = enumerate_orbits(f, 3)
         for o in inv:
-            y = o.points[0].copy()
+            y = o.points[:1]
             for _ in range(o.period):
                 y = f.evaluate(y)
-            m = y - o.points[0]
+            [m] = y - o.points[:1]
             assert np.abs(m - np.round(m)).max() < 1e-9
             assert tuple(int(c) for c in np.round(m)) == o.translation_class
 
@@ -140,14 +143,14 @@ class TestCycleSpectra:
 
 class TestRigidity:
     def test_conjugated_is_rigid(self, conjugated05):
-        rep = rigidity_report(conjugated05, enumerate_orbits(conjugated05, 3))
+        rep = rigidity_report(conjugated05, enumerate_orbits(conjugated05, 3), 5e-4)
         assert rep.rigid
         assert rep.max_deviation < 1e-10
         assert rep.max_spread < 1e-10
         assert rep.inventory.complete and len(rep.inventory) == 14
 
     def test_shear_is_not_rigid(self, shear05):
-        rep = rigidity_report(shear05, enumerate_orbits(shear05, 2))
+        rep = rigidity_report(shear05, enumerate_orbits(shear05, 2), 5e-4)
         assert not rep.rigid
         assert rep.max_deviation > 0.05
         assert rep.max_spread > 0.05
@@ -160,14 +163,14 @@ class TestRigidity:
             assert o.stable_exponents[0] == pytest.approx(lam, abs=1e-10)
 
     def test_product_counts_and_verdict(self, product05):
-        rep = rigidity_report(product05, enumerate_orbits(product05, 3))
+        rep = rigidity_report(product05, enumerate_orbits(product05, 3), 5e-4)
         assert rep.inventory.complete
         assert rep.inventory.expected_counts == {1: 1, 2: 15, 3: 112}
         assert len(rep.inventory) == 45
         assert not rep.rigid  # the shear term makes periodic stable rates drift apart
 
     def test_csv_rows(self, linear_map):
-        rep = rigidity_report(linear_map, enumerate_orbits(linear_map, 2))
+        rep = rigidity_report(linear_map, enumerate_orbits(linear_map, 2), 5e-4)
         rows = rep.csv_rows()
         assert rows[0] == [
             "period", "orbit_id", "point0_x", "point0_y",

@@ -29,31 +29,36 @@ MINIMAL = {"fixture": {"name": "linear_A0"}}
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 _SHEAR = {1: [[[1, 0], 0.0, 1.0]]}
-# custom fixtures the fixture owner refuses: name -> (custom mapping, what the problem says)
+# fixture sections the fixture owner refuses: id -> (fixture.name, fixture.custom, what the problem says)
 BAD_CUSTOM = {
-    "1x1": ({"matrix": [[2]]}, "matrix is 1x1; the kernels support 2x2 and 3x3"),
-    "non-square": ({"matrix": [[2, 1, 0], [1, 1, 0]]}, "matrix must be square, got 2 rows of lengths [3, 3]"),
-    "4x4": ({"matrix": [[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]]}, "matrix is 4x4"),
-    "not-a-matrix": ({"matrix": 5}, "matrix must be a list of rows"),
-    "singular": ({"matrix": [[1, 1], [1, 1]]}, "is singular over Q"),
-    "non-integer": ({"matrix": [[2, 1], [1, 1.5]]}, "matrix entry [1][1] = 1.5 is not an integer"),
-    "boolean-entry": ({"matrix": [[3, True], [1, 1]]}, "matrix entry [0][1] = True is not an integer"),
-    "non-hyperbolic": ({"matrix": [[1, 1], [0, 1]]}, "touch the unit circle"),
-    "no-matrix": ({"terms": _SHEAR}, "needs a 'matrix' entry"),
-    "unknown-key": ({"matrix": [[3, 1], [1, 1]], "conjugator_term": _SHEAR}, "unknown key 'conjugator_term'"),
-    "malformed-terms": ({"matrix": [[3, 1], [1, 1]], "terms": {1: [[1, 0]]}},
+    "1x1": ("custom", {"matrix": [[2]]}, "matrix is 1x1; the kernels support 2x2 and 3x3"),
+    "non-square": ("custom", {"matrix": [[2, 1, 0], [1, 1, 0]]},
+                   "matrix must be square, got 2 rows of lengths [3, 3]"),
+    "4x4": ("custom", {"matrix": [[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]]}, "matrix is 4x4"),
+    "not-a-matrix": ("custom", {"matrix": 5}, "matrix must be a list of rows"),
+    "singular": ("custom", {"matrix": [[1, 1], [1, 1]]}, "is singular over Q"),
+    "non-integer": ("custom", {"matrix": [[2, 1], [1, 1.5]]}, "matrix entry [1][1] = 1.5 is not an integer"),
+    "boolean-entry": ("custom", {"matrix": [[3, True], [1, 1]]}, "matrix entry [0][1] = True is not an integer"),
+    "non-hyperbolic": ("custom", {"matrix": [[1, 1], [0, 1]]}, "touch the unit circle"),
+    "no-matrix": ("custom", {"terms": _SHEAR}, "needs a 'matrix' entry"),
+    "unknown-key": ("custom", {"matrix": [[3, 1], [1, 1]], "conjugator_term": _SHEAR},
+                    "unknown key 'conjugator_term'"),
+    "malformed-terms": ("custom", {"matrix": [[3, 1], [1, 1]], "terms": {1: [[1, 0]]}},
                         "terms: term [1, 0] of coordinate 1 is not [[k_1..k_2], cos coefficient, sin coefficient]"),
-    "coordinate-out-of-range": ({"matrix": [[3, 1], [1, 1]], "terms": {2: [[[1, 0], 0.0, 1.0]]}},
+    "coordinate-out-of-range": ("custom", {"matrix": [[3, 1], [1, 1]], "terms": {2: [[[1, 0], 0.0, 1.0]]}},
                                 "terms: coordinate index 2 is not an integer in 0..1"),
-    "wave-vector-length": ({"matrix": [[3, 1], [1, 1]], "terms": {1: [[[1, 0, 0], 0.0, 1.0]]}},
+    "wave-vector-length": ("custom", {"matrix": [[3, 1], [1, 1]], "terms": {1: [[[1, 0, 0], 0.0, 1.0]]}},
                            "terms: term [[1, 0, 0], 0.0, 1.0] of coordinate 1 is not"),
-    "terms-and-conjugator": ({"matrix": [[3, 1], [1, 1]], "terms": _SHEAR, "conjugator_terms": _SHEAR},
+    "terms-and-conjugator": ("custom", {"matrix": [[3, 1], [1, 1]], "terms": _SHEAR, "conjugator_terms": _SHEAR},
                              "either perturbed (terms) or conjugated (conjugator_terms), not both"),
-    "complex-stable-pair": ({"matrix": [[0, 0, 2], [1, 0, -1], [0, 1, 4]],
-                             "conjugator_terms": {0: [[[0, 1, 0], 0, 0.1]], 2: [[[1, 0, 0], 0, 0.1]]}},
+    "complex-stable-pair": ("custom", {"matrix": [[0, 0, 2], [1, 0, -1], [0, 1, 4]],
+                                       "conjugator_terms": {0: [[[0, 1, 0], 0, 0.1]], 2: [[[1, 0, 0], 0, 0.1]]}},
                             "real, simple stable spectrum"),
-    "cat-map": ({"matrix": [[2, 1], [1, 1]]}, "|det| = 1"),
-    "expanding": ({"matrix": [[2, 1], [0, 2]], "terms": _SHEAR}, "no eigenvalue inside the unit circle"),
+    "cat-map": ("custom", {"matrix": [[2, 1], [1, 1]]}, "|det| = 1"),
+    "expanding": ("custom", {"matrix": [[2, 1], [0, 2]], "terms": _SHEAR}, "no eigenvalue inside the unit circle"),
+    # a named fixture builds its map from the catalog, so a mapping next to it would only move the stage keys
+    "custom-next-to-a-named-fixture": ("shear_A0", {"matrix": [[9]]},
+                                       "shear_A0 is a named fixture and would ignore this mapping"),
 }
 
 
@@ -88,11 +93,6 @@ class TestLoadScenario:
         assert sc.seed == 7
         # stage order is normalized to pipeline order
         assert sc.stages == ("analyze", "certify")
-
-    def test_yaml_string(self):
-        sc = load_scenario("fixture:\n  name: conjugated_A0\n  epsilon: 0.05\nseed: 3\n")
-        assert sc.fixture == "conjugated_A0"
-        assert sc.seed == 3
 
     def test_all_problems_reported_at_once(self):
         bad = {
@@ -177,10 +177,10 @@ class TestLoadScenario:
         [problem] = exc_info.value.problems
         assert problem.startswith(f"fixture.custom: matrix is {d}x{d};") and "2x2 and 3x3" in problem
 
-    @pytest.mark.parametrize("custom, why", list(BAD_CUSTOM.values()), ids=list(BAD_CUSTOM))
-    def test_bad_custom_fixture_is_one_config_problem(self, custom, why, tmp_path, capsys):
+    @pytest.mark.parametrize("name, custom, why", list(BAD_CUSTOM.values()), ids=list(BAD_CUSTOM))
+    def test_bad_custom_fixture_is_one_config_problem(self, name, custom, why, tmp_path, capsys):
         """Refused at load with one problem naming it, and by the command before any stage runs."""
-        cfg = {"fixture": {"name": "custom", "epsilon": 0.02, "custom": custom}, "output": str(tmp_path / "run")}
+        cfg = {"fixture": {"name": name, "epsilon": 0.02, "custom": custom}, "output": str(tmp_path / "run")}
         with pytest.raises(ConfigInvalid) as exc_info:
             load_scenario(cfg)
         [problem] = exc_info.value.problems
@@ -202,24 +202,18 @@ class TestLoadScenario:
         for config in sorted(CONFIGS.glob("*.yaml")):
             load_scenario(config)
 
-    def test_root_must_be_mapping(self):
-        with pytest.raises(ConfigInvalid):
-            load_scenario("- 1\n- 2\n")
-        with pytest.raises(ConfigInvalid):
-            load_scenario("fixture: [unclosed\n")
+    def test_root_must_be_mapping(self, tmp_path):
+        cfg = tmp_path / "list.yaml"
+        cfg.write_text("- 1\n- 2\n")
+        with pytest.raises(ConfigInvalid) as exc_info:
+            load_scenario(cfg)
+        assert exc_info.value.problems == ["config root must be a mapping"]
 
     def test_missing_file_is_named(self, tmp_path):
         for source in (str(tmp_path / "typo.yaml"), tmp_path / "typo.yaml"):
             with pytest.raises(ConfigInvalid) as exc_info:
                 load_scenario(source)
             assert exc_info.value.problems == [f"config file {source} does not exist"]
-        # an inline one-line mapping is still YAML text, not a path
-        assert load_scenario("{fixture: {name: linear_A0}}").fixture == "linear_A0"
-
-    def test_long_yaml_line_is_not_a_path(self):
-        """A line longer than a file name may be is YAML text, not a path error."""
-        text = "fixture:\n  name: linear_A0\n# " + "x" * 300 + "\n"
-        assert load_scenario(text).fixture == "linear_A0"
 
     def test_dichotomy_section(self):
         sc = load_scenario({
@@ -316,10 +310,16 @@ class TestCache:
             "    matrix: [[3, 1], [1, 1]]\n    terms: {{1: [[[1, 0], 0.0, {c}]]}}\n"
             f"output: {tmp_path / 'out'}\nstages: [analyze]\n"
         )
-        sc = load_scenario(text.format(c=1.0))
+
+        def load(c: float) -> Scenario:
+            cfg = tmp_path / f"custom_{c}.yaml"
+            cfg.write_text(text.format(c=c))
+            return load_scenario(cfg)
+
+        sc = load(1.0)
         key = stage_key("analyze", sc)
-        assert stage_key("analyze", load_scenario(text.format(c=1.0))) == key
-        assert stage_key("analyze", load_scenario(text.format(c=0.5))) != key
+        assert stage_key("analyze", load(1.0)) == key
+        assert stage_key("analyze", load(0.5)) != key
         assert run_scenario(sc).exit_code == 0
         assert run_scenario(sc).exit_code == 0
         assert _cache_states(tmp_path / "out") == {"stage_analyze_cache": "hit"}
@@ -429,12 +429,14 @@ def test_shipped_config_builds_its_map(config):
             assert fixture_catalog(sc.dichotomy_family, eps).dim >= 2
 
 
-def test_invalid_yaml_reports_the_pure_python_message():
+def test_invalid_yaml_reports_the_pure_python_message(tmp_path):
     text = "fixture:\n  name: [linear_A0,\n"
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(text)
     with pytest.raises(yaml.YAMLError) as pure:
         yaml.safe_load(text)
     with pytest.raises(ConfigInvalid) as exc_info:
-        load_scenario(text)
+        load_scenario(cfg)
     assert exc_info.value.problems == [f"not valid YAML: {pure.value}"]
 
 
@@ -566,10 +568,12 @@ class TestDichotomy:
         ]
 
     def test_missing_section_is_error(self, tmp_path):
-        result = run_scenario(_small_scenario(tmp_path, stages=("dichotomy",)))
-        assert result.exit_code == 1
-        assert "dichotomy" in result.error
-        assert "stages: \n" in (tmp_path / "summary.txt").read_text()
+        """The sweep without a dichotomy section is refused before any directory is made."""
+        out = tmp_path / "out"
+        with pytest.raises(ConfigInvalid) as exc_info:
+            run_scenario(_small_scenario(out, stages=("dichotomy",)))
+        assert exc_info.value.problems == ["dichotomy: section required for the dichotomy verb"]
+        assert not out.exists()
 
     def test_rows_skip_the_conjugacy_stage_work(self, tmp_path, monkeypatch):
         """A row reads specialness only: no residual, round trip or decay."""
@@ -595,9 +599,9 @@ class TestRunContext:
         seen = []
         real = scenarios.conjugacy_leaf_isometry_check
 
-        def spy(f, ce, psi, **kw):
+        def spy(f, ce, *args):
             seen.append(ce)
-            return real(f, ce, psi, **kw)
+            return real(f, ce, *args)
 
         monkeypatch.setattr(scenarios, "conjugacy_leaf_isometry_check", spy)
         sc = load_scenario({
